@@ -48,7 +48,8 @@ from repro.data import (
     poisson_arrivals,
     sequential_arrivals,
 )
-from repro.evaluation.runner import ExperimentRunner, QueryRecord, RunResult
+from repro.evaluation.pipeline import QueryRecord
+from repro.evaluation.runner import ExperimentRunner, RunResult
 from repro.experiments.common import (
     DEFAULT_RATES,
     default_engine_config,
@@ -65,7 +66,7 @@ from repro.llm import (
     RooflineCostModel,
     SimTokenizer,
 )
-from repro.retrieval import FlatL2Index, HashedEmbedding, VectorStore
+from repro.retrieval import FlatL2Index, HashedEmbedding, ShardedVectorStore
 from repro.serving import EngineConfig, ServingEngine
 from repro.workload import (
     Autoscaler,
@@ -108,9 +109,9 @@ __all__ = [
     "RooflineCostModel",
     "RunResult",
     "ServingEngine",
+    "ShardedVectorStore",
     "SimTokenizer",
     "SynthesisMethod",
-    "VectorStore",
     "Workload",
     "build_dataset",
     "default_engine_config",

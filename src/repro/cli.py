@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import math
 import sys
 
 from repro.baselines import FixedConfigPolicy, ParrotPolicy
@@ -141,100 +142,91 @@ def build_policy(name: str, bundle, config_label: str | None, seed: int,
     raise ValueError(f"unknown policy {name!r}")
 
 
+#: ``run`` arguments that pick what to serve; every other attribute of
+#: the parsed namespace is a knob flag the user set, forwarded to
+#: :func:`~repro.experiments.common.run_policy`.
+_RUN_TARGET = ("command", "func", "dataset", "policy", "config", "queries",
+               "seed")
+
+
+def _shard_concurrency_knob(label: str) -> int | list[int]:
+    parsed = parse_shard_concurrency(label)
+    # A single value broadcasts to every shard; a list must match.
+    return parsed[0] if len(parsed) == 1 else parsed
+
+
+#: Knob flags whose text the runner does not take as is.
+_KNOB_PARSERS = {
+    "replica_speeds": parse_replica_speeds,
+    "shard_concurrency": _shard_concurrency_knob,
+}
+
+
+def _run_title(policy: str, dataset: str, result, workload) -> str:
+    """The summary table's title: what the run was configured with."""
+    title = f"{policy} on {dataset}"
+    if result.n_replicas > 1:
+        title += f" ({result.n_replicas} replicas, {result.router} router)"
+    speeds = result.replica_speeds[:result.n_replicas]
+    if any(s != 1.0 for s in speeds):
+        title += f" [speeds {','.join(f'{s:g}' for s in speeds)}]"
+    if result.n_retrieval_shards > 1:
+        title += f" [{result.n_retrieval_shards}-shard retrieval]"
+    if result.reranker is not None:
+        title += f" [+{result.reranker} reranker]"
+    if result.speculation is not None:
+        title += f" [{result.speculation} speculation]"
+    if workload is not None:
+        title += f" [{workload} workload]"
+    if result.autoscaler is not None:
+        title += f" [{result.autoscaler} autoscaler]"
+    tiers = []
+    if result.result_cache is not None:
+        tiers.append(f"{result.result_cache} result")
+    if result.retrieval_cache:
+        tiers.append("retrieval")
+    if tiers:
+        title += f" [{'+'.join(tiers)} cache]"
+    if result.quality_slo is not None:
+        title += f" [SLO {result.quality_slo}]"
+    elif result.quality_metrics:
+        title += " [quality metrics]"
+    return title
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.common import run_policy
 
+    knobs = {k: v for k, v in vars(args).items() if k not in _RUN_TARGET}
     bundle = build_dataset(args.dataset, seed=args.seed,
                            n_queries=args.queries)
     policy = build_policy(args.policy, bundle, args.config, args.seed,
-                          quality_slo=args.quality_slo)
-    speeds = (parse_replica_speeds(args.replica_speeds)
-              if args.replica_speeds else None)
-    shard_concurrency = None
-    if args.shard_concurrency is not None:
-        parsed = parse_shard_concurrency(args.shard_concurrency)
-        # A single value broadcasts to every shard; a list must match.
-        shard_concurrency = parsed[0] if len(parsed) == 1 else parsed
-    result = run_policy(
-        bundle, policy,
-        rate_qps=args.rate, seed=args.seed,
-        sequential=args.sequential,
-        n_replicas=args.replicas, router=args.router,
-        profiler_concurrency=args.profiler_concurrency,
-        retrieval_concurrency=args.retrieval_concurrency,
-        closed_loop_clients=args.closed_loop_clients,
-        replica_speeds=speeds,
-        retrieval_shards=args.retrieval_shards,
-        shard_concurrency=shard_concurrency,
-        reranker=args.reranker,
-        index=args.index,
-        slo_seconds=args.slo_seconds,
-        speculation=args.speculation,
-        hedge_delay=args.hedge_delay,
-        workload=args.workload,
-        autoscaler=args.autoscaler,
-        scale_min=args.scale_min,
-        scale_max=args.scale_max,
-        autoscale_interval=args.autoscale_interval,
-        provision_delay=args.provision_delay,
-        result_cache=args.result_cache,
-        retrieval_cache=args.retrieval_cache,
-        cache_capacity=args.cache_capacity,
-        cache_eviction=args.cache_eviction,
-        semantic_threshold=args.semantic_threshold,
-        cache_ttl=args.cache_ttl,
-        quality_metrics=args.quality_metrics,
-        quality_slo=args.quality_slo,
-    )
+                          quality_slo=knobs.get("quality_slo"))
+    for name, parse in _KNOB_PARSERS.items():
+        if name in knobs:
+            knobs[name] = parse(knobs[name])
+    result = run_policy(bundle, policy, seed=args.seed, **knobs)
     rows = [dict(metric=k, value=v) for k, v in result.summary().items()]
-    title = f"{policy.name} on {args.dataset}"
-    if args.replicas > 1:
-        title += f" ({args.replicas} replicas, {args.router} router)"
-    if speeds is not None:
-        title += f" [speeds {','.join(f'{s:g}' for s in speeds)}]"
-    if args.retrieval_shards > 1:
-        title += f" [{args.retrieval_shards}-shard retrieval]"
-    if args.reranker is not None:
-        title += f" [+{args.reranker} reranker]"
-    if args.speculation != "none":
-        title += f" [{args.speculation} speculation]"
-    if args.workload is not None:
-        title += f" [{args.workload} workload]"
-    if args.autoscaler != "none":
-        title += f" [{args.autoscaler} autoscaler]"
-    cache_on = (args.result_cache not in (None, "off")
-                or args.retrieval_cache)
-    if cache_on:
-        tiers = []
-        if args.result_cache not in (None, "off"):
-            tiers.append(f"{args.result_cache} result")
-        if args.retrieval_cache:
-            tiers.append("retrieval")
-        title += f" [{'+'.join(tiers)} cache]"
-    quality_on = args.quality_metrics or args.quality_slo is not None
-    if args.quality_slo is not None:
-        title += f" [SLO {args.quality_slo}]"
-    elif quality_on:
-        title += " [quality metrics]"
-    print(format_table(rows, title=title))
-    if quality_on:
+    print(format_table(rows, title=_run_title(
+        policy.name, args.dataset, result, knobs.get("workload"))))
+    if result.quality_metrics:
         print()
         print(format_table(quality_rows(result),
                            title="Quality metrics (docs/EVALUATION.md)"))
-    if args.quality_slo is not None:
+    if result.quality_slo is not None:
         from repro.evaluation.slo import evaluate_quality_slo
 
-        report = evaluate_quality_slo(result, args.quality_slo)
+        report = evaluate_quality_slo(result, result.quality_slo)
         print()
         print(format_table([report.as_row()], title="Quality SLO"))
-    if cache_on:
+    if result.cache_stats:
         print()
         print(format_table(cache_rows(result), title="Cache tiers"))
-    if args.replicas > 1 or args.autoscaler != "none":
+    if result.n_replicas > 1 or result.autoscaler is not None:
         print()
         print(format_table(per_replica_rows(result),
                            title="Per-replica serving stats"))
-    if args.autoscaler != "none":
+    if result.autoscaler is not None:
         print()
         print(format_table([autoscale_summary(result)],
                            title="Elastic capacity"))
@@ -242,15 +234,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print()
             print(format_table(autoscale_rows(result),
                                title="Scaling events"))
-    if args.speculation != "none" or args.slo_seconds is not None:
+    if result.speculation is not None or result.slo_seconds is not None:
         print()
         print(format_table(speculation_rows(result),
                            title="Speculative scheduling"))
-    if (args.profiler_concurrency is not None
-            or args.retrieval_concurrency is not None
-            or args.retrieval_shards > 1
-            or shard_concurrency is not None
-            or args.reranker is not None):
+    if (result.n_retrieval_shards > 1 or result.reranker is not None
+            or any(math.isfinite(s.concurrency)
+                   for s in result.resource_stats.values())):
         print()
         print(format_table(resource_rows(result),
                            title="Pipeline resource contention"))
@@ -295,114 +285,117 @@ def make_parser() -> argparse.ArgumentParser:
                               "vllm", "parrot"))
     run.add_argument("--config", help="method/num_chunks[/ilen] "
                                       "(for vllm/parrot)")
-    run.add_argument("--rate", type=float, default=None,
-                     help="Poisson arrival rate in qps "
-                          "(default: dataset-calibrated)")
+    # Run knobs: each flag's dest is a run_policy / ExperimentRunner
+    # keyword, and only flags the user sets reach the namespace, so the
+    # runner alone declares, defaults and validates every knob.
+    knobs = run.add_argument_group(
+        "run knobs", "forwarded to the experiment runner when set",
+        argument_default=argparse.SUPPRESS)
+    knobs.add_argument("--rate", dest="rate_qps", type=float,
+                       metavar="RATE",
+                       help="Poisson arrival rate in qps "
+                            "(default: dataset-calibrated)")
     run.add_argument("--queries", type=int, default=100)
-    run.add_argument("--sequential", action="store_true",
-                     help="closed-loop workload (Fig 19 mode)")
-    run.add_argument("--closed-loop-clients", type=int, default=1,
-                     help="outstanding queries in closed-loop mode "
-                          "(with --sequential; default 1)")
-    run.add_argument("--profiler-concurrency", type=int, default=None,
-                     help="max in-flight profiler calls (models API "
-                          "rate limits; default unbounded)")
-    run.add_argument("--retrieval-concurrency", type=int, default=None,
-                     help="max in-flight vector-store searches "
-                          "(unsharded store only; default unbounded)")
-    run.add_argument("--retrieval-shards", type=int, default=1,
-                     help="partition the corpus across K index shards "
-                          "with scatter-gather search (default 1)")
-    run.add_argument("--shard-concurrency", default=None,
-                     help="per-shard search executors: one integer "
-                          "(broadcast) or a comma-separated list whose "
-                          "length must equal --retrieval-shards "
-                          "(default unbounded)")
-    run.add_argument("--reranker", choices=RERANKER_NAMES, default=None,
-                     help="re-score an over-fetched candidate pool "
-                          "before synthesis (default off)")
-    run.add_argument("--index", choices=INDEX_NAMES, default="flat",
-                     help="per-shard vector index: flat (exact L2) or "
-                          "ivf (inverted-file approximation)")
-    run.add_argument("--replicas", type=int, default=1,
-                     help="number of serving-engine replicas (default 1)")
-    run.add_argument("--router", choices=ROUTER_NAMES,
-                     default="least-kv-load",
-                     help="cluster load-balancing policy "
-                          "(with --replicas > 1)")
-    run.add_argument("--replica-speeds", default=None,
-                     help="comma-separated per-replica speed "
-                          "multipliers, e.g. 1.0,0.5 (length must "
-                          "equal --replicas; default: homogeneous)")
-    run.add_argument("--slo-seconds", type=float, default=None,
-                     help="per-query SLO: each query's deadline is "
-                          "arrival + SLO (reported as attainment; "
-                          "required by deadline-risk speculation)")
-    run.add_argument("--speculation", choices=SPECULATION_NAMES,
-                     default="none",
-                     help="speculative hedging policy: duplicate "
-                          "at-risk queries onto a second replica and "
-                          "cancel the loser (default none)")
-    run.add_argument("--hedge-delay", type=float, default=None,
-                     help="hedge-after-delay timer in seconds "
-                          "(default: half the SLO when --slo-seconds "
-                          "is set)")
-    run.add_argument("--workload", default=None,
-                     help="trace-driven arrivals: a generator name "
-                          f"({', '.join(WORKLOAD_NAMES)}) or a trace "
-                          "JSON path; replaces --rate (default off)")
-    run.add_argument("--autoscaler", choices=AUTOSCALER_NAMES,
-                     default="none",
-                     help="elastic capacity policy; 'none' keeps the "
-                          "fleet static and the schedule byte-identical")
-    run.add_argument("--scale-min", type=int, default=None,
-                     help="autoscaler floor on active replicas "
-                          "(default 1)")
-    run.add_argument("--scale-max", type=int, default=None,
-                     help="autoscaler ceiling on provisioned replicas "
-                          "(default: max(4, --replicas))")
-    run.add_argument("--autoscale-interval", type=float, default=None,
-                     help="seconds between autoscaler ticks "
-                          "(default 15)")
-    run.add_argument("--provision-delay", type=float, default=None,
-                     help="seconds a scale-up takes to come online "
-                          "(default 30)")
-    run.add_argument("--result-cache", choices=RESULT_CACHE_MODES,
-                     default=None,
-                     help="query-result cache: hits bypass retrieval "
-                          "and synthesis entirely (exact keys on "
-                          "normalized text + config; semantic adds "
-                          "embedding-similarity matches); off/omitted "
-                          "is byte-identical to no cache")
-    run.add_argument("--retrieval-cache", action="store_true",
-                     help="memoize top-k chunk ids per (query, shard "
-                          "config): hits skip scatter-gather but still "
-                          "synthesize")
-    run.add_argument("--cache-capacity", type=int, default=None,
-                     help="max entries per cache tier (default 256)")
-    run.add_argument("--cache-eviction", choices=EVICTION_NAMES,
-                     default=None,
-                     help="eviction policy (default lru; gdsf ranks "
-                          "entries by measured dollars+seconds saved)")
-    run.add_argument("--semantic-threshold", type=float, default=None,
-                     help="min cosine similarity for a semantic result "
-                          "hit (default 0.9; requires --result-cache "
-                          "semantic)")
-    run.add_argument("--cache-ttl", type=float, default=None,
-                     help="entry time-to-live in seconds (default: "
-                          "no expiry)")
-    run.add_argument("--quality-metrics", action="store_true",
-                     help="score every served answer with the "
-                          "multi-metric quality harness (faithfulness, "
-                          "answer relevancy, context precision/recall; "
-                          "docs/EVALUATION.md). Post-serve scoring: "
-                          "the event schedule is untouched")
-    run.add_argument("--quality-slo", default=None, metavar="METRIC>=VAL",
-                     help="quality SLO spec, e.g. faithfulness>=0.8: "
-                          "implies --quality-metrics, reports "
-                          "attainment, and (with --policy metis) makes "
-                          "the scheduler pick the cheapest in-range "
-                          "configuration that fits")
+    knobs.add_argument("--sequential", action="store_true",
+                       help="closed-loop workload (Fig 19 mode)")
+    knobs.add_argument("--closed-loop-clients", type=int,
+                       help="outstanding queries in closed-loop mode "
+                            "(with --sequential; default 1)")
+    knobs.add_argument("--profiler-concurrency", type=int,
+                       help="max in-flight profiler calls (models API "
+                            "rate limits; default unbounded)")
+    knobs.add_argument("--retrieval-concurrency", type=int,
+                       help="max in-flight vector-store searches "
+                            "(unsharded store only; default unbounded)")
+    knobs.add_argument("--retrieval-shards", type=int,
+                       help="partition the corpus across K index shards "
+                            "with scatter-gather search (default 1)")
+    knobs.add_argument("--shard-concurrency",
+                       help="per-shard search executors: one integer "
+                            "(broadcast) or a comma-separated list whose "
+                            "length must equal --retrieval-shards "
+                            "(default unbounded)")
+    knobs.add_argument("--reranker", choices=RERANKER_NAMES,
+                       help="re-score an over-fetched candidate pool "
+                            "before synthesis (default off)")
+    knobs.add_argument("--index", choices=INDEX_NAMES,
+                       help="per-shard vector index: flat (exact L2) or "
+                            "ivf (inverted-file approximation)")
+    knobs.add_argument("--replicas", dest="n_replicas", type=int,
+                       metavar="REPLICAS",
+                       help="number of serving-engine replicas (default 1)")
+    knobs.add_argument("--router", choices=ROUTER_NAMES,
+                       help="cluster load-balancing policy "
+                            "(with --replicas > 1)")
+    knobs.add_argument("--replica-speeds",
+                       help="comma-separated per-replica speed "
+                            "multipliers, e.g. 1.0,0.5 (length must "
+                            "equal --replicas; default: homogeneous)")
+    knobs.add_argument("--slo-seconds", type=float,
+                       help="per-query SLO: each query's deadline is "
+                            "arrival + SLO (reported as attainment; "
+                            "required by deadline-risk speculation)")
+    knobs.add_argument("--speculation", choices=SPECULATION_NAMES,
+                       help="speculative hedging policy: duplicate "
+                            "at-risk queries onto a second replica and "
+                            "cancel the loser (default none)")
+    knobs.add_argument("--hedge-delay", type=float,
+                       help="hedge-after-delay timer in seconds "
+                            "(default: half the SLO when --slo-seconds "
+                            "is set)")
+    knobs.add_argument("--workload",
+                       help="trace-driven arrivals: a generator name "
+                            f"({', '.join(WORKLOAD_NAMES)}) or a trace "
+                            "JSON path; replaces --rate (default off)")
+    knobs.add_argument("--autoscaler", choices=AUTOSCALER_NAMES,
+                       help="elastic capacity policy; 'none' keeps the "
+                            "fleet static and the schedule byte-identical")
+    knobs.add_argument("--scale-min", type=int,
+                       help="autoscaler floor on active replicas "
+                            "(default 1)")
+    knobs.add_argument("--scale-max", type=int,
+                       help="autoscaler ceiling on provisioned replicas "
+                            "(default: max(4, --replicas))")
+    knobs.add_argument("--autoscale-interval", type=float,
+                       help="seconds between autoscaler ticks "
+                            "(default 15)")
+    knobs.add_argument("--provision-delay", type=float,
+                       help="seconds a scale-up takes to come online "
+                            "(default 30)")
+    knobs.add_argument("--result-cache", choices=RESULT_CACHE_MODES,
+                       help="query-result cache: hits bypass retrieval "
+                            "and synthesis entirely (exact keys on "
+                            "normalized text + config; semantic adds "
+                            "embedding-similarity matches); off/omitted "
+                            "is byte-identical to no cache")
+    knobs.add_argument("--retrieval-cache", action="store_true",
+                       help="memoize top-k chunk ids per (query, shard "
+                            "config): hits skip scatter-gather but still "
+                            "synthesize")
+    knobs.add_argument("--cache-capacity", type=int,
+                       help="max entries per cache tier (default 256)")
+    knobs.add_argument("--cache-eviction", choices=EVICTION_NAMES,
+                       help="eviction policy (default lru; gdsf ranks "
+                            "entries by measured dollars+seconds saved)")
+    knobs.add_argument("--semantic-threshold", type=float,
+                       help="min cosine similarity for a semantic result "
+                            "hit (default 0.9; requires --result-cache "
+                            "semantic)")
+    knobs.add_argument("--cache-ttl", type=float,
+                       help="entry time-to-live in seconds (default: "
+                            "no expiry)")
+    knobs.add_argument("--quality-metrics", action="store_true",
+                       help="score every served answer with the "
+                            "multi-metric quality harness (faithfulness, "
+                            "answer relevancy, context precision/recall; "
+                            "docs/EVALUATION.md). Post-serve scoring: "
+                            "the event schedule is untouched")
+    knobs.add_argument("--quality-slo", metavar="METRIC>=VAL",
+                       help="quality SLO spec, e.g. faithfulness>=0.8: "
+                            "implies --quality-metrics, reports "
+                            "attainment, and (with --policy metis) makes "
+                            "the scheduler pick the cheapest in-range "
+                            "configuration that fits")
     run.add_argument("--seed", type=int, default=0)
     run.set_defaults(func=_cmd_run)
 

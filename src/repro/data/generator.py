@@ -22,7 +22,7 @@ from repro.llm.quality import QualityParams
 from repro.llm.tokenizer import SimTokenizer
 from repro.retrieval.chunker import Chunk, split_into_chunks
 from repro.retrieval.embedding import HashedEmbedding, IdfWeights
-from repro.retrieval.store import VectorStore
+from repro.retrieval.sharded import ShardedVectorStore
 from repro.util.rng import RngStreams
 
 __all__ = ["DatasetSpec", "generate_dataset"]
@@ -312,7 +312,7 @@ def generate_dataset(spec: DatasetSpec, seed: int = 0) -> DatasetBundle:
     }
 
     idf = IdfWeights().fit([c.text for c in chunks])
-    store = VectorStore(embedding=HashedEmbedding(idf=idf))
+    store = ShardedVectorStore(embedding=HashedEmbedding(idf=idf))
     store.add_chunks(chunks)
 
     rng = rngs.get("queries")

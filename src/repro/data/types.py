@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from repro.data.facts import Fact
 from repro.llm.quality import ChunkView, QualityParams, SynthesisContext
 from repro.llm.tokenizer import SimTokenizer
-from repro.retrieval.store import VectorStore
+from repro.retrieval.sharded import ShardedVectorStore
 
 __all__ = ["QueryTruth", "Query", "DatasetBundle"]
 
@@ -75,7 +75,7 @@ class DatasetBundle:
     name: str
     metadata: str
     chunk_tokens: int
-    store: VectorStore
+    store: ShardedVectorStore
     queries: list[Query]
     facts: dict[str, Fact]
     chunk_facts: dict[str, tuple[str, ...]]

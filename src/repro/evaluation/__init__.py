@@ -36,7 +36,7 @@ _LAZY = {
     "MetricHarness": "repro.evaluation.metrics",
     "QualityMetrics": "repro.evaluation.metrics",
     "QualitySLO": "repro.evaluation.metrics",
-    "QueryRecord": "repro.evaluation.runner",
+    "QueryRecord": "repro.evaluation.pipeline",
     "RunResult": "repro.evaluation.runner",
     "cluster_summary": "repro.evaluation.reports",
     "evaluate_quality_slo": "repro.evaluation.slo",

@@ -104,7 +104,7 @@ from repro.sim import Event, EventLoop, Lease, Resource, ResourceStats
 from repro.synthesis import make_synthesizer
 from repro.synthesis.plans import SynthesisPlan
 from repro.util.ids import canonical_query_id
-from repro.util.validation import check_positive, check_shard_concurrency
+from repro.util.validation import check_positive
 
 __all__ = [
     "CACHE_RESOURCE",
@@ -766,6 +766,10 @@ class QueryPipeline:
     with a deadline ``arrival + slo_seconds`` (reported as SLO
     attainment even without speculation). Both default off, leaving
     the event schedule untouched.
+
+    Arguments arrive as the runner validated and normalised them:
+    ``shard_concurrency`` holds one entry per shard of ``store`` (or is
+    ``None``, unbounded everywhere).
     """
 
     def __init__(
@@ -775,9 +779,8 @@ class QueryPipeline:
         engine: ServingEngine | ClusterEngine,
         generator: SimulatedGenerator,
         profiler_concurrency: int | None = None,
-        retrieval_concurrency: int | None = None,
         store: ShardedVectorStore | None = None,
-        shard_concurrency=None,
+        shard_concurrency: list[int | None] | None = None,
         reranker: ExactReranker | None = None,
         speculation: SpeculationPolicy | None = None,
         slo_seconds: float | None = None,
@@ -794,9 +797,6 @@ class QueryPipeline:
         #: ``None`` metric fields and the schedule is untouched either
         #: way — scoring is post-serve and emits no events.
         self.metrics = metrics
-        if slo_seconds is not None:
-            check_positive("slo_seconds", slo_seconds)
-            slo_seconds = float(slo_seconds)
         self.speculation = speculation
         self.slo_seconds = slo_seconds
         #: Optional :class:`~repro.workload.Autoscaler`; started by
@@ -814,27 +814,12 @@ class QueryPipeline:
         self.profiler = Resource(PROFILER_RESOURCE, self.loop,
                                  profiler_concurrency, coalesce=True)
         n_shards = self.store.n_shards
-        if retrieval_concurrency is not None and n_shards > 1:
-            raise ValueError(
-                "retrieval_concurrency bounds the single executor pool "
-                f"of an unsharded store; this store has {n_shards} "
-                "shards — pass shard_concurrency instead"
-            )
-        per_shard = check_shard_concurrency(
-            "shard_concurrency", shard_concurrency, n_shards)
-        if per_shard is None:
-            # Legacy surface: ``retrieval_concurrency`` bounds the sole
-            # shard of an unsharded store.
-            per_shard = ([retrieval_concurrency] if n_shards == 1
-                         else [None] * n_shards)
+        per_shard = shard_concurrency or [None] * n_shards
         self.shard_resources = [
             Resource(shard_resource_name(sid, n_shards), self.loop,
                      per_shard[sid])
             for sid in range(n_shards)
         ]
-        #: Legacy alias: the single retrieval resource (K=1 only).
-        self.retrieval = (self.shard_resources[0]
-                          if n_shards == 1 else None)
         self.rerank_resource = (
             Resource(RERANK_RESOURCE, self.loop, None)
             if reranker is not None else None

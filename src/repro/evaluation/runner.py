@@ -51,9 +51,7 @@ from repro.workload import (
     make_scaling_policy,
 )
 
-#: ``QueryRecord`` is defined next to the pipeline that emits it and
-#: re-exported here, its historical import location.
-__all__ = ["QueryRecord", "RunResult", "ExperimentRunner"]
+__all__ = ["RunResult", "ExperimentRunner"]
 
 
 @dataclass
@@ -70,6 +68,10 @@ class RunResult:
     replica_stats: list[EngineStats] = field(default_factory=list)
     #: Per-replica speed multipliers (parallel to ``replica_stats``).
     replica_speeds: list[float] = field(default_factory=list)
+    #: Replicas the fleet started with (an autoscaler may add more).
+    n_replicas: int = 1
+    #: Name of the cluster's router (``None`` on a bare engine).
+    router: str | None = None
     #: Contended-resource counters keyed by resource name
     #: (``profiler``, ``retrieval`` or ``retrieval/shardN``, and
     #: ``reranker`` when one is configured).
@@ -318,6 +320,11 @@ class RunResult:
 class ExperimentRunner:
     """Runs one policy over one dataset workload on a fresh engine.
 
+    The constructor is the one place a run knob is declared, defaulted
+    and validated: :func:`~repro.experiments.common.run_policy` and the
+    CLI forward their keywords here, and the :class:`QueryPipeline` it
+    builds receives them already normalised.
+
     With ``n_replicas > 1`` the workload is served by a
     :class:`~repro.serving.cluster.ClusterEngine` — N engine replicas
     behind the named load-aware ``router`` — and each policy decision
@@ -477,14 +484,17 @@ class ExperimentRunner:
                 "(per-shard executor counts) instead — got "
                 f"retrieval_concurrency={retrieval_concurrency}"
             )
-        if (retrieval_concurrency is not None
-                and self.shard_concurrency is not None):
-            raise ValueError(
-                "pass either retrieval_concurrency (unsharded) or "
-                "shard_concurrency (per shard), not both — got "
-                f"retrieval_concurrency={retrieval_concurrency} and "
-                f"shard_concurrency={shard_concurrency!r}"
-            )
+        if retrieval_concurrency is not None:
+            if self.shard_concurrency is not None:
+                raise ValueError(
+                    "pass either retrieval_concurrency (unsharded) or "
+                    "shard_concurrency (per shard), not both — got "
+                    f"retrieval_concurrency={retrieval_concurrency} and "
+                    f"shard_concurrency={shard_concurrency!r}"
+                )
+            # The sole executor pool of an unsharded store is its one
+            # shard's pool.
+            self.shard_concurrency = [retrieval_concurrency]
         if slo_seconds is not None:
             check_positive("slo_seconds", slo_seconds)
             slo_seconds = float(slo_seconds)
@@ -528,7 +538,6 @@ class ExperimentRunner:
         self.n_replicas = int(n_replicas)
         self.router = router
         self.profiler_concurrency = profiler_concurrency
-        self.retrieval_concurrency = retrieval_concurrency
         self.replica_speeds = replica_speeds
         params = quality_params or bundle.quality_params
         self.generator = SimulatedGenerator(
@@ -588,7 +597,6 @@ class ExperimentRunner:
             engine=engine,
             generator=self.generator,
             profiler_concurrency=self.profiler_concurrency,
-            retrieval_concurrency=self.retrieval_concurrency,
             store=self.store,
             shard_concurrency=self.shard_concurrency,
             reranker=self.reranker,
@@ -632,6 +640,9 @@ class ExperimentRunner:
             ledger=ledger,
             replica_stats=replica_stats,
             replica_speeds=replica_speeds,
+            n_replicas=self.n_replicas,
+            router=(engine.router.name
+                    if isinstance(engine, ClusterEngine) else None),
             resource_stats=pipeline.resource_stats(),
             n_retrieval_shards=self.store.n_shards,
             reranker=self.reranker.name if self.reranker else None,

@@ -5,8 +5,8 @@ pipeline with a deterministic hashed bag-of-tokens embedder and exact
 numpy L2 search (plus an IVF variant for larger corpora). The store is
 a K-shard scatter-gather subsystem (:class:`ShardedVectorStore`) with
 pluggable per-shard indexes (:data:`INDEX_FACTORIES`) and an optional
-reranker (:mod:`repro.retrieval.rerank`); :class:`VectorStore` is its
-single-shard configuration.
+reranker (:mod:`repro.retrieval.rerank`); its default is the
+single-shard store every dataset builds.
 """
 
 from repro.retrieval.chunker import Chunk, split_into_chunks
@@ -24,7 +24,6 @@ from repro.retrieval.rerank import (
     make_reranker,
 )
 from repro.retrieval.sharded import SearchHit, ShardedVectorStore
-from repro.retrieval.store import VectorStore
 
 __all__ = [
     "AutoTrainedIVFIndex",
@@ -39,7 +38,6 @@ __all__ = [
     "RERANKER_NAMES",
     "SearchHit",
     "ShardedVectorStore",
-    "VectorStore",
     "make_reranker",
     "split_into_chunks",
 ]

@@ -28,10 +28,10 @@ Timing model (consumed by the query pipeline, not charged here):
   beyond the final top-k). With one shard there is no excess and the
   cost is exactly 0.0, so K=1 adds no event and no latency.
 
-The K=1 single-shard path is bit-for-bit the old monolithic
-:class:`~repro.retrieval.store.VectorStore` behaviour: same embedding
-calls, same index search, same result ordering (the shard's native
-index order is preserved rather than re-sorted), same latency constant.
+The K=1 single-shard path (the default, which every dataset builds) is
+bit-for-bit the old monolithic store's behaviour: same embedding calls,
+same index search, same result ordering (the shard's native index
+order is preserved rather than re-sorted), same latency constant.
 """
 
 from __future__ import annotations

@@ -255,7 +255,7 @@ def make_speculation(
         # would never read is a misconfiguration, not a no-op.
         raise ValueError(
             f"hedge_delay only applies to 'hedge-after-delay'; "
-            f"speculation {name!r} would silently ignore "
+            f"speculation {name or 'none'!r} would silently ignore "
             f"hedge_delay={hedge_delay}"
         )
     if name is None or isinstance(name, SpeculationPolicy):

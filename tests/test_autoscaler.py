@@ -408,6 +408,9 @@ class TestRunnerIntegration:
             serve(finsec_bundle, n_queries=2, workload=wl, sequential=True)
         with pytest.raises(ValueError, match="rate_qps"):
             serve(finsec_bundle, n_queries=2, workload=wl, rate_qps=1.0)
+        # Closed-loop arrivals have no rate: one given would be ignored.
+        with pytest.raises(ValueError, match=r"--sequential.*--rate"):
+            serve(finsec_bundle, n_queries=2, sequential=True, rate_qps=50.0)
 
     def test_autoscaler_rejects_closed_loop(self, finsec_bundle):
         with pytest.raises(ValueError, match="closed-loop"):

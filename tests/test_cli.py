@@ -1,5 +1,8 @@
 """Unit tests for the command-line interface."""
 
+import argparse
+import inspect
+
 import pytest
 
 from repro.cli import (
@@ -320,3 +323,39 @@ class TestCommands:
             make_parser().parse_args(
                 ["run", "--dataset", "hotpot", "--policy", "metis"]
             )
+
+
+class TestRunKnobs:
+    """Run knobs are declared once, in ``ExperimentRunner.__init__``
+    (or ``run_policy`` for arrival shaping); the CLI only forwards."""
+
+    @staticmethod
+    def knob_actions():
+        sub = next(a for a in make_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        group = next(g for g in sub.choices["run"]._action_groups
+                     if g.title == "run knobs")
+        return group._group_actions
+
+    def test_every_knob_flag_is_a_runner_keyword(self):
+        from repro.evaluation.runner import ExperimentRunner
+        from repro.experiments.common import run_policy
+
+        keywords = (set(inspect.signature(run_policy).parameters)
+                    | set(inspect.signature(ExperimentRunner.__init__)
+                          .parameters))
+        keywords -= {"self", "bundle", "policy", "engine_config", "seed",
+                     "runner_kwargs"}
+        dests = [action.dest for action in self.knob_actions()]
+        assert len(dests) == len(set(dests)) > 20
+        assert not set(dests) - keywords
+
+    def test_unset_knobs_are_not_forwarded(self):
+        args = make_parser().parse_args(
+            ["run", "--dataset", "squad", "--policy", "metis"])
+        dests = {action.dest for action in self.knob_actions()}
+        assert not dests & set(vars(args))
+        args = make_parser().parse_args(
+            ["run", "--dataset", "squad", "--policy", "metis",
+             "--replicas", "2", "--retrieval-cache"])
+        assert dests & set(vars(args)) == {"n_replicas", "retrieval_cache"}

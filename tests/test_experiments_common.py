@@ -3,7 +3,8 @@
 import pytest
 
 from repro.config.knobs import RAGConfig, SynthesisMethod
-from repro.evaluation.runner import QueryRecord, RunResult
+from repro.evaluation.pipeline import QueryRecord
+from repro.evaluation.runner import RunResult
 from repro.experiments.common import (
     DEFAULT_RATES,
     ExperimentReport,

@@ -200,27 +200,6 @@ class TestRunnerValidation:
             ExperimentRunner(finsec_bundle, engine_config,
                              retrieval_shards=2, retrieval_concurrency=4)
 
-    def test_pipeline_rejects_concurrency_on_sharded_store(
-            self, finsec_bundle, engine_config):
-        """Direct QueryPipeline construction gets the same fail-fast as
-        the runner path — no silently unbounded shards."""
-        from repro.evaluation.pipeline import QueryPipeline
-        from repro.llm.generation import SimulatedGenerator
-        from repro.llm.quality import QualityModel
-        from repro.serving.engine import ServingEngine
-
-        with pytest.raises(ValueError, match="2 shards"):
-            QueryPipeline(
-                bundle=finsec_bundle,
-                policy=FixedConfigPolicy(STUFF6),
-                engine=ServingEngine(engine_config),
-                generator=SimulatedGenerator(
-                    quality=QualityModel(finsec_bundle.quality_params),
-                    root_seed=0),
-                retrieval_concurrency=2,
-                store=finsec_bundle.store.reshard(2),
-            )
-
     def test_retrieval_concurrency_conflicts_with_shard_concurrency(
             self, finsec_bundle, engine_config):
         with pytest.raises(ValueError, match="not both"):

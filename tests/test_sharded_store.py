@@ -14,7 +14,6 @@ from repro.retrieval.index import (
 )
 from repro.retrieval.rerank import ExactReranker, make_reranker
 from repro.retrieval.sharded import ShardedVectorStore
-from repro.retrieval.store import VectorStore
 from repro.util.rng import derive_seed
 
 WORDS = (
@@ -92,7 +91,8 @@ class TestGatherCorrectness:
 
     def test_single_shard_bit_identical_to_legacy_store(self):
         chunks = make_chunks(40)
-        legacy = VectorStore(embedding=HashedEmbedding(dim=64))
+        # Default construction is the single-shard store datasets build.
+        legacy = ShardedVectorStore(embedding=HashedEmbedding(dim=64))
         legacy.add_chunks(chunks)
         sharded = build(1, chunks=chunks)
         for k in (1, 7, 40):

@@ -478,7 +478,7 @@ class TestCancelLaneGlue:
             generator=SimulatedGenerator(
                 quality=QualityModel(finsec_bundle.quality_params),
                 root_seed=0),
-            retrieval_concurrency=1,
+            shard_concurrency=[1],
             speculation=make_speculation("hedge-after-delay",
                                          hedge_delay=1.0),
             slo_seconds=5.0,

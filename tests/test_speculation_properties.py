@@ -64,7 +64,7 @@ def build_pipeline(bundle, seed: int):
     store = bundle.store
     if n_shards > 1:
         store = store.reshard(n_shards)
-    shard_concurrency = (int(rng.choice([1, 2]))
+    shard_concurrency = ([int(rng.choice([1, 2]))] * n_shards
                          if rng.random() < 0.5 else None)
     pipeline = QueryPipeline(
         bundle=bundle,

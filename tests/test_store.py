@@ -4,7 +4,7 @@ import pytest
 
 from repro.retrieval.chunker import Chunk
 from repro.retrieval.embedding import HashedEmbedding
-from repro.retrieval.store import VectorStore
+from repro.retrieval.sharded import ShardedVectorStore
 
 
 def make_chunk(cid: str, text: str) -> Chunk:
@@ -14,7 +14,7 @@ def make_chunk(cid: str, text: str) -> Chunk:
 
 @pytest.fixture()
 def store():
-    s = VectorStore(embedding=HashedEmbedding(dim=64))
+    s = ShardedVectorStore(embedding=HashedEmbedding(dim=64))
     s.add_chunks([
         make_chunk("c0", "nvidia operating cost rose in q1 2024"),
         make_chunk("c1", "apple revenue grew across asia markets"),
@@ -47,7 +47,7 @@ class TestVectorStore:
             store.add_chunks([make_chunk("c0", "again")])
 
     def test_empty_store_search(self):
-        s = VectorStore(embedding=HashedEmbedding(dim=64))
+        s = ShardedVectorStore(embedding=HashedEmbedding(dim=64))
         assert s.search("whatever", k=5) == []
 
     def test_invalid_k(self, store):
