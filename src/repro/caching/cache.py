@@ -116,6 +116,9 @@ class CacheEntry:
     corpus_version: int = 0
     #: Query embedding (result tier, semantic mode only).
     embedding: object = None
+    #: ``||embedding||``, computed once at insert for the semantic scan
+    #: (a stored embedding is never written after insert).
+    embedding_norm: float = 0.0
     #: Effective-config label the entry was produced under.
     config_label: str | None = None
     #: GDSF priority (maintained by the policy hooks).
@@ -233,6 +236,8 @@ class CostAwareCache:
                      + float(saved_seconds) * TIME_VALUE_DOLLARS_PER_S),
             corpus_version=int(corpus_version),
             embedding=embedding,
+            embedding_norm=(float(np.linalg.norm(embedding))
+                            if embedding is not None else 0.0),
             config_label=config_label,
         )
         self.policy.on_insert(entry)
@@ -253,13 +258,6 @@ class CostAwareCache:
             del self._entries[key]
         self.stats.evictions += len(stale)
         return len(stale)
-
-
-def _cosine(a, b) -> float:
-    denom = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
-    if denom <= 0.0:
-        return 0.0
-    return float(np.dot(a, b)) / denom
 
 
 class ResultCache(CostAwareCache):
@@ -323,17 +321,23 @@ class ResultCache(CostAwareCache):
         """Best embedding match at the same config, above threshold.
 
         Deterministic: strictly-higher similarity wins, so among ties
-        the earliest-scanned (insertion-ordered) entry is kept.
+        the earliest-scanned (insertion-ordered) entry is kept. The
+        similarity is ``dot / (||q|| * ||e||)``, 0.0 when that product
+        is not positive; ``||q||`` is taken once per scan and ``||e||``
+        once at insert.
         """
         config_label = key[1]
+        qnorm = float(np.linalg.norm(qvec))
         best: CacheEntry | None = None
         best_sim = -1.0
-        for entry in list(self._entries.values()):
+        for entry in self._entries.values():
             if entry.embedding is None or entry.config_label != config_label:
                 continue
             if self._expired(entry, now):
                 continue  # lazy: expiry is charged when probed exactly
-            sim = _cosine(qvec, entry.embedding)
+            denom = qnorm * entry.embedding_norm
+            sim = (0.0 if denom <= 0.0
+                   else float(np.dot(qvec, entry.embedding)) / denom)
             if sim > best_sim:
                 best, best_sim = entry, sim
         if best is not None and best_sim >= self.semantic_threshold:

@@ -9,6 +9,7 @@ quality can be *measured* rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.llm.quality import FactView
 from repro.llm.tokenizer import SimTokenizer
@@ -41,9 +42,11 @@ class Fact:
     sentence: str
     verbosity: float
 
-    @property
+    @cached_property
     def value_tokens(self) -> tuple[str, ...]:
-        """Ground-truth answer tokens contributed by this fact."""
+        """Ground-truth answer tokens contributed by this fact
+        (tokenized on first read; equality and hashing see only the
+        fields)."""
         return tuple(_TOKENIZER.tokenize(self.value_text))
 
     def view(self) -> FactView:

@@ -119,13 +119,14 @@ class DatasetBundle:
         required = tuple(
             self.facts[fid].view() for fid in query.truth.required_fact_ids
         )
+        needed = set(query.truth.required_fact_ids)
         views = []
         for chunk_id in chunk_ids:
             chunk = self.store.get(chunk_id)
             fact_views = tuple(
                 self.facts[fid].view()
                 for fid in self.chunk_facts.get(chunk_id, ())
-                if fid in set(query.truth.required_fact_ids)
+                if fid in needed
             )
             views.append(
                 ChunkView(

@@ -32,6 +32,18 @@ The K=1 single-shard path (the default, which every dataset builds) is
 bit-for-bit the old monolithic store's behaviour: same embedding calls,
 same index search, same result ordering (the shard's native index
 order is preserved rather than re-sorted), same latency constant.
+
+Query-side memo: a trace replays a small pool of query texts, and one
+arrival may embed and search its text up to three times (semantic
+cache lookup, retrieve, cache insert). Both results are pure functions
+of the text and the corpus, so the store computes each once per
+distinct input. ``embed_query`` hands out one read-only vector per
+text, and ``search_shard`` keeps each shard's top-k per (vector, shard,
+k). That memo is keyed on the *identity* of a vector this store handed
+out: the memo holds the vector, so its id cannot be recycled. Any
+other vector (writeable, or made elsewhere) bypasses it.
+``_add_embedded``, the only path that changes shard contents, clears
+both memos.
 """
 
 from __future__ import annotations
@@ -74,6 +86,20 @@ class _Shard:
 
     def __len__(self) -> int:
         return len(self.global_pos)
+
+    def top_k(self, query_vec: np.ndarray,
+              k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Local top-k as ``(float64 distances, int64 global positions)``
+        in the index's native order, cut at its first padding slot."""
+        distances, indices = self.index.search(
+            query_vec.reshape(1, -1), min(k, len(self)))
+        distances, indices = distances[0], indices[0]
+        valid = (indices >= 0) & np.isfinite(distances)
+        n = len(valid) if valid.all() else int(valid.argmin())
+        positions = np.array(
+            [self.global_pos[i] for i in indices[:n].tolist()],
+            dtype=np.int64)
+        return distances[:n].astype(np.float64), positions
 
 
 class ShardedVectorStore:
@@ -127,6 +153,11 @@ class ShardedVectorStore:
         self._pos: dict[str, int] = {}
         self._shard_of: dict[str, int] = {}
         self._vectors = np.zeros((0, self.embedding.dim), dtype=np.float32)
+        # Query-side memo (module docstring): text -> read-only vector,
+        # and id(vector) -> {(sid, k): shard top-k arrays}. Every key of
+        # ``_topk`` is the id of a vector ``_query_vecs`` keeps alive.
+        self._query_vecs: dict[str, np.ndarray] = {}
+        self._topk: dict[int, dict] = {}
         #: Monotonic corpus generation: cache entries are tagged with
         #: the version current at insert, so a later re-ingest makes
         #: hits on older entries *stale* (see ``repro.caching``).
@@ -202,7 +233,10 @@ class ShardedVectorStore:
 
     def _add_embedded(self, chunks: list[Chunk],
                       vectors: np.ndarray) -> None:
-        """Place pre-embedded chunks (the reshard fast path)."""
+        """Place pre-embedded chunks (the reshard fast path). The only
+        path that changes shard contents, so it clears the query memo."""
+        self._query_vecs.clear()
+        self._topk.clear()
         start = len(self._chunks)
         assign = [self._place(c.chunk_id) for c in chunks]
         for sid in range(self.n_shards):
@@ -239,7 +273,8 @@ class ShardedVectorStore:
 
         Embeddings are reused (no re-embedding), so resharding is cheap
         and the shard-local vectors are bit-identical to the source's.
-        Unspecified parameters inherit from ``self``.
+        Unspecified parameters inherit from ``self``; the query memo
+        does not (the clone starts empty).
         """
         clone = ShardedVectorStore(
             n_shards=n_shards,
@@ -273,27 +308,42 @@ class ShardedVectorStore:
     # Scatter / gather
     # ------------------------------------------------------------------
     def embed_query(self, query_text: str) -> np.ndarray:
-        """Embed a query once; shard searches share the vector."""
-        return self.embedding.embed(query_text)
+        """Embed a query once; shard searches share the vector.
+
+        Memoized per text: every call with the same text returns the
+        same read-only vector (writing to it raises ``ValueError``).
+        """
+        vec = self._query_vecs.get(query_text)
+        if vec is None:
+            vec = self.embedding.embed(query_text)
+            vec.flags.writeable = False
+            self._query_vecs[query_text] = vec
+            self._topk[id(vec)] = {}
+        return vec
 
     def search_shard(self, sid: int, query_vec: np.ndarray,
                      k: int) -> list[tuple[float, int]]:
         """One shard's local top-k as ``(distance, global_pos)`` pairs,
-        in the shard index's native ranking order."""
+        in the shard index's native ranking order.
+
+        Memoized per ``(sid, k)`` for vectors :meth:`embed_query` handed
+        out; any other vector is searched directly. Every call returns
+        a fresh list.
+        """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         shard = self._shards[sid]
         if not shard.global_pos:
             return []
-        distances, indices = shard.index.search(
-            query_vec.reshape(1, -1), min(k, len(shard))
-        )
-        out: list[tuple[float, int]] = []
-        for dist, idx in zip(distances[0], indices[0]):
-            if idx < 0 or not np.isfinite(dist):
-                break
-            out.append((float(dist), shard.global_pos[int(idx)]))
-        return out
+        memo = self._topk.get(id(query_vec))
+        if memo is None or query_vec.flags.writeable:
+            distances, positions = shard.top_k(query_vec, k)
+        else:
+            hits = memo.get((sid, k))
+            if hits is None:
+                hits = memo[sid, k] = shard.top_k(query_vec, k)
+            distances, positions = hits
+        return list(zip(distances.tolist(), positions.tolist()))
 
     def gather(self, per_shard: list[list[tuple[float, int]]],
                k: int) -> list[SearchHit]:

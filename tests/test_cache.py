@@ -289,6 +289,47 @@ class TestSemanticMatching:
         assert exact_only.lookup_seconds() == pytest.approx(
             ResultCache(capacity=64).lookup_seconds())
 
+    def test_cached_norms_match_reference_cosine(self):
+        """Norms taken once (the probe's per scan, each entry's at
+        insert) pick the same entry at the same similarity as the plain
+        ``dot / (norm * norm)`` formula, zero vectors included."""
+        rng = stream(13, "test", "semantic-norms")
+        stored = [rng.normal(size=16).astype(np.float32) for _ in range(24)]
+        stored.append(np.zeros(16, dtype=np.float32))
+        cache = ResultCache(capacity=64, semantic=True)
+        for i, vec in enumerate(stored):
+            cache.insert(ResultCache.key_for(f"seed {i}", "stuff/8"), i,
+                         now=0.0, embedding=vec, config_label="stuff/8")
+
+        def reference(qvec):
+            best, best_sim = None, -1.0
+            for i, vec in enumerate(stored):
+                denom = (float(np.linalg.norm(qvec))
+                         * float(np.linalg.norm(vec)))
+                sim = (0.0 if denom <= 0.0
+                       else float(np.dot(qvec, vec)) / denom)
+                if sim > best_sim:
+                    best, best_sim = i, sim
+            return best, best_sim
+
+        key = ResultCache.key_for("probe", "stuff/8")
+        for _ in range(30):
+            near = stored[int(rng.integers(24))]
+            probe = near + np.float32(0.3) * rng.normal(size=16).astype(
+                np.float32)
+            want, sim = reference(probe)
+            assert 0.0 < sim < 1.0
+            # Matching at threshold == sim but not one ulp above pins
+            # the similarity bit for bit, not just the winner.
+            cache.semantic_threshold = sim
+            assert cache._semantic_match(key, probe, now=1.0).value == want
+            cache.semantic_threshold = float(np.nextafter(sim, 2.0))
+            assert cache._semantic_match(key, probe, now=1.0) is None
+        zero = np.zeros(16, dtype=np.float32)
+        assert reference(zero) == (0, 0.0)
+        cache.semantic_threshold = 0.5
+        assert cache._semantic_match(key, zero, now=1.0) is None
+
 
 class TestRetrievalCacheTier:
     def test_key_includes_shard_config(self):

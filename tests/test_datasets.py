@@ -1,10 +1,13 @@
 """Unit tests for synthetic dataset generation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.data import DATASET_NAMES, build_dataset, get_spec
 from repro.data.facts import Fact
+from repro.llm.tokenizer import SimTokenizer
 
 
 class TestRegistry:
@@ -142,3 +145,22 @@ class TestFactRendering:
         assert view.fact_id == fact.fact_id
         assert len(view.value_tokens) >= 1
         assert view.verbosity == fact.verbosity
+
+    def test_cached_value_tokens_keep_value_semantics(self):
+        fact = Fact(fact_id="d0/f0", doc_id="d0", entity="Acme corp",
+                    attribute="net revenue", value_text="azure delta 42",
+                    sentence="The net revenue of Acme corp is azure delta 42.",
+                    verbosity=8.0)
+        twin = dataclasses.replace(fact)
+        tokens = fact.value_tokens
+        assert tokens == tuple(SimTokenizer().tokenize("azure delta 42"))
+        assert fact.value_tokens is tokens  # tokenized once
+        assert fact == twin and hash(fact) == hash(twin)
+        assert repr(fact) == repr(twin)
+        assert dataclasses.replace(fact) == fact
+        moved = dataclasses.replace(fact, value_text="violet echo")
+        assert moved != fact
+        assert moved.value_tokens == tuple(
+            SimTokenizer().tokenize("violet echo"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fact.value_text = "x"

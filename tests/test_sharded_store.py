@@ -1,10 +1,14 @@
 """Property tests for the K-shard vector store: placement determinism,
 gather correctness vs the unsharded store, stable tie-breaking, the
-per-shard timing model, resharding, and pluggable indexes."""
+per-shard timing model, resharding, pluggable indexes, and the
+query-side memo."""
 
 import numpy as np
 import pytest
 
+from repro.data import build_dataset
+from repro.evaluation.runner import ExperimentRunner
+from repro.experiments.common import default_engine_config, make_metis
 from repro.retrieval.chunker import Chunk
 from repro.retrieval.embedding import HashedEmbedding
 from repro.retrieval.index import (
@@ -15,6 +19,7 @@ from repro.retrieval.index import (
 from repro.retrieval.rerank import ExactReranker, make_reranker
 from repro.retrieval.sharded import ShardedVectorStore
 from repro.util.rng import derive_seed
+from repro.workload import zipfian_workload
 
 WORDS = (
     "nvidia apple tesla revenue cost profit quarter guidance asia europe "
@@ -282,3 +287,97 @@ class TestExactReranker:
             ExactReranker(per_candidate_seconds=-1.0)
         with pytest.raises(ValueError):
             ExactReranker(fetch_multiplier=0)
+
+
+def _ranked(hits) -> list[tuple]:
+    return [(h.chunk.chunk_id, h.distance, h.rank) for h in hits]
+
+
+class TestQueryMemo:
+    """embed_query/search_shard compute once per distinct input; the
+    memo is derived-only, so every answer equals a fresh store's."""
+
+    @pytest.mark.parametrize("index", ["flat", "ivf"])
+    @pytest.mark.parametrize("n_shards", [1, 2, 4, 8])
+    def test_memoized_answers_equal_a_never_queried_clone(self, n_shards,
+                                                          index):
+        store = build(n_shards, chunks=make_chunks(60), index_factory=index)
+        rng = np.random.default_rng(n_shards)
+        texts = [" ".join(rng.choice(WORDS, size=int(rng.integers(1, 6))))
+                 for _ in range(6)]
+        for _ in range(30):
+            text = texts[int(rng.integers(len(texts)))]
+            k = int(rng.integers(1, 25))
+            fresh = store.reshard(n_shards)
+            assert _ranked(store.search(text, k)) == \
+                _ranked(fresh.search(text, k))
+            qvec = store.embed_query(text)
+            assert np.array_equal(qvec, fresh.embed_query(text))
+            for sid in range(n_shards):
+                # A writeable copy bypasses the clone's memo entirely.
+                assert store.search_shard(sid, qvec, k) == \
+                    fresh.search_shard(sid, qvec.copy(), k)
+
+    def test_repeats_return_equal_but_distinct_lists(self):
+        store = build(4)
+        qvec = store.embed_query("nvidia revenue asia")
+        assert store.embed_query("nvidia revenue asia") is qvec
+        first = store.search_shard(0, qvec, 5)
+        second = store.search_shard(0, qvec, 5)
+        assert first == second and first is not second
+        first.clear()  # a caller's edit must not reach the memo
+        assert store.search_shard(0, qvec, 5) == second
+
+    def test_returned_vector_is_read_only(self):
+        qvec = build(2).embed_query("cloud chips outlook")
+        with pytest.raises(ValueError):
+            qvec[0] = 1.0
+
+    def test_writeable_vector_bypasses_memo(self):
+        store = build(4)
+        qvec = store.embed_query("nvidia revenue asia")
+        other = store.embed_query("tesla profit margin")
+        assert store.search_shard(1, qvec, 6) != \
+            store.search_shard(1, other, 6)
+        probe = qvec.copy()
+        assert store.search_shard(1, probe, 6) == \
+            store.search_shard(1, qvec, 6)
+        probe[:] = other  # same object, new contents
+        assert store.search_shard(1, probe, 6) == \
+            store.search_shard(1, other, 6)
+
+    def test_add_chunks_invalidates(self):
+        store = build(4)
+        text = "tesla capital deal"
+        assert "dup" not in {h.chunk.chunk_id for h in store.search(text, 3)}
+        store.add_chunks([Chunk(chunk_id="dup", doc_id="d", text=text,
+                                n_tokens=3, position=40)])
+        top = store.search(text, 3)[0]
+        assert top.chunk.chunk_id == "dup"
+        assert top.distance == pytest.approx(0.0, abs=1e-5)
+
+
+class TestWarmMemoDeterminism:
+    def test_warm_store_serves_the_records_of_a_fresh_bundle(self):
+        """At K=1 the runner searches the bundle's own store, whose
+        memo stays warm from one run to the next: the records must be
+        those of a freshly built bundle."""
+        workload = zipfian_workload(n_periods=4, period_s=30.0,
+                                    rate_qps=1.0, pool_size=20, seed=0)
+
+        def serve(runner, bundle):
+            arrivals = workload.materialize(bundle.queries, seed=0)
+            result = runner.run(make_metis(bundle), arrivals)
+            return [repr(record) for record in result.records]
+
+        def fresh_runner():
+            bundle = build_dataset("finsec", n_queries=20, cache=False)
+            return bundle, ExperimentRunner(
+                bundle, default_engine_config(), seed=0,
+                result_cache="semantic")
+
+        bundle, runner = fresh_runner()
+        assert runner.store is bundle.store
+        cold, warm = serve(runner, bundle), serve(runner, bundle)
+        fresh = serve(*reversed(fresh_runner()))
+        assert cold == warm == fresh
