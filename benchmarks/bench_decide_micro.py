@@ -8,9 +8,9 @@ choosers:
 
 * the **fast path**: ``JointScheduler.choose`` scoring memoized
   closed-form :class:`PlanFootprint` grids with numpy;
-* the **reference**: ``JointScheduler.choose_reference``, the original
-  implementation that materialises a full ``SynthesisPlan`` per
-  candidate.
+* the **reference**: ``choose_reference`` from
+  ``tests/decide_reference.py``, the original implementation that
+  materialises a full ``SynthesisPlan`` per candidate.
 
 Both must return identical decisions (asserted here per tape entry;
 ``tests/test_decide_fastpath.py`` pins the same on a live run). The
@@ -20,7 +20,10 @@ wall-clock floors in ``check_regression.py``.
 
 from __future__ import annotations
 
+import sys
 import time
+from functools import partial
+from pathlib import Path
 
 from repro.config.knobs import SynthesisMethod
 from repro.config.space import PrunedSpace
@@ -29,6 +32,10 @@ from repro.core.scheduler import JointScheduler
 from repro.util.rng import RngStreams
 
 from conftest import FAST, write_artifact
+
+# The reference chooser is a test oracle and lives with the tests.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+from decide_reference import choose_reference  # noqa: E402
 
 N_DECISIONS = 2_000 if FAST else 10_000
 ROUNDS = 3 if FAST else 5
@@ -92,7 +99,8 @@ def test_decide_micro_throughput():
     # Warm-up (fills the footprint/grid memo caches, exactly as a
     # trace's first queries do) + decision-equivalence check.
     fast_decisions = drive(scheduler, tape, scheduler.choose)
-    ref_decisions = drive(scheduler, tape, scheduler.choose_reference)
+    reference = partial(choose_reference, scheduler)
+    ref_decisions = drive(scheduler, tape, reference)
     fell_back = 0
     for fast, ref in zip(fast_decisions, ref_decisions):
         assert (fast.config, fast.fell_back, fast.n_candidates,
@@ -105,7 +113,7 @@ def test_decide_micro_throughput():
     best_fast = _best_seconds(scheduler, tape, scheduler.choose, ROUNDS)
     # The reference is ~order-of-magnitude slower; one timed round
     # keeps the benchmark quick without blurring the ratio much.
-    best_ref = _best_seconds(scheduler, tape, scheduler.choose_reference,
+    best_ref = _best_seconds(scheduler, tape, reference,
                              max(1, ROUNDS - 2))
 
     decisions_per_sec = len(tape) / best_fast if best_fast > 0 else 0.0

@@ -14,19 +14,11 @@ from repro.core.policy import SchedulingView
 from repro.core.profiler import GPT4O_PROFILER, LLMProfiler
 from repro.core.scheduler import JointScheduler
 from repro.llm import MISTRAL_7B_AWQ, SimTokenizer
-from repro.synthesis import make_synthesizer
 
 KV_BYTES = MISTRAL_7B_AWQ.kv_bytes_per_token
 
 
 def make_view(bundle, query, available_tokens: float) -> SchedulingView:
-    def estimate(config):
-        return make_synthesizer(config.synthesis_method).build_plan(
-            query_id=query.query_id, query_tokens=query.n_tokens,
-            chunk_tokens=[bundle.chunk_tokens] * config.num_chunks,
-            answer_tokens=query.answer_tokens_estimate, config=config,
-        )
-
     return SchedulingView(
         now=0.0,
         free_kv_bytes=available_tokens * KV_BYTES,
@@ -35,7 +27,6 @@ def make_view(bundle, query, available_tokens: float) -> SchedulingView:
         chunk_tokens=bundle.chunk_tokens,
         query_tokens=query.n_tokens,
         answer_tokens=query.answer_tokens_estimate,
-        estimate_plan=estimate,
     )
 
 

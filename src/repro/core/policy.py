@@ -7,7 +7,7 @@ A policy is consulted twice per query by the experiment runner:
    before proceeding.
 2. :meth:`RAGPolicy.choose` when the profiler returns — sees a
    :class:`SchedulingView` of the engine at *that* moment (free KV
-   memory, plan estimator) and commits to a :class:`RAGConfig`.
+   memory, the query's token shape) and commits to a :class:`RAGConfig`.
 
 METIS, the fixed-config baselines, Parrot*, and AdaptiveRAG* are all
 implementations of this interface; they differ only in what they do in
@@ -19,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.config.knobs import RAGConfig
 from repro.config.space import PrunedSpace
@@ -27,7 +26,6 @@ from repro.core.profiles import QueryProfile
 from repro.data.types import Query
 from repro.synthesis import estimate_footprint
 from repro.synthesis.footprint import PlanFootprint
-from repro.synthesis.plans import SynthesisPlan
 
 __all__ = ["PrepResult", "SchedulingView", "ClusterSchedulingView",
            "Decision", "RAGPolicy"]
@@ -51,10 +49,6 @@ class SchedulingView:
     Attributes:
         available_kv_bytes: free KV memory net of queued demand — the
             signal METIS' joint scheduler consumes.
-        estimate_plan: builds the full synthesis plan a config would
-            produce (using the dataset's nominal chunk size). Kept for
-            call-level consumers and the reference decision path; the
-            hot path sizes configs with :meth:`footprint` instead.
     """
 
     now: float
@@ -64,19 +58,12 @@ class SchedulingView:
     chunk_tokens: int
     query_tokens: int
     answer_tokens: int
-    estimate_plan: Callable[[RAGConfig], SynthesisPlan] | None = None
 
     def footprint(self, config: RAGConfig) -> PlanFootprint:
         """Closed-form footprint of the plan ``config`` would produce
         for this query shape (memoized; no plan object is built)."""
         return estimate_footprint(config, self.query_tokens,
                                   self.chunk_tokens, self.answer_tokens)
-
-    def plan_fits(self, plan, buffer_frac: float = 0.02) -> bool:
-        """Whether a plan's (or footprint's) minimum resident footprint
-        fits right now."""
-        need = plan.fit_tokens * self.kv_bytes_per_token * (1.0 + buffer_frac)
-        return need <= self.available_kv_bytes
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ materialising a :class:`~repro.synthesis.plans.SynthesisPlan` per
 candidate. Grids are memoized per ``(pruned space, query shape)``;
 query shapes cluster heavily across a trace, so most decisions reduce
 to two array comparisons and an argmax. Decisions are byte-identical to
-the plan-materialising reference (:meth:`JointScheduler
-.choose_reference`, kept for the equivalence suite and
+the plan-materialising reference chooser (``tests/decide_reference.py``,
+raced against this one by the equivalence suite and
 ``benchmarks/bench_decide_micro.py``): the float expressions keep the
 exact same association order, token counts convert to float64 exactly
 (far below 2^53), and ``argmax``/``argmin`` return the *first* extremum
@@ -39,9 +39,8 @@ import numpy as np
 from repro.config.knobs import RAGConfig, SynthesisMethod
 from repro.config.space import PrunedSpace
 from repro.core.policy import SchedulingView
-from repro.synthesis import estimate_footprint, make_synthesizer
+from repro.synthesis import estimate_footprint
 from repro.synthesis.footprint import PlanFootprint
-from repro.synthesis.plans import SynthesisPlan
 from repro.util.validation import check_in_range
 
 __all__ = ["JointDecision", "JointScheduler"]
@@ -203,91 +202,6 @@ class JointScheduler:
         return lo + int(np.ceil(self.quality_slo.threshold * span))
 
     # ------------------------------------------------------------------
-    def choose_reference(self, pruned: PrunedSpace,
-                         view: SchedulingView) -> JointDecision:
-        """Plan-materialising reference chooser (the pre-fast-path
-        implementation, kept verbatim).
-
-        Builds a full :class:`SynthesisPlan` for every candidate and
-        must agree with :meth:`choose` decision-for-decision — pinned
-        by ``tests/test_decide_fastpath.py`` and raced against the fast
-        path by ``benchmarks/bench_decide_micro.py``.
-        """
-        estimate = view.estimate_plan
-        if estimate is None:
-            def estimate(config: RAGConfig) -> SynthesisPlan:
-                return _build_estimate_plan(config, view)
-        candidates = [
-            (config, estimate(config))
-            for config in pruned.enumerate()
-        ]
-        n_candidates = len(candidates)
-
-        best: tuple[int, RAGConfig, SynthesisPlan] | None = None
-        n_fitting = 0
-        if self.quality_slo is not None:
-            # Quality-SLO mode, mirroring ``choose``: min cost among
-            # whole-fit candidates at/above the gated num_chunks floor,
-            # degrading to plain min cost when the gate is empty. Keep
-            # the earliest strict winner, like argmin.
-            floor = self._chunk_floor(pruned)
-            gated_best: tuple[int, RAGConfig, SynthesisPlan] | None = None
-            for config, plan in candidates:
-                if not self._whole_plan_fits(plan, view):
-                    continue
-                n_fitting += 1
-                if best is None or plan.cost_tokens < best[0]:
-                    best = (plan.cost_tokens, config, plan)
-                if config.num_chunks >= floor and (
-                        gated_best is None
-                        or plan.cost_tokens < gated_best[0]):
-                    gated_best = (plan.cost_tokens, config, plan)
-            if gated_best is not None:
-                best = gated_best
-        else:
-            for config, plan in candidates:
-                if not self._whole_plan_fits(plan, view):
-                    continue
-                n_fitting += 1
-                if best is None or plan.cost_tokens > best[0]:
-                    best = (plan.cost_tokens, config, plan)
-
-        if best is None:
-            for config, plan in candidates:
-                if not view.plan_fits(plan, self.memory_buffer_frac):
-                    continue
-                n_fitting += 1
-                if best is None or plan.cost_tokens < best[0]:
-                    best = (plan.cost_tokens, config, plan)
-
-        if best is not None:
-            _, config, plan = best
-            return JointDecision(
-                config=config,
-                footprint=PlanFootprint.from_plan(plan),
-                fell_back=False,
-                n_candidates=n_candidates,
-                n_fitting=n_fitting,
-            )
-        config = self._fallback_config(pruned, view)
-        return JointDecision(
-            config=config,
-            footprint=PlanFootprint.from_plan(estimate(config)),
-            fell_back=True,
-            n_candidates=n_candidates,
-            n_fitting=0,
-        )
-
-    def _whole_plan_fits(self, plan: SynthesisPlan,
-                         view: SchedulingView) -> bool:
-        need = (
-            plan.cost_tokens
-            * view.kv_bytes_per_token
-            * (1.0 + self.memory_buffer_frac)
-        )
-        return need <= view.available_kv_bytes
-
-    # ------------------------------------------------------------------
     def _fallback_config(self, pruned: PrunedSpace,
                          view: SchedulingView) -> RAGConfig:
         """Cheap fitting configuration outside the pruned range (§4.3).
@@ -321,17 +235,3 @@ class JointScheduler:
         k = max(min(lo, hi), min(k, hi))
         return RAGConfig(method, k)
 
-
-def _build_estimate_plan(config: RAGConfig,
-                         view: SchedulingView) -> SynthesisPlan:
-    """Default estimate-plan builder for views without a closure: the
-    same uniform-chunk construction the pipeline's ``make_view`` uses.
-    """
-    synthesizer = make_synthesizer(config.synthesis_method)
-    return synthesizer.build_plan(
-        query_id="est",
-        query_tokens=view.query_tokens,
-        chunk_tokens=[view.chunk_tokens] * config.num_chunks,
-        answer_tokens=view.answer_tokens,
-        config=config,
-    )

@@ -530,13 +530,9 @@ class CacheStage(_Stage):
                     replica=ex.replica, start_time=now)
         ex.lanes.append(lane)
         if p.retrieval_cache is not None:
-            k = config.num_chunks
-            fetch_k = p.reranker.fetch_k(k) if p.reranker else k
-            key = RetrievalCache.key_for(
-                canonical_query_id(query.query_id), p.store.n_shards,
-                p.store.index_label, fetch_k)
             entry = p.retrieval_cache.lookup(
-                key, now, corpus_version=p.store.corpus_version)
+                p.retrieval_cache_key(ex), now,
+                corpus_version=p.store.corpus_version)
             if entry is not None:
                 ex.cache_hit = True
                 ex.cache_tier = "retrieval"
@@ -896,9 +892,8 @@ class QueryPipeline:
                 self._schedule_arrival(arrival.time, arrival.query)
         # Event-driven serving: the engine's iterations are first-class
         # events on the shared loop (armed by a StepDriver; idle
-        # engines/replicas sleep and are woken by admission), replacing
-        # the legacy polling interleave `loop.run(substrate=engine)`.
-        # The dispatch order is byte-identical — see repro.sim.driver.
+        # engines/replicas sleep and are woken by admission) — see
+        # repro.sim.driver.
         self.driver = self.engine.attach(self.loop)
         if self.autoscaler is not None:
             horizon = max(a.time for a in arrivals)
@@ -1016,29 +1011,12 @@ class QueryPipeline:
         """Winning lane done: score, record, and refill the closed loop."""
         ctx = self.bundle.synthesis_context(ex.query, lane.chunk_ids)
         answer = self.generator.generate(ctx, ex.decision.config)
-        quality = (self.metrics.score(ex.query, answer.tokens,
-                                      lane.chunk_ids)
-                   if self.metrics is not None else None)
-        record = QueryRecord(
-            query_id=ex.query.query_id,
-            policy=self.policy.name,
-            dataset=self.bundle.name,
-            arrival_time=ex.arrival_time,
-            decision_time=ex.decision_time,
-            finish_time=now,
-            config=ex.decision.config,
+        record = self._append_record(
+            ex, now, answer.tokens, lane.chunk_ids,
             f1=answer.f1,
             expected_f1=answer.expected_f1,
             coverage=answer.coverage,
-            profiler_seconds=ex.prep.api_seconds,
-            profiler_dollars=ex.prep.dollars,
-            n_chunks_retrieved=len(lane.chunk_ids),
             chunks_clipped=lane.chunks_clipped,
-            fell_back=ex.decision.fell_back,
-            used_recent_spaces=ex.decision.used_recent_spaces,
-            confidence=(
-                ex.prep.profile.confidence if ex.prep.profile else None
-            ),
             queueing_delay=(
                 (lane.first_admitted - ex.arrival_time)
                 if lane.first_admitted is not None
@@ -1047,27 +1025,13 @@ class QueryPipeline:
             prefill_tokens=lane.prefill_tokens,
             output_tokens=lane.output_tokens,
             replica=lane.replica,
-            profiler_queue_delay=ex.profiler_queue_delay,
             retrieval_queue_delay=lane.retrieval_queue_delay,
             retrieval_seconds=lane.retrieval_seconds,
             gather_seconds=lane.gather_seconds,
             rerank_seconds=lane.rerank_seconds,
             rerank_queue_delay=lane.rerank_queue_delay,
-            deadline=ex.deadline,
-            hedged=ex.hedged,
-            hedge_time=ex.hedge_time,
             hedge_won=(ex.hedged and lane.lane_id == 1),
-            wasted_prefill_tokens=ex.wasted_prefill_tokens,
-            wasted_decode_tokens=ex.wasted_decode_tokens,
-            speculation_seconds=ex.speculation_seconds,
-            cache_hit=ex.cache_hit,
-            cache_tier=ex.cache_tier,
-            cache_stale=ex.cache_stale,
-            cache_age_s=ex.cache_age_s,
-            cache_lookup_seconds=ex.cache_lookup_seconds,
-            **_metric_fields(quality),
         )
-        self.records.append(record)
         if self.result_cache is not None and not ex.cache_hit:
             # Miss path: memoize the full answer so an exact (or
             # near-duplicate, in semantic mode) repeat can skip
@@ -1101,11 +1065,68 @@ class QueryPipeline:
                 config_label=ex.decision.config.label(),
             )
             self.charge_cache_insert(now)
+        self._close(ex, record, now, lane)
+
+    def _append_record(self, ex: QueryExecution, now: float, tokens,
+                       chunk_ids, **served) -> QueryRecord:
+        """Score and append the query's record.
+
+        Builds the fields both finalize paths share from ``ex``;
+        ``served`` carries what the path itself served (answer,
+        tokens, replica, lane timings). ``tokens`` and ``chunk_ids``
+        are what the quality harness scores.
+        """
+        quality = (self.metrics.score(ex.query, tokens, chunk_ids)
+                   if self.metrics is not None else None)
+        prep = ex.prep
+        decision = ex.decision
+        record = QueryRecord(
+            query_id=ex.query.query_id,
+            policy=self.policy.name,
+            dataset=self.bundle.name,
+            arrival_time=ex.arrival_time,
+            decision_time=ex.decision_time,
+            finish_time=now,
+            config=decision.config,
+            profiler_seconds=prep.api_seconds,
+            profiler_dollars=prep.dollars,
+            n_chunks_retrieved=len(chunk_ids),
+            fell_back=decision.fell_back,
+            used_recent_spaces=decision.used_recent_spaces,
+            confidence=(
+                prep.profile.confidence if prep.profile else None
+            ),
+            profiler_queue_delay=ex.profiler_queue_delay,
+            deadline=ex.deadline,
+            hedged=ex.hedged,
+            hedge_time=ex.hedge_time,
+            wasted_prefill_tokens=ex.wasted_prefill_tokens,
+            wasted_decode_tokens=ex.wasted_decode_tokens,
+            speculation_seconds=ex.speculation_seconds,
+            cache_hit=ex.cache_hit,
+            cache_tier=ex.cache_tier,
+            cache_stale=ex.cache_stale,
+            cache_age_s=ex.cache_age_s,
+            cache_lookup_seconds=ex.cache_lookup_seconds,
+            **served,
+            **_metric_fields(quality),
+        )
+        self.records.append(record)
+        return record
+
+    def _close(self, ex: QueryExecution, record: QueryRecord, now: float,
+               lane: Lane | None = None) -> None:
+        """Release the query's app pins, report completion to the
+        policy, and refill the closed loop."""
         if isinstance(self.engine, ClusterEngine):
+            # make_view pinned the query's app id at decide time. A
+            # cache hit never admits engine requests, so without this
+            # release its pin would leak for the rest of the run.
             self.engine.release_app(ex.query.query_id)
-            # A winning hedge lane's pin must not outlive the query.
-            self.engine.release_app(lane.app_id)
-        self.policy.on_complete(ex.query, answer.f1, record.e2e_delay)
+            if lane is not None:
+                # A winning hedge lane's pin must not outlive the query.
+                self.engine.release_app(lane.app_id)
+        self.policy.on_complete(ex.query, record.f1, record.e2e_delay)
         if self._pending_closed:
             nxt = self._pending_closed.popleft()
             self._schedule_arrival(now, nxt.query)
@@ -1131,6 +1152,17 @@ class QueryPipeline:
         self.cache_resource.request(
             now, CACHE_INSERT_SECONDS, lambda t, waited: None)
 
+    def retrieval_cache_key(
+            self, ex: QueryExecution) -> tuple[str, int, str, int]:
+        """Retrieval-tier key of ``ex``'s query at the depth its
+        retrieval fetches (the reranker's ``fetch_k`` when one is
+        configured, else the chosen ``num_chunks``)."""
+        k = ex.decision.config.num_chunks
+        fetch_k = self.reranker.fetch_k(k) if self.reranker else k
+        return RetrievalCache.key_for(
+            canonical_query_id(ex.query.query_id), self.store.n_shards,
+            self.store.index_label, fetch_k)
+
     def maybe_cache_retrieval(self, lane: Lane, now: float) -> None:
         """Memoize a freshly retrieved top-k chunk-id list.
 
@@ -1142,16 +1174,10 @@ class QueryPipeline:
         if (self.retrieval_cache is None or lane.lane_id != 0
                 or lane.ex.cache_tier == "retrieval"):
             return
-        ex = lane.ex
-        k = ex.decision.config.num_chunks
-        fetch_k = self.reranker.fetch_k(k) if self.reranker else k
-        key = RetrievalCache.key_for(
-            canonical_query_id(ex.query.query_id), self.store.n_shards,
-            self.store.index_label, fetch_k)
         # The payload is copied: SynthesizeStage clips lane.chunk_ids
         # in place and must not mutate the cached value.
         self.retrieval_cache.insert(
-            key, tuple(lane.chunk_ids), now,
+            self.retrieval_cache_key(lane.ex), tuple(lane.chunk_ids), now,
             saved_seconds=(lane.retrieval_seconds + lane.gather_seconds
                            + lane.rerank_seconds),
             corpus_version=self.store.corpus_version,
@@ -1181,52 +1207,18 @@ class QueryPipeline:
         # (identical truth, tokens, and chunk ids), while semantic and
         # stale hits surface their honest faithfulness/relevancy/recall
         # deltas instead of hiding behind the donor query's scores.
-        quality = (self.metrics.score(ex.query, value.tokens,
-                                      value.chunk_ids)
-                   if self.metrics is not None else None)
-        record = QueryRecord(
-            query_id=ex.query.query_id,
-            policy=self.policy.name,
-            dataset=self.bundle.name,
-            arrival_time=ex.arrival_time,
-            decision_time=ex.decision_time,
-            finish_time=now,
-            config=ex.decision.config,
+        record = self._append_record(
+            ex, now, value.tokens, value.chunk_ids,
             f1=f1,
             expected_f1=value.expected_f1,
             coverage=value.coverage,
-            profiler_seconds=ex.prep.api_seconds,
-            profiler_dollars=ex.prep.dollars,
-            n_chunks_retrieved=len(value.chunk_ids),
             chunks_clipped=value.chunks_clipped,
-            fell_back=ex.decision.fell_back,
-            used_recent_spaces=ex.decision.used_recent_spaces,
-            confidence=(
-                ex.prep.profile.confidence if ex.prep.profile else None
-            ),
             queueing_delay=0.0,
             prefill_tokens=0,
             output_tokens=0,
             replica=ex.replica,
-            profiler_queue_delay=ex.profiler_queue_delay,
-            deadline=ex.deadline,
-            cache_hit=True,
-            cache_tier=tier,
-            cache_stale=ex.cache_stale,
-            cache_age_s=ex.cache_age_s,
-            cache_lookup_seconds=ex.cache_lookup_seconds,
-            **_metric_fields(quality),
         )
-        self.records.append(record)
-        if isinstance(self.engine, ClusterEngine):
-            # make_view pinned the query's app id at decide time; a hit
-            # never admits engine requests, so release the pin here or
-            # it leaks for the rest of the run.
-            self.engine.release_app(ex.query.query_id)
-        self.policy.on_complete(ex.query, f1, record.e2e_delay)
-        if self._pending_closed:
-            nxt = self._pending_closed.popleft()
-            self._schedule_arrival(now, nxt.query)
+        self._close(ex, record, now)
 
     def cache_stats(self) -> dict[str, CacheStats]:
         """Per-tier counters for enabled tiers (empty when caching is
@@ -1260,17 +1252,6 @@ class QueryPipeline:
     def make_view(self, query: Query) -> SchedulingView:
         engine = self.engine
         chunk_tokens = self.bundle.chunk_tokens
-
-        def estimate_plan(config: RAGConfig) -> SynthesisPlan:
-            synthesizer = self.synthesizer(config)
-            return synthesizer.build_plan(
-                query_id=f"{query.query_id}/est",
-                query_tokens=query.n_tokens,
-                chunk_tokens=[chunk_tokens] * config.num_chunks,
-                answer_tokens=query.answer_tokens_estimate,
-                config=config,
-            )
-
         if isinstance(engine, ClusterEngine):
             # Route (and pin) the query now so the policy sees the KV
             # memory of the replica its calls will actually land on.
@@ -1284,7 +1265,6 @@ class QueryPipeline:
                 chunk_tokens=chunk_tokens,
                 query_tokens=query.n_tokens,
                 answer_tokens=query.answer_tokens_estimate,
-                estimate_plan=estimate_plan,
                 replica_id=rid,
                 replica_free_kv_bytes=tuple(
                     r.free_kv_bytes() for r in engine.replicas
@@ -1305,5 +1285,4 @@ class QueryPipeline:
             chunk_tokens=chunk_tokens,
             query_tokens=query.n_tokens,
             answer_tokens=query.answer_tokens_estimate,
-            estimate_plan=estimate_plan,
         )

@@ -355,9 +355,6 @@ class ClusterEngine:
                 best = r.now
         return None if best == _INF else best
 
-    def total_free_kv_bytes(self) -> float:
-        return sum(r.free_kv_bytes() for r in self.replicas)
-
     def replica_outstanding(self) -> tuple[int, ...]:
         """Per-replica outstanding-request counts (waiting + running).
 

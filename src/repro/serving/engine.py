@@ -270,9 +270,6 @@ class ServingEngine:
         claim without displacing anyone (METIS' scheduling signal)."""
         return max(0.0, self.free_kv_bytes() - self.waiting_demand_bytes())
 
-    def kv_bytes_for_tokens(self, n_tokens: int) -> float:
-        return self.memory.tokens_to_bytes(n_tokens)
-
     # ------------------------------------------------------------------
     # Submission / time control
     # ------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Event-driven stepping: run a :class:`~repro.sim.kernel.Steppable`
 as first-class events on a shared :class:`~repro.sim.kernel.EventLoop`.
 
-A :class:`StepDriver` replaces the legacy polling interleave
-(``EventLoop.run(substrate=...)``) with an *armed step event*: while
-the substrate has work, exactly one source event sits on the loop at
-the substrate's frontier (``substrate.now``); each firing performs one
+A :class:`StepDriver` keeps an *armed step event*: while the substrate
+has work, exactly one source event sits on the loop at the substrate's
+frontier (``substrate.now``); each firing performs one
 :meth:`~repro.sim.kernel.Steppable.step` and re-arms at the new
 frontier. When the substrate drains, the driver simply stops
 scheduling — an idle substrate costs zero events and zero polling.
@@ -45,16 +44,17 @@ the only event its later ``seq`` could tie against).
 Lockstep equivalence
 --------------------
 
-With homogeneous replicas, the dispatch order produced by this driver
-is **byte-identical** to the legacy polling mode: step events rank
-after equal-time external events (matching the old strict
-``substrate.now < next_event`` comparison), each firing advances the
-lagging busy replica (``ClusterEngine.step``'s existing min-clock /
-min-index rule), and external events still observe
-``max(event.time, substrate.now)`` via ``EventLoop.attach``.
-``tests/test_cluster_events.py`` pins this equivalence for bare
-engines and multi-replica clusters; ``tests/test_cluster_golden.py``
-and the pipeline golden fingerprint continue to pass unmodified.
+With homogeneous replicas, the iterations this driver produces are
+**byte-identical** to a plain lockstep loop that steps the substrate
+while its clock trails the next arrival (strict ``<``) and otherwise
+advances it and submits: step events rank after equal-time external
+events, each firing advances the lagging busy replica (the min-clock /
+min-index rule of ``ClusterEngine.step`` and ``step_and_frontier``),
+and external events observe ``max(event.time, substrate.now)`` via
+``EventLoop.attach``. ``tests/test_cluster_events.py`` pins this
+against such a loop for bare engines and multi-replica clusters, with
+and without an ``on_step`` observer; ``tests/test_cluster_golden.py``
+and the pipeline golden fingerprint pin it end to end.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ class StepDriver:
             # A submission to an idle replica regressed the cluster
             # frontier below the armed event; pull the event back so
             # the lagging replica steps before any external event in
-            # between (exactly the legacy polling order).
+            # between (the lockstep order).
             self._armed = self.loop.reschedule(self._armed, frontier)
 
     def _on_step(self, t: float, _payload: object) -> None:

@@ -8,8 +8,10 @@ properties are load-bearing and pinned by ``tests/test_sim_kernel.py``:
   sequence counter. No queue-order nondeterminism ever leaks into a
   trace. The only exception is deliberate: *source events* (engine
   step events scheduled by an attached substrate) rank **after**
-  external events at the same instant, mirroring the strict
-  ``substrate.now < next_event`` comparison of the old polling loop.
+  external events at the same instant, so an engine iteration that
+  starts at time ``t`` already sees every request admitted at ``t``
+  (same-instant arrivals join that batch instead of waiting one
+  iteration — the schedule the golden fingerprints pin).
 * **Determinism** — the kernel holds no RNG and no wall-clock state;
   replaying the same schedule calls produces the same dispatch
   sequence, byte for byte.
@@ -24,8 +26,8 @@ properties are load-bearing and pinned by ``tests/test_sim_kernel.py``:
   :class:`~repro.serving.cluster.ClusterEngine`) as a *time source*:
   plain :meth:`run` then advances attached sources to each external
   event's timestamp and dispatches the handler at
-  ``max(event.time, source.now)`` — the same never-rewind clamping the
-  legacy polling mode applies. The stepping itself is carried by
+  ``max(event.time, source.now)``, so a handler never observes a time
+  behind the substrate's clock. The stepping itself is carried by
   source events a :class:`~repro.sim.driver.StepDriver` keeps armed
   (wake on admission, sleep when idle), so idle substrates cost zero
   work instead of a ``has_work()`` poll per event.
@@ -39,7 +41,7 @@ than a single binary heap: events land in fixed-width time buckets
 the active bucket ids, and each bucket is sorted lazily — descending,
 so the minimum pops off the tail in O(1) — only when it becomes the
 frontier bucket. Events far beyond the frontier (more than
-``_FAR_SPAN`` buckets ahead) fall back to a plain heap; every peek/pop
+``_FAR_SPAN`` buckets ahead) fall back to a plain heap; every pop
 compares the full ``(time, rank, seq)`` key of the near minimum against
 the far minimum, so classification never affects dispatch order.
 Cancelled events are dropped lazily when they surface, and the whole
@@ -49,16 +51,10 @@ run never drags thousands of dead timers through every comparison.
 ``tests/test_kernel_queue.py`` pins dispatch-order equivalence against
 a reference heapq implementation under random schedule / cancel /
 reschedule mixes.
-
-The legacy polling mode — :meth:`EventLoop.run` with an explicit
-``substrate=`` argument — is retained for manual drivers and as the
-reference semantics the event-driven mode must reproduce byte for byte
-(see ``tests/test_cluster_events.py``).
 """
 
 from __future__ import annotations
 
-import heapq
 from heapq import heappop as _heappop, heappush as _heappush
 import itertools
 from typing import Any, Callable, Protocol
@@ -114,8 +110,7 @@ class Event:
     orders by ``(time, rank, seq)`` where ``rank`` is 0 for external
     events and 1 for source events (``source is not None``), so
     equal-time events pop in scheduling order and substrate steps yield
-    to equal-time external events exactly as the legacy polling loop's
-    strict ``now < next_event`` comparison did.
+    to equal-time external events (see the module docstring).
 
     A ``__slots__`` class with ``rank`` precomputed at construction —
     the sort key is never recomputed during queue comparisons — and a
@@ -149,19 +144,13 @@ class Event:
 class EventLoop:
     """Calendar-queue event loop with stable FIFO tie-breaking.
 
-    The loop can be driven three ways:
-
-    * :meth:`run` — dispatch everything until idle. With substrates
-      registered via :meth:`attach` (and their step events kept armed
-      by a :class:`~repro.sim.driver.StepDriver`), engine iterations
-      are first-class events on this loop.
-    * :meth:`run` with ``substrate=`` — the legacy polling mode: step
-      the substrate while its clock trails the next event.
-    * :meth:`peek_time` / :meth:`pop` / :meth:`dispatch` — manual
-      control for callers that own their own outer loop.
+    :meth:`run` dispatches everything until idle. With substrates
+    registered via :meth:`attach` (and their step events kept armed
+    by a :class:`~repro.sim.driver.StepDriver`), engine iterations
+    are first-class events on this loop.
 
     Cancellation (:meth:`cancel` / :meth:`reschedule`) uses lazy
-    deletion: tombstoned entries are skipped at ``peek``/``pop`` time
+    deletion: tombstoned entries are skipped when they surface
     (and swept wholesale by amortized compaction), so surviving events
     keep their exact ``(time, rank, seq)`` order.
 
@@ -212,8 +201,8 @@ class EventLoop:
         at timestamps earlier than the last dispatch. Such events keep
         their raw time for queue ordering; at dispatch their handler
         observes ``max(event.time, substrate.now)`` when a substrate is
-        attached/interleaved, but the *raw* event time in
-        substrate-free mode (only ``clock.now`` itself never rewinds).
+        attached, but the *raw* event time without one (only
+        ``clock.now`` itself never rewinds).
 
         ``source`` marks a substrate-scheduled step event: it ranks
         after equal-time external events and is dispatched without the
@@ -359,8 +348,7 @@ class EventLoop:
 
         Attached sources are advanced to each external event's
         timestamp before its handler runs, and the handler observes
-        ``max(event.time, source.now)`` — identical to the legacy
-        ``run(substrate=...)`` clamping. Stepping the source is the
+        ``max(event.time, source.now)``. Stepping the source is the
         :class:`~repro.sim.driver.StepDriver`'s job (it keeps a step
         event armed while the source has work).
         """
@@ -376,10 +364,6 @@ class EventLoop:
                 _s.advance_to(t)
                 return _s.now
         self._advances.append(adv)
-
-    @property
-    def sources(self) -> tuple[Steppable, ...]:
-        return tuple(self._sources)
 
     # ------------------------------------------------------------------
     def __bool__(self) -> bool:
@@ -397,68 +381,6 @@ class EventLoop:
                    for entry in bucket]
         entries.extend(self._far)
         return entries
-
-    def _min_bucket(self) -> list[tuple] | None:
-        """The frontier bucket, sorted, dead tail pruned (None = empty)."""
-        ids = self._bucket_ids
-        buckets = self._buckets
-        dirty = self._dirty
-        while ids:
-            b = ids[0]
-            bucket = buckets[b]
-            if b in dirty:
-                bucket.sort(reverse=True)
-                dirty.discard(b)
-            while bucket:
-                if bucket[-1][3]._status == _PENDING:
-                    return bucket
-                bucket.pop()
-                self._n_dead -= 1
-            del buckets[b]
-            _heappop(ids)
-        return None
-
-    def _min_entry(self) -> tuple[tuple, list[tuple] | None] | None:
-        """Locate the next live entry: ``(entry, bucket-or-None)``.
-
-        ``bucket is None`` means the entry is the far-heap top. The
-        near minimum and far minimum are compared on their full
-        ``(time, rank, seq)`` keys — far classification can never
-        reorder a dispatch. Returns ``None`` when no live entry exists.
-        """
-        near = self._min_bucket()
-        far = self._far
-        while far and far[0][3]._status != _PENDING:
-            _heappop(far)
-            self._n_dead -= 1
-        if near is None:
-            if not far:
-                return None
-            return far[0], None
-        if far and far[0] < near[-1]:
-            return far[0], None
-        return near[-1], near
-
-    def peek_time(self) -> float:
-        """Timestamp of the next live event (``inf`` when empty)."""
-        found = self._min_entry()
-        return found[0][0] if found is not None else float("inf")
-
-    def pop(self) -> Event:
-        """Remove and return the next live event (clock untouched)."""
-        found = self._min_entry()
-        if found is None:
-            raise IndexError("pop() on an empty event loop")
-        entry, bucket = found
-        if bucket is None:
-            _heappop(self._far)
-        else:
-            bucket.pop()
-        event = entry[3]
-        event._status = _POPPED
-        self._n_pending -= 1
-        self._cursor = entry[0] * self._inv_width
-        return event
 
     # ------------------------------------------------------------------
     @property
@@ -481,174 +403,101 @@ class EventLoop:
         else:
             fn()
 
-    def dispatch(self, event: Event, at: float | None = None) -> None:
-        """Advance the clock and invoke the handler.
-
-        ``at`` overrides the observed time (used when a co-simulated
-        substrate overshot the event's timestamp); it must not precede
-        the event's own time.
-        """
-        t = event.time
-        if at is not None and at > t:
-            t = at
-        clock = self.clock
-        if t > clock.now:
-            clock.now = t
-        self.n_dispatched += 1
-        if self._in_dispatch:  # nested manual dispatch from a handler
-            event.handler(t, event.payload)
-            return
-        self._in_dispatch = True
-        try:
-            event.handler(t, event.payload)
-        finally:
-            self._in_dispatch = False
-            if self._deferred:
-                self._flush_deferred()
-
     def _flush_deferred(self) -> None:
         deferred = self._deferred
         while deferred:
             deferred.pop(0)()
 
-    def _dispatch_next(self) -> None:
-        """Pop and dispatch one event, honoring attached sources."""
-        event = self.pop()
-        if event.source is None and self._sources:
-            t = event.time
-            at = t
-            for adv in self._advances:
-                now = adv(t)
-                if now > at:
-                    at = now
-            self.dispatch(event, at=at)
-        else:
-            self.dispatch(event)
-
     # ------------------------------------------------------------------
-    def run(self, substrate: Steppable | None = None,
-            max_steps: int = 50_000_000) -> int:
-        """Dispatch until the loop (and substrate, if any) is idle.
+    def run(self, max_steps: int = 50_000_000) -> int:
+        """Dispatch until the pending set drains.
 
-        Without ``substrate`` this drains the pending set; attached
-        sources (see :meth:`attach`) get the advance/clamp treatment
-        per external event, and their step events — kept armed by a
-        :class:`~repro.sim.driver.StepDriver` — interleave by ordinary
-        ``(time, rank, seq)`` order. If a source still has work when
-        the queue drains, its wake protocol is broken and a
-        ``RuntimeError`` is raised rather than silently stranding work.
+        Attached sources (see :meth:`attach`) are advanced to each
+        external event's timestamp before its handler runs, and the
+        handler observes ``max(event.time, source.now)``. Their step
+        events — kept armed by a :class:`~repro.sim.driver.StepDriver`
+        — interleave by ordinary ``(time, rank, seq)`` order. If a
+        source still has work when the queue drains, its wake protocol
+        is broken and a ``RuntimeError`` is raised rather than silently
+        stranding work.
 
-        With ``substrate`` the legacy polling contract applies
-        (identical to the pre-``repro.sim`` runner loop): while the
-        substrate has work and its clock trails the next event, it
-        steps; otherwise the next event is popped, the substrate's
-        clock is advanced to the event time, and the handler runs at
-        ``max(event.time, substrate.now)``.
-
-        Returns the number of dispatches + substrate steps; raises
-        ``RuntimeError`` past ``max_steps`` (a diverging simulation).
+        Returns the number of dispatches; raises ``RuntimeError`` past
+        ``max_steps`` (a diverging simulation).
         """
         steps = 0
-        if substrate is None:
-            # Substrate-free drain is THE hot loop (every event-driven
-            # run lives here), so the pop/advance/dispatch cycle of
-            # ``_dispatch_next`` is inlined below — same statements,
-            # same order, minus ~7 function calls per event. The
-            # structure aliases are safe: ``_insert``/``_compact``
-            # mutate these containers in place, never rebind them.
-            buckets = self._buckets
-            ids = self._bucket_ids
-            dirty = self._dirty
-            far = self._far
-            clock = self.clock
-            deferred = self._deferred
-            heappop = _heappop
-            while self._n_pending:
-                # -- locate + remove the min live entry (see pop()) --
-                near = None
-                while ids:
-                    b = ids[0]
-                    bucket = buckets[b]
-                    if b in dirty:
-                        bucket.sort(reverse=True)
-                        dirty.discard(b)
-                    while bucket:
-                        if bucket[-1][3]._status == _PENDING:
-                            near = bucket
-                            break
-                        bucket.pop()
-                        self._n_dead -= 1
-                    if near is not None:
+        # THE hot loop (every run lives here): the structure aliases
+        # are safe because ``_insert``/``_compact`` mutate these
+        # containers in place, never rebind them.
+        buckets = self._buckets
+        ids = self._bucket_ids
+        dirty = self._dirty
+        far = self._far
+        clock = self.clock
+        deferred = self._deferred
+        heappop = _heappop
+        while self._n_pending:
+            # -- locate + remove the min live entry --
+            # The frontier bucket is sorted descending on first use, so
+            # its minimum pops off the tail; dead entries surfacing at
+            # either structure's head are dropped. Near and far minima
+            # are compared on their full ``(time, rank, seq)`` keys, so
+            # far classification can never reorder a dispatch.
+            near = None
+            while ids:
+                b = ids[0]
+                bucket = buckets[b]
+                if b in dirty:
+                    bucket.sort(reverse=True)
+                    dirty.discard(b)
+                while bucket:
+                    if bucket[-1][3]._status == _PENDING:
+                        near = bucket
                         break
-                    del buckets[b]
-                    heappop(ids)
-                while far and far[0][3]._status != _PENDING:
-                    heappop(far)
+                    bucket.pop()
                     self._n_dead -= 1
-                if near is None:
-                    entry = heappop(far)
-                elif far and far[0] < near[-1]:
-                    entry = heappop(far)
-                else:
-                    entry = near.pop()
-                event = entry[3]
-                event._status = _POPPED
-                self._n_pending -= 1
-                self._cursor = entry[0] * self._inv_width
-                # -- advance sources + dispatch (see _dispatch_next) --
-                t = event.time
-                if event.source is None and self._sources:
-                    for adv in self._advances:
-                        now = adv(t)
-                        if now > t:
-                            t = now
-                if t > clock.now:
-                    clock.now = t
-                self.n_dispatched += 1
-                self._in_dispatch = True
-                try:
-                    event.handler(t, event.payload)
-                finally:
-                    self._in_dispatch = False
-                    if deferred:
-                        self._flush_deferred()
-                steps += 1
-                if steps >= max_steps:
-                    raise RuntimeError(
-                        f"event loop did not drain within {max_steps} steps"
-                    )
-            for source in self._sources:
-                if source.has_work():
-                    raise RuntimeError(
-                        f"event loop drained but source {source!r} still "
-                        "has work — its wake protocol lost an admission"
-                    )
-            return steps
-        if self._sources:
-            raise ValueError(
-                "run(substrate=...) cannot be combined with attached "
-                "sources; use StepDriver for event-driven stepping"
-            )
-        while self._n_pending or substrate.has_work():
-            next_t = self.peek_time()
-            if substrate.has_work() and substrate.now < next_t:
-                substrate.step()
-                steps = self._bump(steps, max_steps)
-                continue
-            if self._n_pending:
-                event = self.pop()
-                substrate.advance_to(event.time)
-                self.dispatch(event, at=substrate.now)
-                steps = self._bump(steps, max_steps)
-                continue
-            break  # no events, substrate idle
-        return steps
-
-    @staticmethod
-    def _bump(steps: int, max_steps: int) -> int:
-        steps += 1
-        if steps >= max_steps:
-            raise RuntimeError(
-                f"event loop did not drain within {max_steps} steps"
-            )
+                if near is not None:
+                    break
+                del buckets[b]
+                heappop(ids)
+            while far and far[0][3]._status != _PENDING:
+                heappop(far)
+                self._n_dead -= 1
+            if near is None:
+                entry = heappop(far)
+            elif far and far[0] < near[-1]:
+                entry = heappop(far)
+            else:
+                entry = near.pop()
+            event = entry[3]
+            event._status = _POPPED
+            self._n_pending -= 1
+            self._cursor = entry[0] * self._inv_width
+            # -- advance attached sources + dispatch --
+            t = event.time
+            if event.source is None and self._sources:
+                for adv in self._advances:
+                    now = adv(t)
+                    if now > t:
+                        t = now
+            if t > clock.now:
+                clock.now = t
+            self.n_dispatched += 1
+            self._in_dispatch = True
+            try:
+                event.handler(t, event.payload)
+            finally:
+                self._in_dispatch = False
+                if deferred:
+                    self._flush_deferred()
+            steps += 1
+            if steps >= max_steps:
+                raise RuntimeError(
+                    f"event loop did not drain within {max_steps} steps"
+                )
+        for source in self._sources:
+            if source.has_work():
+                raise RuntimeError(
+                    f"event loop drained but source {source!r} still "
+                    "has work — its wake protocol lost an admission"
+                )
         return steps

@@ -9,23 +9,14 @@ from repro.baselines import (
 from repro.config.knobs import RAGConfig, SynthesisMethod
 from repro.core.policy import PrepResult, SchedulingView
 from repro.core.profiles import QueryProfile
-from repro.synthesis import make_synthesizer
 
 KV = 131_072
 
 
 def view() -> SchedulingView:
-    def estimate(config):
-        return make_synthesizer(config.synthesis_method).build_plan(
-            query_id="est", query_tokens=30,
-            chunk_tokens=[500] * config.num_chunks,
-            answer_tokens=20, config=config,
-        )
-
     return SchedulingView(now=0.0, free_kv_bytes=1e9, available_kv_bytes=1e9,
                           kv_bytes_per_token=KV, chunk_tokens=500,
-                          query_tokens=30, answer_tokens=20,
-                          estimate_plan=estimate)
+                          query_tokens=30, answer_tokens=20)
 
 
 def profile(joint=True, high=True, pieces=3):
@@ -89,7 +80,7 @@ class TestAdaptiveRAG:
         poor_view = SchedulingView(
             now=0.0, free_kv_bytes=0.0, available_kv_bytes=0.0,
             kv_bytes_per_token=KV, chunk_tokens=500, query_tokens=30,
-            answer_tokens=20, estimate_plan=view().estimate_plan,
+            answer_tokens=20,
         )
         poor = policy.choose(q, PrepResult(profile=profile()),
                              poor_view).config

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config.knobs import RAGConfig, SynthesisMethod
 from repro.core import MetisConfig, MetisPolicy
 from repro.core.policy import ClusterSchedulingView, PrepResult
 from repro.core.profiles import QueryProfile
@@ -25,7 +24,6 @@ from repro.serving.cluster import (
     ROUTER_NAMES,
     make_router,
 )
-from repro.synthesis import make_synthesizer
 from repro.util.units import GB
 
 KV_BYTES = 131_072  # Mistral-7B per token
@@ -251,13 +249,6 @@ class TestScaling:
 # Cluster-level scheduling view / controller cluster mode
 # ----------------------------------------------------------------------
 def make_cluster_view(per_replica_tokens, routed: int) -> ClusterSchedulingView:
-    def estimate(config: RAGConfig):
-        return make_synthesizer(config.synthesis_method).build_plan(
-            query_id="est", query_tokens=30,
-            chunk_tokens=[500] * config.num_chunks,
-            answer_tokens=20, config=config,
-        )
-
     avail = tuple(t * KV_BYTES for t in per_replica_tokens)
     return ClusterSchedulingView(
         now=0.0,
@@ -265,7 +256,6 @@ def make_cluster_view(per_replica_tokens, routed: int) -> ClusterSchedulingView:
         available_kv_bytes=avail[routed],
         kv_bytes_per_token=KV_BYTES,
         chunk_tokens=500, query_tokens=30, answer_tokens=20,
-        estimate_plan=estimate,
         replica_id=routed,
         replica_free_kv_bytes=avail,
         replica_available_kv_bytes=avail,

@@ -6,8 +6,11 @@ The tentpole invariant: driving an engine/cluster through
 when idle) produces a **byte-identical** iteration trace to the manual
 lockstep loop (`engine.step()` while the clock trails the next
 arrival) that `tests/test_cluster_golden.py` and the pre-refactor
-runner used. Homogeneous fleets must be provably behavior-preserving
-before heterogeneous speeds are allowed to diverge.
+runner used. It must hold both with an ``on_step`` observer attached
+(the driver steps through ``step()`` + ``frontier()``) and without one
+(the quiet ``step_and_frontier()`` path every pipeline run takes).
+Homogeneous fleets must be provably behavior-preserving before
+heterogeneous speeds are allowed to diverge.
 """
 
 from __future__ import annotations
@@ -79,11 +82,20 @@ def normalize(step_result, idx: dict[int, int]) -> tuple:
     )
 
 
-def drive_lockstep(engine, specs: list[dict]) -> list[tuple]:
-    """The legacy manual interleave: step while the clock trails the
-    next arrival (strict ``<``), else advance + submit."""
+def request_times(requests: list[InferenceRequest]) -> list[tuple]:
+    """Each request's ``(admitted, prefill done, finished)`` instants."""
+    return [(r.admitted_time, r.prefill_done_time, r.finish_time)
+            for r in requests]
+
+
+def drive_lockstep(engine, specs: list[dict]
+                   ) -> tuple[list[tuple], list[tuple]]:
+    """The manual interleave: step while the clock trails the next
+    arrival (strict ``<``), else advance + submit. Returns the step
+    trace and the :func:`request_times` in spec order."""
     idx: dict[int, int] = {}
     trace: list[tuple] = []
+    requests: list[InferenceRequest] = []
     i = 0
     while i < len(specs) or engine.has_work():
         next_t = specs[i]["arrival_time"] if i < len(specs) else float("inf")
@@ -96,57 +108,89 @@ def drive_lockstep(engine, specs: list[dict]) -> list[tuple]:
         request = InferenceRequest(**specs[i])
         engine.submit(request)
         idx[request.request_id] = i
+        requests.append(request)
         i += 1
-    return trace
+    return trace, request_times(requests)
 
 
-def drive_events(engine, specs: list[dict]) -> tuple[list[tuple], object, EventLoop]:
+def drive_events(engine, specs: list[dict], observed: bool = True
+                 ) -> tuple[list[tuple], list[tuple], object, EventLoop]:
     """The event-driven interleave: arrivals are external events, engine
-    iterations are StepDriver step events on the same loop."""
+    iterations are StepDriver step events on the same loop.
+
+    ``observed`` attaches an ``on_step`` observer that records the step
+    trace; without it the trace stays empty and the driver runs the
+    quiet ``step_and_frontier()`` path. Returns the trace, the
+    :func:`request_times` in spec order, the driver and the loop.
+    """
     loop = EventLoop()
     idx: dict[int, int] = {}
     trace: list[tuple] = []
+    requests: list[InferenceRequest | None] = [None] * len(specs)
     driver = engine.attach(loop)
-    driver.on_step = lambda result: trace.append(normalize(result, idx))
+    if observed:
+        driver.on_step = lambda result: trace.append(normalize(result, idx))
 
     def arrive(t, payload):
         i, spec = payload
         request = InferenceRequest(**spec)
         engine.submit(request)
         idx[request.request_id] = i
+        requests[i] = request
 
     for i, spec in enumerate(specs):
         loop.schedule(spec["arrival_time"], "arrival", arrive, (i, spec))
     loop.run()
-    return trace, driver, loop
+    return trace, request_times(requests), driver, loop
+
+
+#: Both driving modes of the lockstep-equivalence tests.
+OBSERVED = pytest.mark.parametrize("observed", [True, False],
+                                   ids=["observed", "unobserved"])
+
+
+def assert_lockstep_equivalent(golden, trace, times,
+                               observed: bool) -> None:
+    """An event-driven run matches the lockstep ``golden``: the same
+    request instants always, and the same step trace when observed."""
+    golden_trace, golden_times = golden
+    assert repr(times) == repr(golden_times)
+    if observed:
+        assert repr(trace) == repr(golden_trace)
 
 
 class TestLockstepEquivalence:
     """Homogeneous speeds: event-driven == manual lockstep, byte for byte."""
 
-    def test_bare_engine_trace_identical(self):
+    @OBSERVED
+    def test_bare_engine_trace_identical(self, observed):
         specs = request_specs(ROOT_SEED)
         golden = drive_lockstep(ServingEngine(build_config()), specs)
-        trace, driver, loop = drive_events(ServingEngine(build_config()), specs)
-        assert len(golden) > len(specs) // 2  # real multi-iteration run
-        assert repr(trace) == repr(golden)
-        assert driver.n_steps == len(golden)
+        trace, times, driver, loop = drive_events(
+            ServingEngine(build_config()), specs, observed)
+        steps = golden[0]
+        assert len(steps) > len(specs) // 2  # real multi-iteration run
+        assert_lockstep_equivalent(golden, trace, times, observed)
+        assert driver.n_steps == len(steps)
         assert not loop  # fully drained, no stranded step events
 
+    @OBSERVED
     @pytest.mark.parametrize("router", ROUTER_NAMES)
-    def test_three_replica_cluster_trace_identical(self, router):
+    def test_three_replica_cluster_trace_identical(self, router, observed):
         specs = request_specs(ROOT_SEED + 1, n_requests=50, mean_gap=0.02)
         golden = drive_lockstep(
             ClusterEngine(build_config(), n_replicas=3, router=router,
                           seed=ROOT_SEED), specs)
-        trace, _, _ = drive_events(
+        trace, times, driver, _ = drive_events(
             ClusterEngine(build_config(), n_replicas=3, router=router,
-                          seed=ROOT_SEED), specs)
-        replicas_used = {step[0] for step in golden}
+                          seed=ROOT_SEED), specs, observed)
+        replicas_used = {step[0] for step in golden[0]}
         assert len(replicas_used) > 1  # genuinely multi-replica
-        assert repr(trace) == repr(golden), f"router {router} drifted"
+        assert_lockstep_equivalent(golden, trace, times, observed)
+        assert driver.n_steps == len(golden[0])
 
-    def test_frontier_regression_exercised_and_equivalent(self):
+    @OBSERVED
+    def test_frontier_regression_exercised_and_equivalent(self, observed):
         """Sparse arrivals onto a busy cluster: submissions land on
         idle, lagging replicas, regressing the frontier — the driver
         must reschedule its armed event (n_cancelled > 0) and the
@@ -155,10 +199,10 @@ class TestLockstepEquivalence:
         golden = drive_lockstep(
             ClusterEngine(build_config(0.5), n_replicas=2,
                           router="round-robin", seed=0), specs)
-        trace, _, loop = drive_events(
+        trace, times, _, loop = drive_events(
             ClusterEngine(build_config(0.5), n_replicas=2,
-                          router="round-robin", seed=0), specs)
-        assert repr(trace) == repr(golden)
+                          router="round-robin", seed=0), specs, observed)
+        assert_lockstep_equivalent(golden, trace, times, observed)
         assert loop.n_cancelled > 0  # reschedule path genuinely taken
 
     @pytest.mark.tier2
@@ -176,10 +220,10 @@ class TestLockstepEquivalence:
             golden = drive_lockstep(
                 ClusterEngine(build_config(0.75), n_replicas=n_replicas,
                               router=router, seed=index), specs)
-            trace, _, _ = drive_events(
+            trace, _, _, _ = drive_events(
                 ClusterEngine(build_config(0.75), n_replicas=n_replicas,
                               router=router, seed=index), specs)
-            assert repr(trace) == repr(golden), (
+            assert repr(trace) == repr(golden[0]), (
                 f"schedule {index} ({n_replicas} replicas, {router}) drifted"
             )
 
@@ -341,7 +385,7 @@ class TestRouterPropertiesUnderUnequalSpeeds:
                 engine = ClusterEngine(
                     build_config(0.75), n_replicas=n_replicas,
                     router=router, seed=index, replica_speeds=speeds)
-                trace, _, _ = drive_events(engine, specs)
+                trace, _, _, _ = drive_events(engine, specs)
                 return trace
 
             assert repr(run_once()) == repr(run_once()), (

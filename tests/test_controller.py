@@ -2,30 +2,22 @@
 
 import pytest
 
-from repro.config.knobs import RAGConfig, SynthesisMethod
+from repro.config.knobs import SynthesisMethod
 from repro.core import MetisConfig, MetisPolicy
 from repro.core.policy import SchedulingView
 from repro.core.profiles import QueryProfile
 from repro.core.policy import PrepResult
-from repro.synthesis import make_synthesizer
 
 KV_BYTES = 131_072
 
 
 def make_view(available_tokens: float, chunk_tokens: int = 500,
               query_tokens: int = 30) -> SchedulingView:
-    def estimate(config: RAGConfig):
-        return make_synthesizer(config.synthesis_method).build_plan(
-            query_id="est", query_tokens=query_tokens,
-            chunk_tokens=[chunk_tokens] * config.num_chunks,
-            answer_tokens=20, config=config,
-        )
-
     return SchedulingView(
         now=0.0, free_kv_bytes=available_tokens * KV_BYTES,
         available_kv_bytes=available_tokens * KV_BYTES,
         kv_bytes_per_token=KV_BYTES, chunk_tokens=chunk_tokens,
-        query_tokens=query_tokens, answer_tokens=20, estimate_plan=estimate,
+        query_tokens=query_tokens, answer_tokens=20,
     )
 
 

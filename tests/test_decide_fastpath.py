@@ -1,7 +1,7 @@
 """The decision-plane fast path changes no decision.
 
 ``JointScheduler.choose`` scores closed-form footprints with numpy;
-``JointScheduler.choose_reference`` is the original plan-materialising
+``decide_reference.choose_reference`` is the original plan-materialising
 implementation, kept verbatim. This suite races both on every decision
 of a real METIS run (the same ``(pruned, view)`` pairs, at the same
 instants, under load-driven memory pressure) and on synthetic corner
@@ -16,6 +16,8 @@ from repro.config.space import PrunedSpace
 from repro.core.policy import SchedulingView
 from repro.core.scheduler import JointScheduler
 from repro.experiments.common import make_metis, run_policy
+
+from decide_reference import choose_reference
 
 
 def _decision_key(decision):
@@ -32,7 +34,7 @@ class RecordingScheduler(JointScheduler):
 
     def choose(self, pruned, view):
         fast = super().choose(pruned, view)
-        reference = self.choose_reference(pruned, view)
+        reference = choose_reference(self, pruned, view)
         self.tape.append((_decision_key(fast), _decision_key(reference),
                           fast.footprint, reference.footprint))
         return fast
@@ -86,7 +88,7 @@ class TestSyntheticGridEquivalence:
         for available in MEMORY_LEVELS:
             view = _view(available)
             fast = scheduler.choose(pruned, view)
-            reference = scheduler.choose_reference(pruned, view)
+            reference = choose_reference(scheduler, pruned, view)
             assert _decision_key(fast) == _decision_key(reference), available
             assert fast.footprint == reference.footprint
 
@@ -95,6 +97,6 @@ class TestSyntheticGridEquivalence:
         pruned = PrunedSpace((SynthesisMethod.STUFF,), (2, 4))
         view = _view(0.0)
         fast = scheduler.choose(pruned, view)
-        reference = scheduler.choose_reference(pruned, view)
+        reference = choose_reference(scheduler, pruned, view)
         assert fast.fell_back and reference.fell_back
         assert fast.footprint == reference.footprint

@@ -4,11 +4,12 @@ import dataclasses
 
 import pytest
 
-from repro.config.knobs import RAGConfig, SynthesisMethod
+from repro.config.knobs import SynthesisMethod
 from repro.config.space import PrunedSpace
 from repro.core.policy import ClusterSchedulingView, SchedulingView
 from repro.core.scheduler import JointScheduler
-from repro.synthesis import make_synthesizer
+
+from decide_reference import choose_reference, estimate_plan
 
 KV_BYTES = 131_072  # Mistral-7B per token
 CHUNK_TOKENS = 500
@@ -17,14 +18,6 @@ ANSWER_TOKENS = 20
 
 
 def make_view(available_tokens: float) -> SchedulingView:
-    def estimate(config: RAGConfig):
-        synthesizer = make_synthesizer(config.synthesis_method)
-        return synthesizer.build_plan(
-            query_id="est", query_tokens=QUERY_TOKENS,
-            chunk_tokens=[CHUNK_TOKENS] * config.num_chunks,
-            answer_tokens=ANSWER_TOKENS, config=config,
-        )
-
     return SchedulingView(
         now=0.0,
         free_kv_bytes=available_tokens * KV_BYTES,
@@ -33,7 +26,6 @@ def make_view(available_tokens: float) -> SchedulingView:
         chunk_tokens=CHUNK_TOKENS,
         query_tokens=QUERY_TOKENS,
         answer_tokens=ANSWER_TOKENS,
-        estimate_plan=estimate,
     )
 
 
@@ -119,7 +111,7 @@ class TestFallbackDiagnostics:
     def test_fallback_plan_matches_fallback_config(self):
         view = make_view(0)
         decision = scheduler.choose(space(), view)
-        estimated = view.estimate_plan(decision.config)
+        estimated = estimate_plan(decision.config, view)
         assert decision.footprint.cost_tokens == estimated.cost_tokens
 
     def test_unit_fit_counts_toward_fitting(self):
@@ -224,7 +216,7 @@ class TestQualitySLOGate:
         sched = JointScheduler(quality_slo=f"faithfulness>={threshold}")
         view = make_view(tokens)
         fast = sched.choose(space(), view)
-        ref = sched.choose_reference(space(), view)
+        ref = choose_reference(sched, space(), view)
         assert fast.config == ref.config
         assert fast.fell_back == ref.fell_back
         assert fast.n_fitting == ref.n_fitting

@@ -80,13 +80,6 @@ class TestEventOrdering:
         loop.run()
         assert seen == [(0.5, 1.0)]  # raw time passed, clock unmoved
 
-    def test_pop_on_empty_raises(self):
-        with pytest.raises(IndexError):
-            EventLoop().pop()
-
-    def test_peek_time_empty_is_inf(self):
-        assert EventLoop().peek_time() == float("inf")
-
 
 class TestDeterminism:
     @staticmethod
@@ -154,9 +147,8 @@ class TestCancellation:
         assert len(loop) == 2
         loop.cancel(a)
         assert len(loop) == 1 and bool(loop)
-        assert loop.peek_time() == 2.0  # skips the tombstone
         loop.run()
-        assert not loop and loop.peek_time() == float("inf")
+        assert not loop
 
     def test_random_cancellations_never_fire_order_insertion_stable(self):
         """Property: under random cancellation the survivors dispatch in
@@ -178,13 +170,6 @@ class TestCancellation:
         survivors = [(t, i) for t, i, _ in events if i not in cancelled]
         assert fired == sorted(survivors, key=lambda p: (p[0], p[1]))
         assert loop.n_cancelled == len(cancelled)
-
-    def test_pop_on_all_cancelled_raises(self):
-        loop = EventLoop()
-        event = loop.schedule(1.0, "e", lambda t, _: None)
-        loop.cancel(event)
-        with pytest.raises(IndexError):
-            loop.pop()
 
 
 class TestReschedule:
@@ -286,13 +271,6 @@ class TestAttachedSources:
         with pytest.raises(ValueError, match="already attached"):
             loop.attach(substrate)
 
-    def test_substrate_mode_incompatible_with_sources(self):
-        substrate = _FakeSubstrate(work_units=1, step_seconds=1.0)
-        loop = EventLoop()
-        loop.attach(substrate)
-        with pytest.raises(ValueError, match="StepDriver"):
-            loop.run(substrate=substrate)
-
     def test_stranded_work_is_an_error(self):
         """A busy source with no armed step event means the wake
         protocol lost an admission — run() must not silently exit."""
@@ -316,8 +294,8 @@ class TestStepDriver:
         assert driver.n_wakes == 1 and driver.n_sleeps == 1
 
     def test_matches_legacy_polling_interleave(self):
-        """Event-driven stepping reproduces run(substrate=...) exactly:
-        steps at 0,1,2 precede the event; the iteration starting at 2
+        """Steps at 0,1,2 precede the event (a step yields only to an
+        event strictly before its start); the iteration starting at 2
         overshoots to 3, so the handler observes 3.0."""
         substrate = _FakeSubstrate(work_units=5, step_seconds=1.0)
         loop = EventLoop()
@@ -383,34 +361,6 @@ class _FakeSubstrate:
 
 
 class TestSubstrateInterleaving:
-    def test_steps_while_clock_trails_next_event(self):
-        substrate = _FakeSubstrate(work_units=5, step_seconds=1.0)
-        loop = EventLoop()
-        seen: list[float] = []
-        loop.schedule(2.5, "evt", lambda t, _: seen.append(t))
-        loop.run(substrate=substrate)
-        # Steps at 0 and 1 and 2 precede the event; the iteration
-        # starting at 2 overshoots to 3, so the handler observes 3.0.
-        assert substrate.step_times[:3] == [0.0, 1.0, 2.0]
-        assert seen == [3.0]
-
-    def test_idle_substrate_jumps_to_event_time(self):
-        substrate = _FakeSubstrate(work_units=0, step_seconds=1.0)
-        loop = EventLoop()
-        seen: list[float] = []
-        loop.schedule(4.0, "evt", lambda t, _: seen.append(t))
-        loop.run(substrate=substrate)
-        assert seen == [4.0]
-        assert substrate.now == 4.0
-
-    def test_handler_sees_clamped_time_never_event_time_rewind(self):
-        substrate = _FakeSubstrate(work_units=3, step_seconds=10.0)
-        loop = EventLoop()
-        seen: list[float] = []
-        loop.schedule(5.0, "evt", lambda t, _: seen.append(t))
-        loop.run(substrate=substrate)
-        assert seen == [10.0]  # clamped to the substrate clock
-
     def test_max_steps_guard(self):
         loop = EventLoop()
 
