@@ -2,12 +2,19 @@
 
 CI's ``bench-regression`` job runs the micro-benchmarks
 (``bench_cluster_events.py``, ``bench_kernel_micro.py``,
-``bench_retrieval_shards.py``, ``bench_autoscale.py``) in fast mode,
-then invokes this script to compare the freshly written
+``bench_decide_micro.py``, ``bench_retrieval_shards.py``,
+``bench_autoscale.py``, ``bench_cache.py``) at full weight, then
+invokes this script to compare the freshly written
 ``benchmarks/artifacts/*.json`` against the **committed**
 ``benchmarks/baselines/*.json``. Any gated metric that regresses by
 more than the tolerance (default 25%, ``REPRO_BENCH_TOLERANCE``)
 fails the job; improvements and in-band drift are reported but pass.
+
+An artifact is only comparable to a baseline recorded in the same
+mode: ``REPRO_BENCH_FAST=1`` shrinks the simulated workloads, which
+moves the deterministic metrics too. An artifact whose ``fast_mode``
+differs from its baseline's fails the gate by name, without comparing
+its metrics.
 
 Two kinds of gated metrics:
 
@@ -200,8 +207,18 @@ def run_gate(tolerance: float) -> int:
                             f"({baseline_path}); run --update and "
                             "commit it")
             continue
-        measured = extract_metrics(name, json.loads(artifact_path.read_text()))
-        baseline = extract_metrics(name, json.loads(baseline_path.read_text()))
+        artifact = json.loads(artifact_path.read_text())
+        committed = json.loads(baseline_path.read_text())
+        fast, base_fast = (artifact.get("fast_mode", False),
+                           committed.get("fast_mode", False))
+        if fast != base_fast:
+            failures.append(
+                f"{name}: artifact has fast_mode={fast} but the baseline "
+                f"has fast_mode={base_fast}; rerun the benchmark "
+                f"{'without' if fast else 'with'} REPRO_BENCH_FAST=1")
+            continue
+        measured = extract_metrics(name, artifact)
+        baseline = extract_metrics(name, committed)
         for key, (metric, value) in sorted(measured.items()):
             if key not in baseline:
                 failures.append(f"{name}:{key}: not in baseline — "

@@ -13,7 +13,7 @@ Three pieces:
 * :func:`run_cell` — execute one cell (a plain parameter dict, fully
   picklable) and return its scalar summary. Cells sharing a
   ``(dataset, seed, queries)`` key reuse one per-process
-  :class:`DatasetBundle` instead of rebuilding it (~1.6s) every cell.
+  :class:`DatasetBundle` instead of rebuilding it every cell.
 * :func:`sweep` — run many cells, either in-process (``jobs <= 1``)
   or on a :class:`~concurrent.futures.ProcessPoolExecutor`. The
   merged payload contains **only** cell parameters and results (no
@@ -46,8 +46,9 @@ __all__ = ["CELL_DEFAULTS", "expand_cells", "run_cell", "sweep",
            "canonical_json"]
 
 #: Per-process DatasetBundle cache, keyed ``(dataset, seed, queries)``.
-#: Building a bundle (corpus synthesis + index build) dominates small
-#: cells (~1.6s), and ``build_dataset`` is a pure function of the key,
+#: Building a bundle (corpus synthesis + index build, ~0.7 s for
+#: finsec at the end-to-end benchmark's reference CPU speed) dominates
+#: small cells, and ``build_dataset`` is a pure function of the key,
 #: so workers build each distinct bundle once and reuse it across
 #: cells. Reuse is safe: the experiment runner never mutates a bundle
 #: (resharding returns a *new* store) and builds a fresh engine and

@@ -179,6 +179,20 @@ class TestGateEndToEnd:
         assert check_regression.run_gate(tolerance=0.25) == 1
         assert "no committed baseline" in capsys.readouterr().err
 
+    def test_fast_mode_mismatch_fails_and_names_the_artifact(
+            self, dirs, capsys):
+        artifacts, baselines = dirs
+        self.write(artifacts, 50_000.0, 1.5)
+        self.write(baselines, 50_000.0, 1.5)
+        path = artifacts / "retrieval_shard_sweep.json"
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, "fast_mode": True}))
+        assert check_regression.run_gate(tolerance=0.25) == 1
+        err = capsys.readouterr().err
+        assert "1 regression(s)" in err
+        assert ("retrieval_shard_sweep.json: artifact has fast_mode=True "
+                "but the baseline has fast_mode=False") in err
+
     def test_update_derates_wall_clock_only(self, dirs):
         artifacts, baselines = dirs
         self.write(artifacts, 50_000.0, 1.5)

@@ -7,13 +7,15 @@ import pytest
 from repro.data.datasets import get_spec
 from repro.data.generator import DatasetSpec, generate_dataset
 from repro.data.vocab import (
+    _ENTITY_SUFFIXES,
+    _SYLLABLES,
     FILLER_WORDS,
     VALUE_WORDS,
     make_entity_name,
     make_filler_sentence,
     make_value_phrase,
 )
-from repro.util.rng import RngStreams
+from repro.util.rng import RngStreams, stream
 
 
 @pytest.fixture()
@@ -56,6 +58,70 @@ class TestVocab:
 
     def test_filler_vocab_disjoint_from_values(self):
         assert not set(FILLER_WORDS) & set(VALUE_WORDS)
+
+
+def reference_entity_name(rng, kind="corp"):
+    """``make_entity_name`` as written with ``Generator.choice``."""
+    first = (rng.choice(_SYLLABLES) + rng.choice(_SYLLABLES))[:6]
+    if kind == "person":
+        second = (rng.choice(_SYLLABLES) + rng.choice(_SYLLABLES))[:6]
+        return f"{first.capitalize()} {second.capitalize()}"
+    if kind == "place":
+        suffix = rng.choice(("county", "city", "valley", "district"))
+        return f"{first.capitalize()} {suffix}"
+    if kind == "team":
+        suffix = rng.choice(("committee", "team", "group", "council"))
+        return f"{first.capitalize()} {suffix}"
+    suffix = rng.choice(_ENTITY_SUFFIXES[:7])
+    return f"{first.capitalize()} {suffix}"
+
+
+def reference_filler_sentence(rng, topic_words, n_words=12,
+                              topic_rate=0.25):
+    """``make_filler_sentence`` as written with ``Generator.choice``."""
+    words = []
+    for _ in range(n_words):
+        use_topic = topic_words and rng.random() < topic_rate
+        pool = topic_words if use_topic else FILLER_WORDS
+        words.append(str(rng.choice(pool)))
+    words[0] = words[0].capitalize()
+    return " ".join(words) + "."
+
+
+class TestChoiceStreamEquivalence:
+    """Drawing a word as ``pool[rng.integers(len(pool))]`` consumes the
+    same bits as ``rng.choice(pool)``: equal words, and the generator
+    left in the same state for every later draw. Fails if a numpy
+    release changes how ``choice`` samples a sequence."""
+
+    SEEDS = (0, 1, 7, 2024)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("topic_rate", (0.0, 0.18, 1.0))
+    @pytest.mark.parametrize("topic_words", (
+        (), ("zzztopic",),
+        ("acme", "revenue", "growth", "margin", "debt", "outlook"),
+    ), ids=("none", "one", "many"))
+    def test_filler_sentence(self, seed, topic_rate, topic_words):
+        fast, ref = stream(seed, "filler"), stream(seed, "filler")
+        for i in range(60):
+            n_words = 1 + i % 16
+            assert make_filler_sentence(
+                fast, topic_words, n_words=n_words, topic_rate=topic_rate,
+            ) == reference_filler_sentence(
+                ref, topic_words, n_words=n_words, topic_rate=topic_rate,
+            )
+        assert fast.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("kind", ("corp", "place", "person", "team"))
+    def test_entity_name(self, seed, kind):
+        fast, ref = stream(seed, "entity"), stream(seed, "entity")
+        for _ in range(200):
+            name = make_entity_name(fast, kind)
+            assert type(name) is str
+            assert name == reference_entity_name(ref, kind)
+        assert fast.bit_generator.state == ref.bit_generator.state
 
 
 class TestDatasetSpecValidation:

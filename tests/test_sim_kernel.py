@@ -242,7 +242,8 @@ class TestSourceEventOrdering:
 
 
 class TestAttachedSources:
-    """run() with attached sources mirrors the substrate advance/clamp."""
+    """run() with attached sources mirrors the substrate advance/clamp,
+    and its guards fail loudly instead of exiting early or spinning."""
 
     def test_external_event_advances_attached_source(self):
         substrate = _FakeSubstrate(work_units=0, step_seconds=1.0)
@@ -280,6 +281,16 @@ class TestAttachedSources:
         loop.schedule(1.0, "evt", lambda t, _: None)
         with pytest.raises(RuntimeError, match="wake protocol"):
             loop.run()
+
+    def test_max_steps_guard(self):
+        loop = EventLoop()
+
+        def rearm(t, _):
+            loop.schedule(t + 1.0, "rearm", rearm)
+
+        loop.schedule(0.0, "rearm", rearm)
+        with pytest.raises(RuntimeError, match="did not drain"):
+            loop.run(max_steps=100)
 
 
 class TestStepDriver:
@@ -358,15 +369,3 @@ class _FakeSubstrate:
     def advance_to(self, t: float) -> None:
         if t > self.now:
             self.now = t
-
-
-class TestSubstrateInterleaving:
-    def test_max_steps_guard(self):
-        loop = EventLoop()
-
-        def rearm(t, _):
-            loop.schedule(t + 1.0, "rearm", rearm)
-
-        loop.schedule(0.0, "rearm", rearm)
-        with pytest.raises(RuntimeError, match="did not drain"):
-            loop.run(max_steps=100)
