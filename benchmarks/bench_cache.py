@@ -31,7 +31,7 @@ from repro.evaluation.pipeline import QueryPipeline
 from repro.experiments.common import default_engine_config
 from repro.llm.generation import SimulatedGenerator
 from repro.llm.quality import QualityModel
-from repro.serving.engine import ServingEngine
+from repro.serving.cluster import ClusterEngine
 from repro.workload import zipfian_workload
 
 from conftest import FAST, write_artifact
@@ -50,7 +50,7 @@ def drive_once(bundle, arrivals):
     pipeline = QueryPipeline(
         bundle=bundle,
         policy=FixedConfigPolicy(CONFIG),
-        engine=ServingEngine(default_engine_config()),
+        engine=ClusterEngine(default_engine_config(), n_replicas=1),
         generator=SimulatedGenerator(
             quality=QualityModel(bundle.quality_params), root_seed=SEED),
         cache_config=make_cache_config(result_cache="exact",

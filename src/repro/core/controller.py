@@ -16,13 +16,7 @@ from repro.config.knobs import RAGConfig, SynthesisMethod
 from repro.config.space import PrunedSpace
 from repro.core.feedback import FeedbackConfig, FeedbackLoop
 from repro.core.mapping import map_profile_to_space
-from repro.core.policy import (
-    ClusterSchedulingView,
-    Decision,
-    PrepResult,
-    RAGPolicy,
-    SchedulingView,
-)
+from repro.core.policy import Decision, PrepResult, RAGPolicy, SchedulingView
 from repro.core.profiler import GPT4O_PROFILER, LLMProfiler, ProfilerModelSpec
 from repro.data.types import Query
 from repro.util.validation import check_probability
@@ -229,9 +223,7 @@ class MetisPolicy(RAGPolicy):
         more claimable KV can often serve an in-range configuration.
         Returns ``(decision, replica_id)`` or ``(None, None)``.
         """
-        if not self.config.cluster_aware:
-            return None, None
-        if not isinstance(view, ClusterSchedulingView) or view.n_replicas < 2:
+        if not self.config.cluster_aware or view.n_replicas < 2:
             return None, None
         best = view.best_replica()
         if best == view.replica_id:

@@ -27,8 +27,7 @@ from repro.data.types import Query
 from repro.synthesis import estimate_footprint
 from repro.synthesis.footprint import PlanFootprint
 
-__all__ = ["PrepResult", "SchedulingView", "ClusterSchedulingView",
-           "Decision", "RAGPolicy"]
+__all__ = ["PrepResult", "SchedulingView", "Decision", "RAGPolicy"]
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,16 @@ class PrepResult:
 
 @dataclass(frozen=True)
 class SchedulingView:
-    """A policy's window onto the system at decision time.
+    """A policy's window onto one replica of the serving fleet at
+    decision time.
+
+    The scalar ``free_kv_bytes`` / ``available_kv_bytes`` fields are
+    the *routed* replica's figures, so a memory-aware scheduler prunes
+    per-replica by construction. The per-replica tuples expose the
+    whole fleet for placement decisions (e.g. METIS' fallback rescue:
+    when nothing fits on the routed replica, re-place the query where
+    memory is plentiful instead of degrading its configuration); they
+    default to empty, which reads as a single replica.
 
     Attributes:
         available_kv_bytes: free KV memory net of queued demand — the
@@ -58,26 +66,6 @@ class SchedulingView:
     chunk_tokens: int
     query_tokens: int
     answer_tokens: int
-
-    def footprint(self, config: RAGConfig) -> PlanFootprint:
-        """Closed-form footprint of the plan ``config`` would produce
-        for this query shape (memoized; no plan object is built)."""
-        return estimate_footprint(config, self.query_tokens,
-                                  self.chunk_tokens, self.answer_tokens)
-
-
-@dataclass(frozen=True)
-class ClusterSchedulingView(SchedulingView):
-    """A :class:`SchedulingView` onto one replica of a serving cluster.
-
-    The scalar ``free_kv_bytes`` / ``available_kv_bytes`` fields are
-    the *routed* replica's figures, so a memory-aware scheduler prunes
-    per-replica by construction. The per-replica tuples expose the
-    whole cluster for placement decisions (e.g. METIS' fallback rescue:
-    when nothing fits on the routed replica, re-place the query where
-    memory is plentiful instead of degrading its configuration).
-    """
-
     replica_id: int = 0
     replica_free_kv_bytes: tuple[float, ...] = ()
     replica_available_kv_bytes: tuple[float, ...] = ()
@@ -97,11 +85,17 @@ class ClusterSchedulingView(SchedulingView):
     #: rather than recomputed ad hoc).
     replica_outstanding: tuple[int, ...] = ()
 
+    def footprint(self, config: RAGConfig) -> PlanFootprint:
+        """Closed-form footprint of the plan ``config`` would produce
+        for this query shape (memoized; no plan object is built)."""
+        return estimate_footprint(config, self.query_tokens,
+                                  self.chunk_tokens, self.answer_tokens)
+
     @property
     def n_replicas(self) -> int:
         return max(1, len(self.replica_available_kv_bytes))
 
-    def for_replica(self, replica_id: int) -> "ClusterSchedulingView":
+    def for_replica(self, replica_id: int) -> "SchedulingView":
         """The same moment in time, viewed from another replica."""
         if not 0 <= replica_id < len(self.replica_available_kv_bytes):
             raise ValueError(

@@ -12,7 +12,7 @@ Each query traverses five explicit stages on the shared
   slot, which makes Fig 18's overhead load-dependent instead of a
   constant.
 * :class:`DecideStage` — configuration choice against a scheduling
-  view of the (cluster) engine, including cluster-aware re-placement.
+  view of the routed replica, including cluster-aware re-placement.
   With a :class:`~repro.serving.speculation.SpeculationPolicy`
   configured it also *plans the hedge*: an at-risk query gets a
   ``hedge:arm`` event on the loop, cancelled if the query finishes
@@ -31,8 +31,8 @@ Each query traverses five explicit stages on the shared
 * :class:`ServeStage` — submit the plan's LLM calls stage by stage to
   the serving engine and *await their completion events*: engine
   iterations are first-class events on the shared loop (a
-  :class:`~repro.sim.driver.StepDriver` keeps one step event armed per
-  engine/cluster; idle replicas sleep, admission wakes them), so each
+  :class:`~repro.sim.driver.StepDriver` keeps one step event armed for
+  the fleet; idle replicas sleep, admission wakes them), so each
   call's ``on_finish`` fires from within the step event that completes
   it — no stage ever polls the engine. Completion closes the loop
   (records, feedback, closed-loop re-arrival).
@@ -78,13 +78,7 @@ from repro.caching import (
     RetrievalCache,
 )
 from repro.config.knobs import RAGConfig, SynthesisMethod
-from repro.core.policy import (
-    ClusterSchedulingView,
-    Decision,
-    PrepResult,
-    RAGPolicy,
-    SchedulingView,
-)
+from repro.core.policy import Decision, PrepResult, RAGPolicy, SchedulingView
 from repro.data.types import DatasetBundle, Query
 from repro.data.workload import Arrival
 from repro.evaluation.costs import CostLedger
@@ -94,7 +88,6 @@ from repro.llm.generation import SimulatedGenerator
 from repro.retrieval.rerank import ExactReranker
 from repro.retrieval.sharded import SearchHit, ShardedVectorStore
 from repro.serving.cluster import ClusterEngine
-from repro.serving.engine import ServingEngine
 from repro.serving.request import InferenceRequest
 from repro.serving.speculation import (
     HedgeContext,
@@ -158,8 +151,8 @@ class QueryRecord:
     queueing_delay: float
     prefill_tokens: int
     output_tokens: int
-    #: Which cluster replica served this query (0 on a bare engine;
-    #: the *winning* lane's replica when the query was hedged).
+    #: Which replica served this query (the *winning* lane's replica
+    #: when the query was hedged).
     replica: int = 0
     #: Seconds spent waiting for a profiler slot (0 when unbounded).
     profiler_queue_delay: float = 0.0
@@ -415,17 +408,15 @@ class DecideStage(_Stage):
         ex.decision_time = t
         view = p.make_view(ex.query)
         ex.decision = p.policy.choose(ex.query, ex.prep, view)
-        if isinstance(p.engine, ClusterEngine):
-            # Cluster-aware policies may re-place the query on a
-            # replica with more claimable memory (fallback rescue).
-            preferred = ex.decision.notes.get("preferred_replica")
-            if preferred is not None and p.engine.is_active(preferred):
-                # A preference for a replica that started draining
-                # since the view was built is dropped, not honoured:
-                # draining replicas take no new placements.
-                p.engine.pin_app(ex.query.query_id, preferred)
-            pinned = p.engine.replica_of_app(ex.query.query_id)
-            ex.replica = 0 if pinned is None else pinned
+        # Cluster-aware policies may re-place the query on a replica
+        # with more claimable memory (fallback rescue).
+        preferred = ex.decision.notes.get("preferred_replica")
+        if preferred is not None and p.engine.is_active(preferred):
+            # A preference for a replica that started draining since
+            # the view was built is dropped, not honoured: draining
+            # replicas take no new placements.
+            p.engine.pin_app(ex.query.query_id, preferred)
+        ex.replica = p.engine.replica_of_app(ex.query.query_id)
         if p.cache_resource is not None:
             # Probe the cache tiers first; only a full miss opens the
             # primary lane and proceeds to retrieval. Caching off
@@ -451,20 +442,14 @@ class DecideStage(_Stage):
             est_seconds = footprint.service_seconds(p.engine.cost)
         else:
             est_seconds = 0.0  # pure timers never read the estimate
-        if isinstance(view, ClusterSchedulingView):
-            outstanding = view.replica_outstanding
-            speeds = view.replica_speeds
-        else:
-            outstanding = (p.engine.outstanding,)
-            speeds = (p.engine.speed,)
         ctx = HedgeContext(
             arrival_time=ex.arrival_time,
             decision_time=t,
             deadline=ex.deadline,
             est_service_seconds=est_seconds,
             primary=ex.replica,
-            replica_outstanding=outstanding,
-            replica_speeds=speeds,
+            replica_outstanding=view.replica_outstanding,
+            replica_speeds=view.replica_speeds,
         )
         arm_at = p.speculation.hedge_time(ctx)
         if arm_at is None:
@@ -772,7 +757,7 @@ class QueryPipeline:
         self,
         bundle: DatasetBundle,
         policy: RAGPolicy,
-        engine: ServingEngine | ClusterEngine,
+        engine: ClusterEngine,
         generator: SimulatedGenerator,
         profiler_concurrency: int | None = None,
         store: ShardedVectorStore | None = None,
@@ -890,9 +875,9 @@ class QueryPipeline:
                 )
             for arrival in arrivals:
                 self._schedule_arrival(arrival.time, arrival.query)
-        # Event-driven serving: the engine's iterations are first-class
+        # Event-driven serving: replica iterations are first-class
         # events on the shared loop (armed by a StepDriver; idle
-        # engines/replicas sleep and are woken by admission) — see
+        # replicas sleep and are woken by admission) — see
         # repro.sim.driver.
         self.driver = self.engine.attach(self.loop)
         if self.autoscaler is not None:
@@ -921,15 +906,12 @@ class QueryPipeline:
         if ex.done:  # pragma: no cover - arm events are cancelled at win
             return
         engine = self.engine
-        if isinstance(engine, ClusterEngine):
-            target = self.speculation.choose_replica(
-                engine.replica_outstanding(), engine.replica_speeds,
-                ex.lanes[0].replica,
-                eligible=engine.active_replica_ids(),
-            )
-        else:
-            target = None  # a bare engine has nowhere to hedge to
-        if target is None:
+        target = self.speculation.choose_replica(
+            engine.replica_outstanding(), engine.replica_speeds,
+            ex.lanes[0].replica,
+            eligible=engine.active_replica_ids(),
+        )
+        if target is None:  # a one-replica fleet has nowhere to hedge to
             return
         app_id = f"{ex.query.query_id}#hedge"
         engine.pin_app(app_id, target)
@@ -987,8 +969,7 @@ class QueryPipeline:
         seconds = self._wasted_seconds(lane, wasted_prefill, wasted_decode)
         ex.speculation_seconds += seconds
         self.speculation_gpu_seconds += seconds
-        if isinstance(self.engine, ClusterEngine):
-            self.engine.release_app(lane.app_id)
+        self.engine.release_app(lane.app_id)
 
     def _wasted_seconds(self, lane: Lane, prefill_tokens: int,
                         decode_tokens: int) -> float:
@@ -1000,11 +981,7 @@ class QueryPipeline:
             return 0.0
         seconds = self.engine.cost.request_seconds(prefill_tokens,
                                                    decode_tokens)
-        if isinstance(self.engine, ClusterEngine):
-            speed = self.engine.replicas[lane.replica].speed
-        else:
-            speed = self.engine.speed
-        return seconds / speed
+        return seconds / self.engine.replicas[lane.replica].speed
 
     # ------------------------------------------------------------------
     def finalize(self, ex: QueryExecution, lane: Lane, now: float) -> None:
@@ -1118,14 +1095,13 @@ class QueryPipeline:
                lane: Lane | None = None) -> None:
         """Release the query's app pins, report completion to the
         policy, and refill the closed loop."""
-        if isinstance(self.engine, ClusterEngine):
-            # make_view pinned the query's app id at decide time. A
-            # cache hit never admits engine requests, so without this
-            # release its pin would leak for the rest of the run.
-            self.engine.release_app(ex.query.query_id)
-            if lane is not None:
-                # A winning hedge lane's pin must not outlive the query.
-                self.engine.release_app(lane.app_id)
+        # make_view pinned the query's app id at decide time. A cache
+        # hit never admits engine requests, so without this release its
+        # pin would leak for the rest of the run.
+        self.engine.release_app(ex.query.query_id)
+        if lane is not None:
+            # A winning hedge lane's pin must not outlive the query.
+            self.engine.release_app(lane.app_id)
         self.policy.on_complete(ex.query, record.f1, record.e2e_delay)
         if self._pending_closed:
             nxt = self._pending_closed.popleft()
@@ -1251,38 +1227,26 @@ class QueryPipeline:
 
     def make_view(self, query: Query) -> SchedulingView:
         engine = self.engine
-        chunk_tokens = self.bundle.chunk_tokens
-        if isinstance(engine, ClusterEngine):
-            # Route (and pin) the query now so the policy sees the KV
-            # memory of the replica its calls will actually land on.
-            rid = engine.assign_app(query.query_id)
-            target = engine.replicas[rid]
-            return ClusterSchedulingView(
-                now=engine.now,
-                free_kv_bytes=target.free_kv_bytes(),
-                available_kv_bytes=target.available_kv_bytes(),
-                kv_bytes_per_token=target.memory.kv_bytes_per_token,
-                chunk_tokens=chunk_tokens,
-                query_tokens=query.n_tokens,
-                answer_tokens=query.answer_tokens_estimate,
-                replica_id=rid,
-                replica_free_kv_bytes=tuple(
-                    r.free_kv_bytes() for r in engine.replicas
-                ),
-                replica_available_kv_bytes=tuple(
-                    r.available_kv_bytes() for r in engine.replicas
-                ),
-                replica_now=tuple(r.now for r in engine.replicas),
-                replica_speeds=engine.replica_speeds,
-                replica_outstanding=engine.replica_outstanding(),
-            )
-
+        # Route (and pin) the query now so the policy sees the KV
+        # memory of the replica its calls will actually land on.
+        rid = engine.assign_app(query.query_id)
+        target = engine.replicas[rid]
         return SchedulingView(
             now=engine.now,
-            free_kv_bytes=engine.free_kv_bytes(),
-            available_kv_bytes=engine.available_kv_bytes(),
-            kv_bytes_per_token=engine.memory.kv_bytes_per_token,
-            chunk_tokens=chunk_tokens,
+            free_kv_bytes=target.free_kv_bytes(),
+            available_kv_bytes=target.available_kv_bytes(),
+            kv_bytes_per_token=target.memory.kv_bytes_per_token,
+            chunk_tokens=self.bundle.chunk_tokens,
             query_tokens=query.n_tokens,
             answer_tokens=query.answer_tokens_estimate,
+            replica_id=rid,
+            replica_free_kv_bytes=tuple(
+                r.free_kv_bytes() for r in engine.replicas
+            ),
+            replica_available_kv_bytes=tuple(
+                r.available_kv_bytes() for r in engine.replicas
+            ),
+            replica_now=tuple(r.now for r in engine.replicas),
+            replica_speeds=engine.replica_speeds,
+            replica_outstanding=engine.replica_outstanding(),
         )

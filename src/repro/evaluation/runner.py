@@ -34,7 +34,7 @@ from repro.llm.generation import SimulatedGenerator
 from repro.llm.quality import QualityModel, QualityParams
 from repro.retrieval.rerank import ExactReranker, make_reranker
 from repro.serving.cluster import ClusterEngine
-from repro.serving.engine import EngineConfig, EngineStats, ServingEngine
+from repro.serving.engine import EngineConfig, EngineStats
 from repro.serving.speculation import SpeculationPolicy, make_speculation
 from repro.sim import ResourceStats
 from repro.util.validation import (
@@ -64,13 +64,14 @@ class RunResult:
     makespan: float
     engine_stats: EngineStats
     ledger: CostLedger
-    #: Per-replica engine counters (one entry on a bare engine).
+    #: Per-replica engine counters (one entry per replica).
     replica_stats: list[EngineStats] = field(default_factory=list)
     #: Per-replica speed multipliers (parallel to ``replica_stats``).
     replica_speeds: list[float] = field(default_factory=list)
     #: Replicas the fleet started with (an autoscaler may add more).
     n_replicas: int = 1
-    #: Name of the cluster's router (``None`` on a bare engine).
+    #: Name of the cluster's router (``None`` for a static one-replica
+    #: run, which routes nothing).
     router: str | None = None
     #: Contended-resource counters keyed by resource name
     #: (``profiler``, ``retrieval`` or ``retrieval/shardN``, and
@@ -325,11 +326,12 @@ class ExperimentRunner:
     CLI forward their keywords here, and the :class:`QueryPipeline` it
     builds receives them already normalised.
 
-    With ``n_replicas > 1`` the workload is served by a
-    :class:`~repro.serving.cluster.ClusterEngine` — N engine replicas
-    behind the named load-aware ``router`` — and each policy decision
-    sees a :class:`ClusterSchedulingView` of the replica its query was
-    routed to.
+    The workload is served by a
+    :class:`~repro.serving.cluster.ClusterEngine` of ``n_replicas``
+    engine replicas behind the named load-aware ``router`` (a single
+    GPU is a one-replica fleet), and each policy decision sees a
+    :class:`~repro.core.policy.SchedulingView` of the replica its query
+    was routed to.
 
     ``profiler_concurrency`` / ``retrieval_concurrency`` bound how many
     profiler calls / vector-store searches may be in flight at once
@@ -564,21 +566,13 @@ class ExperimentRunner:
         the previous one completes).
         """
         config = replace(self.engine_config, policy=policy.engine_policy)
-        engine: ServingEngine | ClusterEngine
-        if self.n_replicas > 1 or self.scaling_policy is not None:
-            # An autoscaled fleet is always a cluster, even when it
-            # starts from one replica — elasticity lives there.
-            engine = ClusterEngine(
-                config,
-                n_replicas=self.n_replicas,
-                router=self.router,
-                seed=self.seed,
-                replica_speeds=self.replica_speeds,
-            )
-        else:
-            speed = (self.replica_speeds[0]
-                     if self.replica_speeds else 1.0)
-            engine = ServingEngine(config, speed=speed)
+        engine = ClusterEngine(
+            config,
+            n_replicas=self.n_replicas,
+            router=self.router,
+            seed=self.seed,
+            replica_speeds=self.replica_speeds,
+        )
         autoscaler = None
         if self.scaling_policy is not None:
             # Fresh per run: the Autoscaler accumulates events and
@@ -617,14 +611,8 @@ class ExperimentRunner:
                                       pipeline.speculation_gpu_seconds)
         self._charge_feedback(policy, engine, ledger)
         makespan = engine.now
-        if isinstance(engine, ClusterEngine):
-            replica_stats = [r.stats for r in engine.replicas]
-            replica_speeds = list(engine.replica_speeds)
-            provisioned = engine.provisioned_seconds(makespan)
-        else:
-            replica_stats = [engine.stats]
-            replica_speeds = [engine.speed]
-            provisioned = [makespan]
+        replica_stats = [r.stats for r in engine.replicas]
+        provisioned = engine.provisioned_seconds(makespan)
         idle_seconds = sum(
             max(0.0, provisioned[i] - replica_stats[i].busy_seconds)
             for i in range(len(provisioned))
@@ -639,10 +627,12 @@ class ExperimentRunner:
             engine_stats=engine.stats,
             ledger=ledger,
             replica_stats=replica_stats,
-            replica_speeds=replica_speeds,
+            replica_speeds=list(engine.replica_speeds),
             n_replicas=self.n_replicas,
-            router=(engine.router.name
-                    if isinstance(engine, ClusterEngine) else None),
+            # A static one-replica run routes nothing: no router to
+            # report.
+            router=(engine.router.name if self.n_replicas > 1
+                    or self.scaling_policy is not None else None),
             resource_stats=pipeline.resource_stats(),
             n_retrieval_shards=self.store.n_shards,
             reranker=self.reranker.name if self.reranker else None,
@@ -667,7 +657,7 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------------
     def _charge_feedback(self, policy: RAGPolicy,
-                         engine: ServingEngine | ClusterEngine,
+                         engine: ClusterEngine,
                          ledger: CostLedger) -> None:
         """Charge GPU time for golden-configuration feedback runs."""
         feedback = getattr(policy, "feedback", None)

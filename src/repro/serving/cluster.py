@@ -1,21 +1,24 @@
-"""Multi-replica serving cluster: N engines behind a load-aware router.
+"""Serving fleet: N engine replicas behind a load-aware router.
 
-A :class:`ClusterEngine` owns N independent :class:`ServingEngine`
-replicas that advance as *first-class events* on the shared
-:class:`~repro.sim.kernel.EventLoop` (via :meth:`ClusterEngine.attach`
-and a :class:`~repro.sim.driver.StepDriver`): while any replica has
-work, one armed step event sits at the cluster frontier — the minimum
+Every run is served by a :class:`ClusterEngine`; a single GPU is a
+one-replica fleet. The cluster owns N independent
+:class:`ServingEngine` replicas that advance as *first-class events*
+on the shared :class:`~repro.sim.kernel.EventLoop` (via
+:meth:`ClusterEngine.attach` and a
+:class:`~repro.sim.driver.StepDriver`): while any replica has work,
+one armed step event sits at the cluster frontier — the minimum
 busy-replica clock — and each firing advances the lagging busy replica
 (ties broken by replica index). Idle replicas hold no events (they
-*sleep*); admission wakes them through the engine's ``wake_hook``, and
-a submission routed to an idle replica of a busy cluster *regresses*
-the frontier, which the driver tracks by rescheduling the armed event.
+*sleep*); admission wakes them through the cluster's ``wake_hook``,
+and a submission routed to an idle replica of a busy cluster
+*regresses* the frontier, which the driver tracks by rescheduling the
+armed event.
 
 :meth:`ClusterEngine.step` exposes the same advance-the-lagging-replica
 rule as a manual driving surface, so hand-rolled loops (tests, the
 golden-trace pins) and the event-driven path produce byte-identical
-traces — with one replica both collapse to a bare engine, which the
-golden-trace test pins down.
+traces. A one-replica cluster steps exactly like the engine it wraps,
+which ``tests/test_cluster_golden.py`` pins down.
 
 Replicas may run at heterogeneous speeds (``replica_speeds``: per-
 replica hardware-throughput multipliers, e.g. ``(1.0, 0.5)`` for a
@@ -212,10 +215,11 @@ class ReplicaSnapshot:
 class ClusterEngine:
     """N independent serving replicas advanced as events.
 
-    Exposes the same driving surface as :class:`ServingEngine`
-    (``now`` / ``has_work`` / ``advance_to`` / ``submit`` / ``step`` /
-    ``run_until_idle`` / ``stats`` / ``attach``), so the experiment
-    runner's event loop drives either interchangeably.
+    The one engine shape the experiment runner and the query pipeline
+    drive: a :class:`~repro.sim.kernel.Steppable` (``now`` /
+    ``has_work`` / ``advance_and_observe`` / ``frontier`` / ``step`` /
+    ``step_and_frontier``) plus routing, placement and the elastic-fleet
+    lifecycle. :meth:`attach` puts it on an event loop.
 
     ``replica_speeds`` gives each replica a hardware-throughput
     multiplier (see :class:`ServingEngine`); its length must equal
@@ -268,7 +272,7 @@ class ClusterEngine:
         self.wake_hook: Callable[[], None] | None = None
 
     # ------------------------------------------------------------------
-    # Introspection (mirrors ServingEngine where meaningful)
+    # Introspection
     # ------------------------------------------------------------------
     @property
     def n_replicas(self) -> int:
@@ -628,7 +632,7 @@ class ClusterEngine:
         once per fired step event, and manual loops call it directly —
         the min-clock / min-index order makes the two byte-identical.
 
-        ``build_info=False`` mirrors :meth:`ServingEngine.step`'s quiet
+        ``build_info=False`` takes :meth:`ServingEngine.step`'s quiet
         fast path (raw finished list instead of a ClusterStepInfo).
         """
         rid = -1

@@ -29,7 +29,6 @@ but tractable (documented in DESIGN.md):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
 
 from repro.llm.costs import RooflineCostModel
 from repro.llm.gpu import ClusterSpec
@@ -39,9 +38,6 @@ from repro.serving.memory import GPUMemoryModel
 from repro.serving.policies import SchedulingPolicy, make_policy
 from repro.serving.request import InferenceRequest, RequestPhase
 from repro.util.validation import check_in_range, check_positive
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim -> serving)
-    from repro.sim import EventLoop, StepDriver
 
 __all__ = ["EngineConfig", "ServingEngine", "StepInfo", "EngineStats"]
 
@@ -203,9 +199,6 @@ class ServingEngine:
         # per-request phase walk.
         self._n_prefill_phase = 0
         self._decode_kv_tokens = 0
-        #: Called after every ``submit`` (admission may need a wake /
-        #: frontier re-arm); set by :meth:`attach`.
-        self.wake_hook: Callable[[], None] | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -292,28 +285,12 @@ class ServingEngine:
             self._wakeups += 1
         self._waiting.append(request)
         self._waiting_version += 1
-        if self.wake_hook is not None:
-            self.wake_hook()
         return request
 
     def advance_to(self, t: float) -> None:
         """Jump the clock forward to ``t`` (idle time between arrivals)."""
         if t > self.now:
             self.now = t
-
-    def advance_and_observe(self, t: float) -> float:
-        """:meth:`advance_to` fused with the post-advance clock read."""
-        now = self.now
-        if t > now:
-            self.now = now = t
-        return now
-
-    def frontier(self) -> float | None:
-        """Fused ``has_work``/``now`` probe for the StepDriver: the
-        clock while the engine has work, ``None`` when idle."""
-        if self._waiting or self._running:
-            return self.now
-        return None
 
     def cancel(self, request: InferenceRequest) -> bool:
         """Tear down an in-flight request (the speculation-loser path).
@@ -460,16 +437,6 @@ class ServingEngine:
             admitted=tuple(admitted),
             finished=tuple(finished),
         )
-
-    def step_and_frontier(self) -> float | None:
-        """Quiet step fused with the post-step frontier probe.
-
-        One call for the StepDriver's no-observer hot path: identical
-        iteration to ``step(False)``, returning the post-step frontier
-        (``None`` once drained) instead of the discarded result.
-        """
-        self.step(False)
-        return self.now if (self._waiting or self._running) else None
 
     def _admit(self) -> list[InferenceRequest]:
         """Admit waiting requests in policy order until one doesn't fit.
@@ -628,20 +595,6 @@ class ServingEngine:
             request.on_finish(request, self.now)
 
     # ------------------------------------------------------------------
-    def attach(self, loop: "EventLoop") -> "StepDriver":
-        """Run this engine as first-class events on ``loop``.
-
-        Registers the engine as a time source and arms a
-        :class:`~repro.sim.driver.StepDriver` whose step events carry
-        each iteration; ``submit`` notifies the driver so an idle
-        engine wakes at admission time and sleeps when it drains.
-        """
-        from repro.sim.driver import StepDriver
-
-        driver = StepDriver(loop, self)
-        self.wake_hook = driver.notify
-        return driver
-
     def run_until_idle(self, max_iterations: int = 1_000_000) -> int:
         """Step until all submitted work completes; returns iterations."""
         n = 0

@@ -25,7 +25,7 @@ Three policies, selected by name (CLI ``--speculation``):
 * ``deadline-risk`` — estimate the primary replica's completion time
   from the profiler-estimated synthesis plan plus the replica's
   current queue depth and speed
-  (:attr:`~repro.core.policy.ClusterSchedulingView.replica_outstanding`
+  (:attr:`~repro.core.policy.SchedulingView.replica_outstanding`
   / ``replica_speeds``); if the SLO deadline looks unreachable, arm
   the hedge at the *last* moment the fastest alternative could still
   make the deadline — queries that are safe never pay for a duplicate.
@@ -135,8 +135,8 @@ class SpeculationPolicy(ABC):
         (elastic clusters pass their active replicas so a hedge never
         lands on a draining or retired one); ``None`` means every
         replica, which is byte-identical to the pre-elastic behaviour.
-        ``None`` is returned when no other replica is eligible (bare
-        engine / single-replica cluster / everything else draining) —
+        ``None`` is returned when no other replica is eligible
+        (one-replica fleet / everything else draining) —
         the hedge is skipped, never self-duplicated.
         """
         n = len(outstanding)

@@ -12,15 +12,15 @@ Idle-wakeup protocol
 --------------------
 
 Admission can change the frontier, so the substrate must tell the
-driver about it (engines call :meth:`notify` from their ``submit`` via
-the ``wake_hook`` attribute):
+driver about it (:class:`~repro.serving.cluster.ClusterEngine` calls
+:meth:`notify` from its ``submit`` via the ``wake_hook`` attribute):
 
 * **wake** — the substrate was idle, so no step event existed; the
   driver arms one at the substrate's (just-advanced) clock.
-* **frontier regression** — on a cluster, a submission routed to an
-  idle *replica* of a busy cluster can pull the frontier (the minimum
-  busy-replica clock) backwards. The armed event's timestamp is now
-  too late, so the driver moves it to the new frontier via
+* **frontier regression** — a submission routed to an idle *replica*
+  of a busy cluster can pull the frontier (the minimum busy-replica
+  clock) backwards. The armed event's timestamp is now too late, so
+  the driver moves it to the new frontier via
   :meth:`~repro.sim.kernel.EventLoop.reschedule` — this is the kernel gap (cancel/reschedule)
   that event-driven replicas exposed.
 * **no-op** — a submission to an already-busy substrate that leaves
@@ -52,9 +52,9 @@ events, each firing advances the lagging busy replica (the min-clock /
 min-index rule of ``ClusterEngine.step`` and ``step_and_frontier``),
 and external events observe ``max(event.time, substrate.now)`` via
 ``EventLoop.attach``. ``tests/test_cluster_events.py`` pins this
-against such a loop for bare engines and multi-replica clusters, with
-and without an ``on_step`` observer; ``tests/test_cluster_golden.py``
-and the pipeline golden fingerprint pin it end to end.
+against such a loop for one- and multi-replica clusters, with and
+without an ``on_step`` observer; ``tests/test_cluster_golden.py`` and
+the pipeline golden fingerprint pin it end to end.
 """
 
 from __future__ import annotations
@@ -75,9 +75,12 @@ class StepDriver:
     Construction attaches the substrate to the loop as a time source
     (external events advance/clamp against it) and arms the first step
     event if the substrate already has work. Callers must route
-    admission notifications to :meth:`notify` — engines do this
-    automatically when wired via ``ServingEngine.attach`` /
-    ``ClusterEngine.attach``.
+    admission notifications to :meth:`notify` — ``ClusterEngine.attach``
+    wires this automatically.
+
+    With no ``on_step`` observer each firing is one fused
+    ``step_and_frontier()`` call; an observer gets the ``step()``
+    result, and the driver then probes ``frontier()``.
     """
 
     def __init__(self, loop: EventLoop, substrate: Steppable,
@@ -96,20 +99,8 @@ class StepDriver:
         self.n_sleeps = 0
         #: steps dispatched through the loop
         self.n_steps = 0
-        # Substrates may expose ``frontier()`` — a fused
-        # has_work-and-now probe (None when idle) that saves one full
-        # replica scan per arm on clusters; fall back to the two-call
-        # Steppable protocol otherwise.
-        frontier = getattr(substrate, "frontier", None)
-        if frontier is None:
-            def frontier() -> float | None:
-                return substrate.now if substrate.has_work() else None
-        self._frontier = frontier
-        # Substrates may also expose ``step_and_frontier()`` — one
-        # quiet iteration (no Step/ClusterStepInfo built) fused with
-        # the post-step frontier probe — which the driver uses
-        # whenever no ``on_step`` observer is attached.
-        self._step_quiet = getattr(substrate, "step_and_frontier", None)
+        self._frontier = substrate.frontier
+        self._step_quiet = substrate.step_and_frontier
         loop.attach(substrate)
         self._arm(wake=True)
 
@@ -163,7 +154,7 @@ class StepDriver:
         if not self.substrate.has_work():  # pragma: no cover - defensive
             return
         observer = self.on_step
-        if observer is None and self._step_quiet is not None:
+        if observer is None:
             self._in_step = True
             try:
                 frontier = self._step_quiet()

@@ -22,7 +22,6 @@ properties are load-bearing and pinned by ``tests/test_sim_kernel.py``:
   rescheduled event ranks as the *newest* insertion at its new time).
 * **Event-driven substrates** — :meth:`EventLoop.attach` registers a
   :class:`Steppable` (e.g. a
-  :class:`~repro.serving.engine.ServingEngine` or
   :class:`~repro.serving.cluster.ClusterEngine`) as a *time source*:
   plain :meth:`run` then advances attached sources to each external
   event's timestamp and dispatches the handler at
@@ -100,7 +99,15 @@ class Steppable(Protocol):
 
     def step(self) -> object: ...
 
-    def advance_to(self, t: float) -> None: ...
+    def advance_and_observe(self, t: float) -> float:
+        """Move the clock forward to ``t`` (never back); return ``now``."""
+
+    def frontier(self) -> float | None:
+        """``now`` while the substrate has work, ``None`` when idle."""
+
+    def step_and_frontier(self) -> float | None:
+        """One iteration whose result nobody observes, then
+        :meth:`frontier`."""
 
 
 class Event:
@@ -355,15 +362,7 @@ class EventLoop:
         if source in self._sources:
             raise ValueError(f"source {source!r} is already attached")
         self._sources.append(source)
-        # Sources may fuse the advance/clamp pair into one call
-        # (``advance_and_observe(t) -> now``) — a cluster otherwise
-        # scans its replicas twice per external event.
-        adv = getattr(source, "advance_and_observe", None)
-        if adv is None:
-            def adv(t: float, _s: Steppable = source) -> float:
-                _s.advance_to(t)
-                return _s.now
-        self._advances.append(adv)
+        self._advances.append(source.advance_and_observe)
 
     # ------------------------------------------------------------------
     def __bool__(self) -> bool:

@@ -341,14 +341,6 @@ class Autoscaler:
         """Arm the first tick. ``horizon`` is the last arrival time;
         ``records`` is the pipeline's (live) record list the sliding
         SLO window reads."""
-        from repro.serving.cluster import ClusterEngine
-
-        if not isinstance(engine, ClusterEngine):
-            raise ValueError(
-                "the autoscaler scales ClusterEngine replicas; got "
-                f"{type(engine).__name__} — the runner wraps single-"
-                "replica fleets in a cluster when autoscaling is on"
-            )
         n_active = len(engine.active_replica_ids())
         if not self.scale_min <= n_active <= self.scale_max:
             raise ValueError(

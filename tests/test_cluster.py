@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import MetisConfig, MetisPolicy
-from repro.core.policy import ClusterSchedulingView, PrepResult
+from repro.core.policy import PrepResult, SchedulingView
 from repro.core.profiles import QueryProfile
 from repro.evaluation.reports import cluster_summary, per_replica_rows
 from repro.experiments.common import make_metis, run_policy
@@ -248,9 +248,9 @@ class TestScaling:
 # ----------------------------------------------------------------------
 # Cluster-level scheduling view / controller cluster mode
 # ----------------------------------------------------------------------
-def make_cluster_view(per_replica_tokens, routed: int) -> ClusterSchedulingView:
+def make_cluster_view(per_replica_tokens, routed: int) -> SchedulingView:
     avail = tuple(t * KV_BYTES for t in per_replica_tokens)
-    return ClusterSchedulingView(
+    return SchedulingView(
         now=0.0,
         free_kv_bytes=avail[routed],
         available_kv_bytes=avail[routed],

@@ -1,14 +1,14 @@
 """Event-driven cluster stepping: the lockstep-equivalence guarantee,
 the idle-wakeup protocol, and heterogeneous replica speeds.
 
-The tentpole invariant: driving an engine/cluster through
-``EventLoop`` + ``StepDriver`` (step events, wake on admission, sleep
-when idle) produces a **byte-identical** iteration trace to the manual
-lockstep loop (`engine.step()` while the clock trails the next
-arrival) that `tests/test_cluster_golden.py` and the pre-refactor
-runner used. It must hold both with an ``on_step`` observer attached
-(the driver steps through ``step()`` + ``frontier()``) and without one
-(the quiet ``step_and_frontier()`` path every pipeline run takes).
+The tentpole invariant: driving a cluster through ``EventLoop`` +
+``StepDriver`` (step events, wake on admission, sleep when idle)
+produces a **byte-identical** iteration trace to the manual lockstep
+loop (`engine.step()` while the clock trails the next arrival) that
+`tests/test_cluster_golden.py` and the pre-refactor runner used. It
+must hold both with an ``on_step`` observer attached (the driver steps
+through ``step()`` + ``frontier()``) and without one (the quiet
+``step_and_frontier()`` path every pipeline run takes).
 Homogeneous fleets must be provably behavior-preserving before
 heterogeneous speeds are allowed to diverge.
 """
@@ -164,12 +164,16 @@ class TestLockstepEquivalence:
 
     @OBSERVED
     def test_bare_engine_trace_identical(self, observed):
+        """A lone engine goes on the event loop as a one-replica
+        cluster; its trace must match the lockstep loop."""
         specs = request_specs(ROOT_SEED)
-        golden = drive_lockstep(ServingEngine(build_config()), specs)
+        golden = drive_lockstep(
+            ClusterEngine(build_config(), n_replicas=1), specs)
         trace, times, driver, loop = drive_events(
-            ServingEngine(build_config()), specs, observed)
+            ClusterEngine(build_config(), n_replicas=1), specs, observed)
         steps = golden[0]
         assert len(steps) > len(specs) // 2  # real multi-iteration run
+        assert {step[0] for step in steps} == {0}  # one replica steps alone
         assert_lockstep_equivalent(golden, trace, times, observed)
         assert driver.n_steps == len(steps)
         assert not loop  # fully drained, no stranded step events

@@ -6,7 +6,7 @@ import pytest
 
 from repro.config.knobs import SynthesisMethod
 from repro.config.space import PrunedSpace
-from repro.core.policy import ClusterSchedulingView, SchedulingView
+from repro.core.policy import SchedulingView
 from repro.core.scheduler import JointScheduler
 
 from decide_reference import choose_reference, estimate_plan
@@ -128,12 +128,10 @@ class TestFallbackDiagnostics:
         assert 3 <= decision.config.num_chunks <= 9
 
 
-def cluster_view(per_replica_tokens, routed: int) -> ClusterSchedulingView:
-    base = make_view(per_replica_tokens[routed])
+def cluster_view(per_replica_tokens, routed: int) -> SchedulingView:
     avail = tuple(t * KV_BYTES for t in per_replica_tokens)
-    return ClusterSchedulingView(
-        **{f.name: getattr(base, f.name)
-           for f in dataclasses.fields(SchedulingView)},
+    return dataclasses.replace(
+        make_view(per_replica_tokens[routed]),
         replica_id=routed,
         replica_free_kv_bytes=avail,
         replica_available_kv_bytes=avail,

@@ -366,6 +366,14 @@ class _FakeSubstrate:
         self.now += self.step_seconds
         self._work -= 1
 
-    def advance_to(self, t: float) -> None:
+    def advance_and_observe(self, t: float) -> float:
         if t > self.now:
             self.now = t
+        return self.now
+
+    def frontier(self) -> float | None:
+        return self.now if self.has_work() else None
+
+    def step_and_frontier(self) -> float | None:
+        self.step()
+        return self.frontier()

@@ -540,9 +540,9 @@ class TestRunnerValidation:
                 hedge_delay=0.5,
             )
 
-    def test_bare_engine_pipeline_runs_unhedged(self, finsec_bundle,
-                                                engine_config):
-        """Defense in depth below the runner's fail-fast: a bare-engine
+    def test_one_replica_pipeline_runs_unhedged(self, finsec_bundle,
+                                                 engine_config):
+        """Defense in depth below the runner's fail-fast: a one-replica
         QueryPipeline with speculation arms timers that safely no-op
         (no alternative replica), leaving the run unhedged."""
         from repro.evaluation.pipeline import QueryPipeline
@@ -552,7 +552,7 @@ class TestRunnerValidation:
         pipeline = QueryPipeline(
             bundle=finsec_bundle,
             policy=FixedConfigPolicy(STUFF6),
-            engine=ServingEngine(engine_config),
+            engine=ClusterEngine(engine_config, n_replicas=1),
             generator=SimulatedGenerator(
                 quality=QualityModel(finsec_bundle.quality_params),
                 root_seed=0),
