@@ -3,7 +3,7 @@
 Measures how fast the kernel pushes a multi-replica cluster through a
 full workload when every engine iteration is a first-class event
 (StepDriver arming/wake/sleep/reschedule included), and writes a JSON
-artifact next to ``sim_kernel_micro.json`` so event-loop regressions
+artifact (``bench_cluster_events.json``) so event-loop regressions
 are diffable across runs. Runs under plain pytest (no
 pytest-benchmark dependency) so the CI ``--fast`` smoke job can
 execute it on a bare ``numpy + pytest`` install.

@@ -5,28 +5,17 @@ JSON artifact (``benchmarks/artifacts/fig11_replica_sweep.json``) so
 scaling regressions are diffable across runs.
 """
 
-import pytest
-
 from repro.experiments import fig11_throughput
 
 from conftest import run_experiment, write_artifact
 
 
-@pytest.mark.benchmark(group="fig11_throughput")
-def test_fig11_throughput(benchmark, bench_fast):
-    run_experiment(benchmark, fig11_throughput, bench_fast)
+def test_fig11_throughput(bench_fast):
+    run_experiment(fig11_throughput.run, bench_fast)
 
 
-@pytest.mark.benchmark(group="fig11_throughput")
-def test_fig11_replica_sweep(benchmark, bench_fast):
-    report = benchmark.pedantic(
-        fig11_throughput.run_replica_sweep,
-        kwargs={"fast": bench_fast}, rounds=1, iterations=1,
-    )
-    print()
-    print(report.format())
-    assert report.rows, "replica sweep produced no rows"
-
+def test_fig11_replica_sweep(bench_fast):
+    report = run_experiment(fig11_throughput.run_replica_sweep, bench_fast)
     artifact = write_artifact(
         "fig11_replica_sweep.json",
         {"name": report.name, "rows": report.rows, "notes": report.notes},

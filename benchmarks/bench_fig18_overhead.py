@@ -5,27 +5,17 @@ JSON artifact (``benchmarks/artifacts/fig18_load_sweep.json``) so the
 queueing behavior under saturation is diffable across runs.
 """
 
-import pytest
-
 from repro.experiments import fig18_overhead
 
 from conftest import run_experiment, write_artifact
 
 
-@pytest.mark.benchmark(group="fig18_overhead")
-def test_fig18_overhead(benchmark, bench_fast):
-    run_experiment(benchmark, fig18_overhead, bench_fast)
+def test_fig18_overhead(bench_fast):
+    run_experiment(fig18_overhead.run, bench_fast)
 
 
-@pytest.mark.benchmark(group="fig18_overhead")
-def test_fig18_load_sweep(benchmark, bench_fast):
-    report = benchmark.pedantic(
-        fig18_overhead.run_load_sweep,
-        kwargs={"fast": bench_fast}, rounds=1, iterations=1,
-    )
-    print()
-    print(report.format())
-    assert report.rows, "load sweep produced no rows"
+def test_fig18_load_sweep(bench_fast):
+    report = run_experiment(fig18_overhead.run_load_sweep, bench_fast)
     # Queueing must grow across the sweep (saturation is the point).
     delays = [row["mean_queue_delay_s"] for row in report.rows]
     assert delays[-1] > delays[0]

@@ -1,15 +1,21 @@
 """Benchmark harness helpers.
 
-Each ``bench_*`` module regenerates one paper table/figure via its
-experiment driver, timed once with pytest-benchmark and printed in
-paper-comparable form. Set ``REPRO_BENCH_FAST=1`` to shrink workloads
-(smoke mode) — the tables keep their shape but lose statistical weight.
+The ``bench_*`` modules here run under plain pytest (``numpy + pytest``,
+as ``requirements-dev.txt`` lists). The micro-benches write JSON
+artifacts that ``check_regression.py`` gates against
+``benchmarks/baselines/``. The two figure benches (``bench_fig11_*``,
+``bench_fig18_*``) run their experiment driver once, print its table
+and wall time, and write the sweep artifacts the docs cite; every
+other paper figure is regenerated with ``python -m repro experiment
+NAME``. Set ``REPRO_BENCH_FAST=1`` to shrink workloads (smoke mode) —
+the tables keep their shape but lose statistical weight.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -33,12 +39,14 @@ def bench_fast() -> bool:
     return FAST
 
 
-def run_experiment(benchmark, driver, fast: bool):
-    """Run one experiment driver under pytest-benchmark and print it."""
-    report = benchmark.pedantic(
-        driver.run, kwargs={"fast": fast}, rounds=1, iterations=1
-    )
+def run_experiment(run, fast: bool):
+    """Run one experiment entry point once, print its table and wall
+    time, and return the report."""
+    start = time.perf_counter()
+    report = run(fast=fast)
+    elapsed = time.perf_counter() - start
     print()
     print(report.format())
-    assert report.rows, f"{driver.__name__} produced no rows"
+    print(f"wall: {elapsed:.2f} s")
+    assert report.rows, f"{report.name} produced no rows"
     return report

@@ -11,7 +11,7 @@ Usage::
     python -m repro run --dataset finsec --policy metis \\
         --workload diurnal --autoscaler forecast --scale-max 3 \\
         --slo-seconds 6
-    python -m repro experiment fig10 --fast
+    python -m repro experiment fig10_delay --fast
     python -m repro datasets
 
 Policies: ``metis``, ``adaptive-rag``, ``median``, ``vllm`` and
@@ -54,7 +54,7 @@ _EXPERIMENTS = (
     "fig14_feedback", "fig15_larger_llm", "fig16_incremental",
     "fig17_profiler_llm", "fig18_overhead", "fig18_saturation",
     "fig19_lowload", "fig_retrieval_scaling", "fig_speculation",
-    "fig_autoscale", "fig_cache", "fig_quality",
+    "fig_autoscale", "fig_cache", "fig_quality", "ablation_refinements",
 )
 
 

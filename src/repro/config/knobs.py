@@ -32,11 +32,6 @@ class SynthesisMethod(enum.Enum):
     MAP_REDUCE = "map_reduce"
 
     @property
-    def reads_chunks_jointly(self) -> bool:
-        """True when the final answer can reason across chunks."""
-        return self is not SynthesisMethod.MAP_RERANK
-
-    @property
     def uses_intermediate_length(self) -> bool:
         """True when the ``intermediate_length`` knob applies."""
         return self is SynthesisMethod.MAP_REDUCE

@@ -46,13 +46,6 @@ class ConfigurationSpace:
     def __contains__(self, config: RAGConfig) -> bool:
         return config in set(self.configs)
 
-    def filter(self, predicate) -> "ConfigurationSpace | None":
-        """Sub-space of configs passing ``predicate`` (None when empty)."""
-        kept = tuple(c for c in self.configs if predicate(c))
-        if not kept:
-            return None
-        return ConfigurationSpace(kept)
-
 
 def full_grid(
     num_chunks_values: Sequence[int] = NUM_CHUNKS_DOMAIN,

@@ -44,19 +44,6 @@ class QueryProfile:
             raise ValueError(f"invalid summary_range: {self.summary_range}")
         check_probability("confidence", self.confidence)
 
-    @classmethod
-    def from_truth(cls, truth: QueryTruth, source: str = "oracle",
-                   confidence: float = 1.0) -> "QueryProfile":
-        """The profile a perfect profiler would emit."""
-        return cls(
-            complexity_high=truth.complexity_high,
-            joint_reasoning=truth.joint_reasoning,
-            pieces=min(MAX_PIECES, truth.pieces_of_information),
-            summary_range=truth.summary_range,
-            confidence=confidence,
-            source=source,
-        )
-
 
 def profile_is_good(profile: QueryProfile, truth: QueryTruth,
                     pieces_tolerance: int = 1) -> bool:

@@ -14,8 +14,7 @@ from repro.data.types import Query
 from repro.util.rng import RngStreams
 from repro.util.validation import check_positive
 
-__all__ = ["Arrival", "poisson_arrivals", "uniform_arrivals",
-           "sequential_arrivals"]
+__all__ = ["Arrival", "poisson_arrivals", "sequential_arrivals"]
 
 
 @dataclass(frozen=True)
@@ -39,16 +38,6 @@ def poisson_arrivals(
         t += float(rng.exponential(1.0 / rate_qps))
         arrivals.append(Arrival(query=query, time=t))
     return arrivals
-
-
-def uniform_arrivals(queries: list[Query], rate_qps: float) -> list[Arrival]:
-    """Open-loop deterministic arrivals at a fixed interval."""
-    check_positive("rate_qps", rate_qps)
-    interval = 1.0 / rate_qps
-    return [
-        Arrival(query=query, time=(i + 1) * interval)
-        for i, query in enumerate(queries)
-    ]
 
 
 def sequential_arrivals(queries: list[Query]) -> list[Arrival]:

@@ -74,13 +74,6 @@ class CostLedger:
     idle_dollars: float = 0.0
     idle_gpu_seconds: float = 0.0
 
-    def charge_api(self, spec: ModelSpec, input_tokens: int,
-                   output_tokens: int) -> float:
-        cost = self.model.api_call(spec, input_tokens, output_tokens)
-        self.api_dollars += cost
-        self.n_api_calls += 1
-        return cost
-
     def charge_gpu(self, cluster: ClusterSpec, busy_seconds: float) -> float:
         cost = self.model.gpu_time(cluster, busy_seconds)
         self.gpu_dollars += cost

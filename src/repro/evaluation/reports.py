@@ -13,7 +13,7 @@ from collections.abc import Mapping, Sequence
 
 from repro.util.ids import canonical_query_id
 
-__all__ = ["format_table", "format_ratio", "Reporter",
+__all__ = ["format_table", "Reporter",
            "per_replica_rows", "cluster_summary", "resource_rows",
            "retrieval_shard_rows", "speculation_rows",
            "autoscale_rows", "autoscale_summary",
@@ -63,13 +63,6 @@ def format_table(rows: Sequence[Mapping[str, object]],
     for r in rendered:
         lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)))
     return "\n".join(lines)
-
-
-def format_ratio(numerator: float, denominator: float) -> str:
-    """Render a speedup/ratio defensively (Inf-safe)."""
-    if denominator <= 0:
-        return "n/a"
-    return f"{numerator / denominator:.2f}x"
 
 
 # ----------------------------------------------------------------------
@@ -417,9 +410,6 @@ class Reporter:
 
     def add(self, text: str = "") -> None:
         self._lines.append(text)
-
-    def add_table(self, rows, columns=None, title=None) -> None:
-        self._lines.append(format_table(rows, columns, title))
 
     def text(self) -> str:
         return "\n".join(self._lines)

@@ -240,21 +240,6 @@ class RunResult:
             / len(self.records)
 
     @property
-    def cache_stale_hit_rate(self) -> float:
-        """Fraction of completed queries served a stale cache entry
-        (inserted under an older corpus version)."""
-        if not self.records:
-            return float("nan")
-        return sum(1 for r in self.records if r.cache_stale) \
-            / len(self.records)
-
-    @property
-    def cache_saved_seconds(self) -> float:
-        """Pipeline seconds the cache tiers short-circuited (summed
-        measured benefit of every hit; 0.0 when caching is off)."""
-        return sum(s.saved_seconds for s in self.cache_stats.values())
-
-    @property
     def cache_saved_dollars(self) -> float:
         """Priced GPU dollars the cache hits avoided spending (0.0
         when caching is off)."""

@@ -1,9 +1,9 @@
 """Experiment drivers: one module per paper table/figure.
 
 Each driver exposes ``run(fast: bool = False, seed: int = 0) ->
-ExperimentReport``; the ``benchmarks/`` tree wraps these in
-pytest-benchmark targets. ``fast=True`` shrinks query counts and sweep
-grids for CI-speed smoke runs without changing the experiment's shape.
+ExperimentReport`` and is run by ``python -m repro experiment NAME``.
+``fast=True`` shrinks query counts and sweep grids for CI-speed smoke
+runs without changing the experiment's shape.
 """
 
 from repro.experiments.common import (

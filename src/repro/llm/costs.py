@@ -99,10 +99,6 @@ class RooflineCostModel:
         seconds += output_tokens * self.decode_step_seconds(prompt_tokens, 1)
         return seconds
 
-    def prefill_throughput_tokens_per_s(self) -> float:
-        """Peak prompt-processing throughput (capacity-planning aid)."""
-        return 1.0 / self.prefill_seconds(1)
-
 
 @dataclass(frozen=True)
 class ApiLatencyModel:

@@ -48,10 +48,6 @@ class FlatL2Index:
         arr = _as_matrix(vectors, self.dim, "vectors")
         self._vectors = np.vstack([self._vectors, arr])
 
-    def reconstruct(self, idx: int) -> np.ndarray:
-        """Return the stored vector at position ``idx``."""
-        return self._vectors[idx].copy()
-
     def search(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Exact k-nearest-neighbour search by squared L2 distance.
 

@@ -89,9 +89,6 @@ class BlockManager:
         self._free_blocks += alloc.n_blocks
         assert self._free_blocks <= self.n_blocks, "block accounting corrupted"
 
-    def allocation_of(self, seq_id: int) -> Allocation | None:
-        return self._allocations.get(seq_id)
-
     @property
     def seq_ids(self) -> frozenset[int]:
         """Sequence ids currently holding an allocation."""

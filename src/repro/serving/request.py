@@ -94,11 +94,6 @@ class InferenceRequest:
         """Prefill + decode tokens still to process (for SRPT-style policies)."""
         return self.remaining_prefill + self.remaining_decode
 
-    @property
-    def kv_tokens_in_use(self) -> int:
-        """Context tokens currently resident in KV cache."""
-        return self.prefilled_tokens + self.decoded_tokens
-
     # ------------------------------------------------------------------
     @property
     def queueing_delay(self) -> float:

@@ -127,10 +127,6 @@ class Workload:
     def mean_rate_qps(self) -> float:
         return self.total_arrivals / self.duration_s
 
-    def period_start(self, index: int) -> float:
-        """Trace time at which period ``index`` begins."""
-        return sum(p.duration_s for p in self.periods[:index])
-
     def period_index_at(self, t: float) -> int:
         """Period containing trace time ``t`` (clamped to the ends)."""
         if t <= 0:

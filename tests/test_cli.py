@@ -1,11 +1,15 @@
 """Unit tests for the command-line interface."""
 
 import argparse
+import importlib
 import inspect
+import pkgutil
 
 import pytest
 
+import repro.experiments
 from repro.cli import (
+    _EXPERIMENTS,
     build_policy,
     main,
     make_parser,
@@ -309,6 +313,18 @@ class TestCommands:
         code = main(["experiment", "fig9_confidence", "--fast"])
         assert code == 0
         assert "confidence" in capsys.readouterr().out
+
+    def test_experiment_names_match_drivers(self):
+        # A driver is any experiments module exposing ``run`` (some
+        # re-export it from a sibling, so a ``def run`` grep misses
+        # them); each one must be reachable from the CLI.
+        drivers = {
+            info.name for info in pkgutil.iter_modules(
+                repro.experiments.__path__)
+            if hasattr(importlib.import_module(
+                f"repro.experiments.{info.name}"), "run")
+        }
+        assert drivers == set(_EXPERIMENTS)
 
     def test_bad_config_returns_error_code(self, capsys):
         code = main([

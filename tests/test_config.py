@@ -42,8 +42,6 @@ class TestRAGConfig:
                 == "map_reduce/k=8/l=100")
 
     def test_method_properties(self):
-        assert not SynthesisMethod.MAP_RERANK.reads_chunks_jointly
-        assert SynthesisMethod.STUFF.reads_chunks_jointly
         assert SynthesisMethod.MAP_REDUCE.uses_intermediate_length
         assert not SynthesisMethod.STUFF.uses_intermediate_length
 
@@ -57,14 +55,6 @@ class TestConfigurationSpace:
         grid = full_grid()
         assert RAGConfig(SynthesisMethod.STUFF, 5) in grid
         assert RAGConfig(SynthesisMethod.STUFF, 7) not in grid
-
-    def test_filter(self):
-        grid = full_grid()
-        sub = grid.filter(lambda c: c.synthesis_method is SynthesisMethod.STUFF)
-        assert len(sub) == 11
-
-    def test_filter_empty_returns_none(self):
-        assert full_grid().filter(lambda c: False) is None
 
     def test_empty_space_rejected(self):
         with pytest.raises(ValueError):

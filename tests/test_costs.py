@@ -29,10 +29,6 @@ class TestPrefill:
         lo, hi = sorted((a, b))
         assert cost.prefill_seconds(lo) <= cost.prefill_seconds(hi)
 
-    def test_throughput_inverse(self):
-        tput = cost.prefill_throughput_tokens_per_s()
-        assert cost.prefill_seconds(int(tput)) == pytest.approx(1.0, rel=0.01)
-
 
 class TestDecode:
     def test_no_sequences_is_free(self):

@@ -28,10 +28,11 @@ class TestDollarCostModel:
 class TestCostLedger:
     def test_accumulates(self):
         ledger = CostLedger()
-        ledger.charge_api(GPT_4O, 1000, 10)
-        ledger.charge_api(GPT_4O, 1000, 10)
-        ledger.charge_gpu(ClusterSpec(A40), 100)
-        assert ledger.n_api_calls == 2
+        first = ledger.charge_gpu(ClusterSpec(A40), 100)
+        second = ledger.charge_gpu(ClusterSpec(A40), 100)
+        # The pipeline prices each profiler call itself and adds it.
+        ledger.api_dollars += ledger.model.api_call(GPT_4O, 1000, 10)
+        assert ledger.gpu_dollars == pytest.approx(first + second)
         assert ledger.total_dollars == pytest.approx(
             ledger.api_dollars + ledger.gpu_dollars
         )

@@ -17,8 +17,9 @@ from repro.experiments import (
 )
 
 # fig10/11/13/14/15/17 are exercised (more cheaply) via their building
-# blocks in test_integration_metis.py and the benchmarks; running all
-# of them here would double CI time for no new coverage.
+# blocks in test_integration_metis.py, and fig11 also by
+# benchmarks/bench_fig11_throughput.py; running all of them here would
+# double CI time for no new coverage.
 
 
 @pytest.mark.parametrize("driver,required_columns", [

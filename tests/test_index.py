@@ -36,12 +36,6 @@ class TestFlatL2:
         assert list(i[0, 1:]) == [-1] * 4
         assert np.all(np.isinf(d[0, 1:]))
 
-    def test_reconstruct(self):
-        index = FlatL2Index(dim=3)
-        v = np.array([[1, 2, 3]], dtype=np.float32)
-        index.add(v)
-        assert np.allclose(index.reconstruct(0), v[0])
-
     def test_shape_validation(self):
         index = FlatL2Index(dim=4)
         with pytest.raises(ValueError, match="shape"):

@@ -54,13 +54,6 @@ class TestBlockManager:
         bm.allocate(1, 16 * 5)
         assert bm.utilization() == pytest.approx(0.5)
 
-    def test_allocation_of(self):
-        bm = BlockManager(10, 16)
-        alloc = bm.allocate(7, 33)
-        assert bm.allocation_of(7) is alloc
-        assert alloc.n_blocks == 3
-        assert bm.allocation_of(8) is None
-
     def test_validation(self):
         with pytest.raises(ValueError):
             BlockManager(0, 16)

@@ -1,6 +1,6 @@
 """Unit tests for report formatting."""
 
-from repro.evaluation.reports import Reporter, format_ratio, format_table
+from repro.evaluation.reports import Reporter, format_table
 
 
 class TestFormatTable:
@@ -31,21 +31,11 @@ class TestFormatTable:
         assert "0.00012" in out
 
 
-class TestFormatRatio:
-    def test_normal(self):
-        assert format_ratio(4.0, 2.0) == "2.00x"
-
-    def test_zero_denominator(self):
-        assert format_ratio(4.0, 0.0) == "n/a"
-
-
 class TestReporter:
     def test_collects_and_emits(self, capsys):
         r = Reporter("demo")
         r.add("hello")
-        r.add_table([{"a": 1}])
         r.emit()
         out = capsys.readouterr().out
         assert "demo" in out
         assert "hello" in out
-        assert "a" in out

@@ -1,12 +1,10 @@
 """Unit tests for workload generators."""
 
-import numpy as np
 import pytest
 
 from repro.data.workload import (
     poisson_arrivals,
     sequential_arrivals,
-    uniform_arrivals,
 )
 
 
@@ -41,14 +39,6 @@ class TestPoisson:
     def test_rejects_bad_rate(self, finsec_bundle):
         with pytest.raises(ValueError):
             poisson_arrivals(finsec_bundle.queries, 0.0)
-
-
-class TestUniform:
-    def test_fixed_interval(self, finsec_bundle):
-        arrivals = uniform_arrivals(finsec_bundle.queries[:5], 2.0)
-        times = [a.time for a in arrivals]
-        diffs = np.diff(times)
-        assert np.allclose(diffs, 0.5)
 
 
 class TestSequential:

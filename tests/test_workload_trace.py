@@ -86,7 +86,6 @@ class TestProperties:
 
     def test_period_lookup_and_rates(self):
         wl = two_periods()
-        assert wl.period_start(1) == 10.0
         assert wl.period_index_at(-5.0) == 0
         assert wl.period_index_at(9.99) == 0
         assert wl.period_index_at(10.0) == 1
