@@ -70,6 +70,12 @@ class DatasetBundle:
             profiler (paper Appendix A.1).
         chunk_facts: chunk_id → fact_ids planted in that chunk.
         doc_tokens: doc_id → token length (Table 1 statistics).
+
+    The bundle also memoizes two pure functions of its own content, so
+    every run over it shares them: each chunk's token set
+    (:meth:`chunk_token_set`; a chunk id's text never changes, since the
+    store rejects duplicate ids) and the fact → chunks inverse of
+    ``chunk_facts`` behind :meth:`relevant_chunk_ids`.
     """
 
     name: str
@@ -82,6 +88,10 @@ class DatasetBundle:
     doc_tokens: dict[str, int]
     quality_params: QualityParams = field(default_factory=QualityParams)
     tokenizer: SimTokenizer = field(default_factory=SimTokenizer)
+    _chunk_token_sets: dict[str, frozenset[str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _fact_chunks: dict[str, tuple[str, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.queries:
@@ -104,12 +114,27 @@ class DatasetBundle:
 
     def relevant_chunk_ids(self, query: Query) -> set[str]:
         """Chunks containing at least one required fact of ``query``."""
-        needed = set(query.truth.required_fact_ids)
+        if self._fact_chunks is None:
+            fact_chunks: dict[str, list[str]] = {}
+            for chunk_id, fact_ids in self.chunk_facts.items():
+                for fid in fact_ids:
+                    fact_chunks.setdefault(fid, []).append(chunk_id)
+            self._fact_chunks = {
+                fid: tuple(ids) for fid, ids in fact_chunks.items()}
         return {
             chunk_id
-            for chunk_id, fact_ids in self.chunk_facts.items()
-            if needed.intersection(fact_ids)
+            for fid in query.truth.required_fact_ids
+            for chunk_id in self._fact_chunks.get(fid, ())
         }
+
+    def chunk_token_set(self, chunk_id: str) -> frozenset[str]:
+        """The distinct tokens of a chunk's text, tokenized once."""
+        tokens = self._chunk_token_sets.get(chunk_id)
+        if tokens is None:
+            tokens = frozenset(
+                self.tokenizer.tokenize(self.store.get(chunk_id).text))
+            self._chunk_token_sets[chunk_id] = tokens
+        return tokens
 
     def synthesis_context(
         self, query: Query, chunk_ids: list[str]

@@ -136,11 +136,22 @@ class QualitySLO:
 class MetricHarness:
     """Scores served answers against one dataset bundle.
 
-    Built once per runner and reused across queries: chunk token sets,
-    relevant-chunk sets, and query embeddings are memoized (keyed by
-    chunk id / canonical query id), so a replay-heavy trace pays the
-    tokenize/embed cost once per distinct query. All state is
-    derived-only — the harness never mutates the bundle or the store.
+    Every metric is a pure function of its inputs, so the harness
+    memoizes at two scopes:
+
+    * **the bundle** holds what depends on bundle content alone: each
+      chunk's token set and the fact → chunks map behind the relevant
+      chunk sets, shared by every run over that bundle;
+    * **the harness** (one per runner, hence per run) holds what
+      depends on served answers: whole scores keyed on
+      ``(canonical query id, answer tokens, chunk ids)``, relevancy
+      floats keyed on ``(canonical query id, answer tokens)``, and the
+      per-query relevant sets and information-need vectors.
+
+    A replay-heavy trace therefore pays each distinct triple once:
+    exact cache hits re-score the very answer and context of their
+    miss. Only floats are memoized per answer, never its 512-d
+    embedding. The harness never mutates the bundle or the store.
     """
 
     def __init__(self, bundle: "DatasetBundle",
@@ -151,8 +162,8 @@ class MetricHarness:
         #: similarity space rather than a second, inconsistent one.
         self.embedding = embedding if embedding is not None \
             else bundle.store.embedding
-        self._tokenizer = bundle.tokenizer
-        self._chunk_tokens: dict[str, frozenset[str]] = {}
+        self._scores: dict[tuple, QualityMetrics] = {}
+        self._relevancy: dict[tuple, float] = {}
         self._relevant: dict[str, frozenset[str]] = {}
         self._query_vecs: dict[str, np.ndarray] = {}
 
@@ -166,14 +177,19 @@ class MetricHarness:
         context in rank order (the *cached* ids on a hit, so semantic
         and stale hits are scored against what was actually served).
         """
-        answer_tokens = list(answer_tokens)
-        chunk_ids = list(chunk_ids)
-        return QualityMetrics(
-            faithfulness=self.faithfulness(query, answer_tokens, chunk_ids),
-            answer_relevancy=self.answer_relevancy(query, answer_tokens),
-            context_precision=self.context_precision(query, chunk_ids),
-            context_recall=self.context_recall(query, chunk_ids),
-        )
+        answer_tokens = tuple(answer_tokens)
+        chunk_ids = tuple(chunk_ids)
+        key = (canonical_query_id(query.query_id), answer_tokens, chunk_ids)
+        cached = self._scores.get(key)
+        if cached is None:
+            cached = self._scores[key] = QualityMetrics(
+                faithfulness=self.faithfulness(
+                    query, answer_tokens, chunk_ids),
+                answer_relevancy=self.answer_relevancy(query, answer_tokens),
+                context_precision=self.context_precision(query, chunk_ids),
+                context_recall=self.context_recall(query, chunk_ids),
+            )
+        return cached
 
     # ------------------------------------------------------------------
     def faithfulness(self, query: "Query", answer_tokens,
@@ -190,11 +206,12 @@ class MetricHarness:
         claims = [tok for tok in answer_tokens if tok not in template]
         if not claims:
             return 1.0
-        grounding = self._grounding_tokens(chunk_ids)
-        if not grounding:
-            return 0.0
-        grounded = sum(1 for tok in claims if tok in grounding)
-        return grounded / len(claims)
+        ungrounded = claims
+        for tokens in map(self.bundle.chunk_token_set, chunk_ids):
+            ungrounded = [tok for tok in ungrounded if tok not in tokens]
+            if not ungrounded:
+                break
+        return (len(claims) - len(ungrounded)) / len(claims)
 
     def answer_relevancy(self, query: "Query", answer_tokens) -> float:
         """Embedding cosine between the answer and the query's need.
@@ -209,9 +226,15 @@ class MetricHarness:
         """
         if not answer_tokens:
             return 0.0
-        answer_vec = self.embedding.embed(" ".join(answer_tokens))
-        target_vec = self._query_vec(query)
-        return float(max(0.0, np.dot(answer_vec, target_vec)))
+        answer_tokens = tuple(answer_tokens)
+        key = (canonical_query_id(query.query_id), answer_tokens)
+        cached = self._relevancy.get(key)
+        if cached is None:
+            answer_vec = self.embedding.embed(" ".join(answer_tokens))
+            target_vec = self._query_vec(query)
+            cached = self._relevancy[key] = float(
+                max(0.0, np.dot(answer_vec, target_vec)))
+        return cached
 
     def context_precision(self, query: "Query", chunk_ids) -> float:
         """Rank-weighted precision of the retrieved list (RAGAS form).
@@ -252,17 +275,6 @@ class MetricHarness:
         return len(present) / len(required)
 
     # ------------------------------------------------------------------
-    def _grounding_tokens(self, chunk_ids) -> set[str]:
-        grounding: set[str] = set()
-        for chunk_id in chunk_ids:
-            tokens = self._chunk_tokens.get(chunk_id)
-            if tokens is None:
-                text = self.bundle.store.get(chunk_id).text
-                tokens = frozenset(self._tokenizer.tokenize(text))
-                self._chunk_tokens[chunk_id] = tokens
-            grounding.update(tokens)
-        return grounding
-
     def _relevant_ids(self, query: "Query") -> frozenset[str]:
         cid = canonical_query_id(query.query_id)
         cached = self._relevant.get(cid)

@@ -13,9 +13,8 @@ from collections.abc import Mapping, Sequence
 
 from repro.util.ids import canonical_query_id
 
-__all__ = ["format_table", "Reporter",
-           "per_replica_rows", "cluster_summary", "resource_rows",
-           "retrieval_shard_rows", "speculation_rows",
+__all__ = ["format_table", "per_replica_rows", "cluster_summary",
+           "resource_rows", "retrieval_shard_rows", "speculation_rows",
            "autoscale_rows", "autoscale_summary",
            "cache_rows", "query_group_rows", "quality_rows"]
 
@@ -400,20 +399,3 @@ def query_group_rows(result) -> list[dict]:
         ))
     return rows
 
-
-class Reporter:
-    """Collects lines and prints them once (keeps bench output tidy)."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._lines: list[str] = [f"===== {name} ====="]
-
-    def add(self, text: str = "") -> None:
-        self._lines.append(text)
-
-    def text(self) -> str:
-        return "\n".join(self._lines)
-
-    def emit(self) -> None:
-        print()
-        print(self.text())

@@ -41,7 +41,9 @@ distinct input. ``embed_query`` hands out one read-only vector per
 text, and ``search_shard`` keeps each shard's top-k per (vector, shard,
 k). That memo is keyed on the *identity* of a vector this store handed
 out: the memo holds the vector, so its id cannot be recycled. Any
-other vector (writeable, or made elsewhere) bypasses it.
+other vector (writeable, or made elsewhere) bypasses it. The reranker
+keeps its top-k per candidate pool in the same per-vector table
+(:meth:`query_memo`).
 ``_add_embedded``, the only path that changes shard contents, clears
 both memos.
 """
@@ -321,6 +323,18 @@ class ShardedVectorStore:
             self._topk[id(vec)] = {}
         return vec
 
+    def query_memo(self, query_vec: np.ndarray) -> dict | None:
+        """The memo table of a vector :meth:`embed_query` handed out.
+
+        ``None`` for any other vector, which must not be memoized: its
+        ``id`` could be reused once it is freed. The table lives until
+        the shard contents change.
+        """
+        memo = self._topk.get(id(query_vec))
+        if memo is None or query_vec.flags.writeable:
+            return None
+        return memo
+
     def search_shard(self, sid: int, query_vec: np.ndarray,
                      k: int) -> list[tuple[float, int]]:
         """One shard's local top-k as ``(distance, global_pos)`` pairs,
@@ -335,8 +349,8 @@ class ShardedVectorStore:
         shard = self._shards[sid]
         if not shard.global_pos:
             return []
-        memo = self._topk.get(id(query_vec))
-        if memo is None or query_vec.flags.writeable:
+        memo = self.query_memo(query_vec)
+        if memo is None:
             distances, positions = shard.top_k(query_vec, k)
         else:
             hits = memo.get((sid, k))

@@ -330,6 +330,9 @@ class Autoscaler:
         self._engine: "ClusterEngine | None" = None
         self._loop: "EventLoop | None" = None
         self._records = None
+        #: Records before this index finished at or before the start of
+        #: every later tick's SLO window (see :meth:`signals`).
+        self._window_start = 0
         self._horizon = 0.0
         self._pending_provisions: list = []  # pending provision Events
         self._last_action_time = float("-inf")
@@ -350,6 +353,7 @@ class Autoscaler:
         self._engine = engine
         self._loop = loop
         self._records = records
+        self._window_start = 0
         self._horizon = float(horizon)
         self.peak_active = n_active
         self._schedule_tick(self.interval_s)
@@ -376,13 +380,20 @@ class Autoscaler:
             sum(outstanding[i] for i in active) / len(active)
             if active else 0.0
         )
-        window = [
-            r for r in self._records
-            if r.slo_met is not None and r.finish_time > t - self.window_s
-        ]
-        attainment = (sum(r.slo_met for r in window) / len(window)
-                      if window else None)
-        completed = len(self._records)
+        # Records are appended at their (simulated) finish time, so
+        # finish times never decrease along the list and ticks come in
+        # time order: a record that has left the window never re-enters
+        # it, and the window's start index only moves forward.
+        records = self._records
+        cutoff = t - self.window_s
+        start = self._window_start
+        while start < len(records) and records[start].finish_time <= cutoff:
+            start += 1
+        self._window_start = start
+        window = [r.slo_met for r in records[start:]
+                  if r.slo_met is not None]
+        attainment = sum(window) / len(window) if window else None
+        completed = len(records)
         service = (engine.stats.busy_seconds / completed
                    if completed else None)
         forecast = None

@@ -4,6 +4,9 @@ loop integration, and the lockstep-equivalence guarantee."""
 from __future__ import annotations
 
 import math
+import random
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import pytest
 
@@ -504,3 +507,130 @@ class TestRunnerIntegration:
         assert len(rows) == len(result.scaling_events)
         assert format_table(rows)
         assert format_table([summary])
+
+
+# ----------------------------------------------------------------------
+# Sliding SLO window: the incremental start index vs a full rescan
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class WindowRecord:
+    """The two fields the SLO window reads, as ``QueryRecord`` has them."""
+
+    finish_time: float
+    deadline: float | None
+
+    @property
+    def slo_met(self) -> bool | None:
+        if self.deadline is None:
+            return None
+        return self.finish_time <= self.deadline
+
+
+def rescan_attainment(records, t: float, window_s: float) -> float | None:
+    """The window attainment from a scan of every record."""
+    window = [r for r in records
+              if r.slo_met is not None and r.finish_time > t - window_s]
+    return (sum(r.slo_met for r in window) / len(window)
+            if window else None)
+
+
+class IdleEngine:
+    """The engine surface ``Autoscaler.signals`` reads: one idle replica."""
+
+    stats = SimpleNamespace(busy_seconds=0.0)
+
+    def active_replica_ids(self):
+        return (0,)
+
+    def replica_outstanding(self):
+        return [0]
+
+    def draining_replica_ids(self):
+        return ()
+
+
+def window_scaler(records, window_s: float = 10.0) -> Autoscaler:
+    from repro.sim import EventLoop
+
+    scaler = Autoscaler(ReactivePolicy(), scale_min=1, scale_max=2,
+                        interval_s=2.0, window_s=window_s)
+    scaler.start(EventLoop(), IdleEngine(), horizon=100.0, records=records)
+    return scaler
+
+
+class TestSlidingWindow:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_rescan_on_random_streams(self, seed):
+        rng = random.Random(seed)
+        window_s = rng.choice((3.0, 10.0, 25.0))
+        records: list[WindowRecord] = []
+        scaler = window_scaler(records, window_s)
+        t = 0.0
+        for _ in range(60):
+            # Records finish in time order between ticks (ties too).
+            previous = t
+            t += rng.choice((0.5, 2.0, 7.0))
+            finishes = sorted(rng.uniform(previous, t)
+                              for _ in range(rng.randrange(6)))
+            if finishes and rng.random() < 0.3:
+                finishes.append(finishes[-1])
+            for finish in finishes:
+                deadline = (None if rng.random() < 0.3
+                            else finish + rng.uniform(-2.0, 2.0))
+                records.append(WindowRecord(finish, deadline))
+            assert scaler.signals(t).window_slo_attainment == \
+                rescan_attainment(records, t, window_s)
+
+    def test_record_at_window_start_is_excluded(self):
+        records = [WindowRecord(15.0, 14.0), WindowRecord(15.5, 16.0)]
+        scaler = window_scaler(records, window_s=10.0)
+        assert scaler.signals(25.0).window_slo_attainment == 1.0
+        assert scaler.signals(25.5).window_slo_attainment is None
+
+    def test_ticks_before_any_record(self):
+        records: list[WindowRecord] = []
+        scaler = window_scaler(records)
+        assert scaler.signals(2.0).window_slo_attainment is None
+        records.append(WindowRecord(3.0, None))
+        assert scaler.signals(4.0).window_slo_attainment is None
+        records.append(WindowRecord(5.0, 9.0))
+        assert scaler.signals(6.0).window_slo_attainment == 1.0
+
+    def test_second_start_reads_the_new_list(self):
+        from repro.sim import EventLoop
+
+        first = [WindowRecord(float(i), float(i)) for i in range(50)]
+        scaler = window_scaler(first)
+        assert scaler.signals(52.0).window_slo_attainment == 1.0
+        second = [WindowRecord(1.0, 0.0), WindowRecord(2.0, 5.0)]
+        scaler.start(EventLoop(), IdleEngine(), horizon=100.0,
+                     records=second)
+        assert scaler.signals(3.0).window_slo_attainment == 0.5
+
+    def test_served_records_finish_in_order(self, finsec_bundle):
+        """The index only moves forward because the pipeline appends
+        each record at its finish time, hedged and cached queries
+        included. Replaying that stream tick by tick through the
+        window gives the rescan's attainment at every tick."""
+        wl = diurnal_workload(seed=0, **TRACE)
+        result = serve(finsec_bundle, workload=wl, autoscaler="reactive",
+                       n_replicas=2, scale_min=1, scale_max=3,
+                       autoscale_interval=4.0, provision_delay=6.0,
+                       speculation="hedge-after-delay",
+                       hedge_delay=0.5, result_cache="exact")
+        finishes = [r.finish_time for r in result.records]
+        assert finishes == sorted(finishes)
+        assert any(r.hedged for r in result.records)
+        assert any(r.cache_hit for r in result.records)
+        live: list = []
+        scaler = window_scaler(live, window_s=16.0)
+        pending = iter(result.records)
+        nxt = next(pending, None)
+        t = 0.0
+        while nxt is not None:
+            t += 4.0
+            while nxt is not None and nxt.finish_time <= t:
+                live.append(nxt)
+                nxt = next(pending, None)
+            assert scaler.signals(t).window_slo_attainment == \
+                rescan_attainment(live, t, 16.0)

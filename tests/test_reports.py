@@ -1,6 +1,6 @@
 """Unit tests for report formatting."""
 
-from repro.evaluation.reports import Reporter, format_table
+from repro.evaluation.reports import format_table
 
 
 class TestFormatTable:
@@ -30,12 +30,3 @@ class TestFormatTable:
         out = format_table([{"x": 0.00012}])
         assert "0.00012" in out
 
-
-class TestReporter:
-    def test_collects_and_emits(self, capsys):
-        r = Reporter("demo")
-        r.add("hello")
-        r.emit()
-        out = capsys.readouterr().out
-        assert "demo" in out
-        assert "hello" in out
