@@ -144,14 +144,13 @@ class MetricHarness:
       chunk sets, shared by every run over that bundle;
     * **the harness** (one per runner, hence per run) holds what
       depends on served answers: whole scores keyed on
-      ``(canonical query id, answer tokens, chunk ids)``, relevancy
-      floats keyed on ``(canonical query id, answer tokens)``, and the
-      per-query relevant sets and information-need vectors.
+      ``(canonical query id, answer tokens, chunk ids)``, plus each
+      query's information-need vector.
 
     A replay-heavy trace therefore pays each distinct triple once:
     exact cache hits re-score the very answer and context of their
-    miss. Only floats are memoized per answer, never its 512-d
-    embedding. The harness never mutates the bundle or the store.
+    miss. No answer's 512-d embedding is kept. The harness never
+    mutates the bundle or the store.
     """
 
     def __init__(self, bundle: "DatasetBundle",
@@ -163,8 +162,6 @@ class MetricHarness:
         self.embedding = embedding if embedding is not None \
             else bundle.store.embedding
         self._scores: dict[tuple, QualityMetrics] = {}
-        self._relevancy: dict[tuple, float] = {}
-        self._relevant: dict[str, frozenset[str]] = {}
         self._query_vecs: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -226,15 +223,9 @@ class MetricHarness:
         """
         if not answer_tokens:
             return 0.0
-        answer_tokens = tuple(answer_tokens)
-        key = (canonical_query_id(query.query_id), answer_tokens)
-        cached = self._relevancy.get(key)
-        if cached is None:
-            answer_vec = self.embedding.embed(" ".join(answer_tokens))
-            target_vec = self._query_vec(query)
-            cached = self._relevancy[key] = float(
-                max(0.0, np.dot(answer_vec, target_vec)))
-        return cached
+        answer_vec = self.embedding.embed(" ".join(answer_tokens))
+        target_vec = self._query_vec(query)
+        return float(max(0.0, np.dot(answer_vec, target_vec)))
 
     def context_precision(self, query: "Query", chunk_ids) -> float:
         """Rank-weighted precision of the retrieved list (RAGAS form).
@@ -246,7 +237,7 @@ class MetricHarness:
         """
         if not chunk_ids:
             return 0.0
-        relevant = self._relevant_ids(query)
+        relevant = self.bundle.relevant_chunk_ids(query)
         hits = 0
         weighted = 0.0
         for k, chunk_id in enumerate(chunk_ids, start=1):
@@ -275,14 +266,6 @@ class MetricHarness:
         return len(present) / len(required)
 
     # ------------------------------------------------------------------
-    def _relevant_ids(self, query: "Query") -> frozenset[str]:
-        cid = canonical_query_id(query.query_id)
-        cached = self._relevant.get(cid)
-        if cached is None:
-            cached = frozenset(self.bundle.relevant_chunk_ids(query))
-            self._relevant[cid] = cached
-        return cached
-
     def _query_vec(self, query: "Query") -> np.ndarray:
         """Embedding of the query's information need, memoized."""
         cid = canonical_query_id(query.query_id)

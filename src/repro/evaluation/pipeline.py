@@ -839,8 +839,6 @@ class QueryPipeline:
         self.speculation_gpu_seconds = 0.0
         self.n_hedges_armed = 0
         self._synthesizers: dict = {}
-        #: Cache-hit F1 per (canonical query id, cached answer tokens).
-        self._hit_f1: dict[tuple, float] = {}
         self._pending_closed: deque[Arrival] = deque()
         # The stages, wired in traversal order.
         self.profile = ProfileStage(self)
@@ -1179,13 +1177,9 @@ class QueryPipeline:
         ex.cache_stale = entry.corpus_version < self.store.corpus_version
         ex.cache_age_s = now - entry.insert_time
         # The reference tokens come from the query's truth alone, so the
-        # F1 is a pure function of (logical query, cached tokens).
-        key = (canonical_query_id(ex.query.query_id), value.tokens)
-        f1 = self._hit_f1.get(key)
-        if f1 is None:
-            truth = self.bundle.synthesis_context(ex.query, [])
-            f1 = self._hit_f1[key] = token_f1(
-                list(value.tokens), list(truth.ground_truth_tokens()))
+        # context is built without the cached chunks.
+        truth = self.bundle.synthesis_context(ex.query, [])
+        f1 = token_f1(list(value.tokens), list(truth.ground_truth_tokens()))
         # The *hitting* query scores the *cached* answer and context:
         # exact repeats reproduce the miss-path metrics bit-for-bit
         # (identical truth, tokens, and chunk ids), while semantic and

@@ -1,9 +1,9 @@
 """The memoized quality harness against its unmemoized reference.
 
-``MetricHarness`` memoizes whole scores per run, relevancy floats per
-answer, chunk token sets and the fact → chunks map per bundle
-(``docs/EVALUATION.md``). Every memo is keyed on the exact inputs of a
-pure function, so on any draw the harness must equal
+``MetricHarness`` memoizes whole scores per run, chunk token sets and
+the fact → chunks map per bundle (``docs/EVALUATION.md``). Every memo
+is keyed on the exact inputs of a pure function, so on any draw the
+harness must equal
 ``metrics_reference.score_reference`` bit for bit: repeated triples,
 replays of one logical query, another query's answer scored against
 this one (the shape of a semantic cache hit), empty answers, empty
@@ -145,8 +145,8 @@ def test_relevant_chunk_ids_equal_the_scan(name):
 
 
 def test_hit_ground_truth_ignores_chunk_ids(finsec_bundle):
-    """The cache-hit F1 memo keys on the query alone: the reference
-    tokens of a synthesis context never depend on its chunks."""
+    """The cache-hit F1 builds its truth without chunks: the reference
+    tokens of a synthesis context never depend on them."""
     rng = random.Random(0)
     all_ids = list(finsec_bundle.chunk_facts)
     for query in finsec_bundle.queries:
