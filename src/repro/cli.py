@@ -11,6 +11,8 @@ Usage::
     python -m repro run --dataset finsec --policy metis \\
         --workload diurnal --autoscaler forecast --scale-max 3 \\
         --slo-seconds 6
+    python -m repro sweep --dataset finsec --policy metis \\
+        --seeds 0,1,2,3 --rates 1.0,2.0 --result-cache exact --jobs 4
     python -m repro experiment fig10_delay --fast
     python -m repro datasets
 
@@ -45,7 +47,7 @@ from repro.serving.speculation import SPECULATION_NAMES
 from repro.workload import AUTOSCALER_NAMES, WORKLOAD_NAMES
 
 __all__ = ["main", "parse_config_label", "parse_replica_speeds",
-           "parse_shard_concurrency", "build_policy"]
+           "parse_shard_concurrency", "build_policy", "run_target"]
 
 _EXPERIMENTS = (
     "table1", "fig4_knobs", "fig5_per_query", "fig9_confidence",
@@ -142,11 +144,9 @@ def build_policy(name: str, bundle, config_label: str | None, seed: int,
     raise ValueError(f"unknown policy {name!r}")
 
 
-#: ``run`` arguments that pick what to serve; every other attribute of
-#: the parsed namespace is a knob flag the user set, forwarded to
-#: :func:`~repro.experiments.common.run_policy`.
-_RUN_TARGET = ("command", "func", "dataset", "policy", "config", "queries",
-               "seed")
+#: Namespace attributes argparse adds that are neither a run target
+#: nor a knob.
+_COMMAND_ARGS = ("command", "func")
 
 
 def _shard_concurrency_knob(label: str) -> int | list[int]:
@@ -162,9 +162,32 @@ _KNOB_PARSERS = {
 }
 
 
-def _run_title(policy: str, dataset: str, result, workload) -> str:
+def run_target(dataset: str, policy: str, config: str | None = None,
+               seed: int = 0, queries: int | None = None, **knobs):
+    """Serve ``queries`` of ``dataset`` with the named policy.
+
+    The one path from a run target plus knobs to a
+    :class:`~repro.evaluation.runner.RunResult`: ``run`` and every
+    sweep cell call it. ``knobs`` are
+    :func:`~repro.experiments.common.run_policy` /
+    :class:`~repro.evaluation.runner.ExperimentRunner` keywords, passed
+    as is except the text forms the CLI gives for ``replica_speeds``
+    and ``shard_concurrency``, which are parsed here.
+    """
+    from repro.experiments.common import run_policy
+
+    bundle = build_dataset(dataset, seed=seed, n_queries=queries)
+    built = build_policy(policy, bundle, config, seed,
+                         quality_slo=knobs.get("quality_slo"))
+    for name, parse in _KNOB_PARSERS.items():
+        if isinstance(knobs.get(name), str):
+            knobs[name] = parse(knobs[name])
+    return run_policy(bundle, built, seed=seed, **knobs)
+
+
+def _run_title(result, workload) -> str:
     """The summary table's title: what the run was configured with."""
-    title = f"{policy} on {dataset}"
+    title = f"{result.policy} on {result.dataset}"
     if result.n_replicas > 1:
         title += f" ({result.n_replicas} replicas, {result.router} router)"
     speeds = result.replica_speeds[:result.n_replicas]
@@ -195,20 +218,11 @@ def _run_title(policy: str, dataset: str, result, workload) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.experiments.common import run_policy
-
-    knobs = {k: v for k, v in vars(args).items() if k not in _RUN_TARGET}
-    bundle = build_dataset(args.dataset, seed=args.seed,
-                           n_queries=args.queries)
-    policy = build_policy(args.policy, bundle, args.config, args.seed,
-                          quality_slo=knobs.get("quality_slo"))
-    for name, parse in _KNOB_PARSERS.items():
-        if name in knobs:
-            knobs[name] = parse(knobs[name])
-    result = run_policy(bundle, policy, seed=args.seed, **knobs)
+    spec = {k: v for k, v in vars(args).items() if k not in _COMMAND_ARGS}
+    result = run_target(**spec)
     rows = [dict(metric=k, value=v) for k, v in result.summary().items()]
-    print(format_table(rows, title=_run_title(
-        policy.name, args.dataset, result, knobs.get("workload"))))
+    print(format_table(rows, title=_run_title(result,
+                                              spec.get("workload"))))
     if result.quality_metrics:
         print()
         print(format_table(quality_rows(result),
@@ -270,32 +284,25 @@ def _cmd_datasets(_args: argparse.Namespace) -> int:
     return 0
 
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="METIS reproduction: serve RAG workloads and "
-                    "regenerate the paper's experiments.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="serve one workload with one policy")
-    run.add_argument("--dataset", choices=DATASET_NAMES, required=True)
-    run.add_argument("--policy", required=True,
-                     choices=("metis", "adaptive-rag", "median",
-                              "vllm", "parrot"))
-    run.add_argument("--config", help="method/num_chunks[/ilen] "
-                                      "(for vllm/parrot)")
+def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    """The run target and knob flags that ``run`` and ``sweep`` share."""
+    parser.add_argument("--dataset", choices=DATASET_NAMES, required=True)
+    parser.add_argument("--policy", required=True,
+                        choices=("metis", "adaptive-rag", "median",
+                                 "vllm", "parrot"))
+    parser.add_argument("--config", help="method/num_chunks[/ilen] "
+                                         "(for vllm/parrot)")
+    parser.add_argument("--queries", type=int, default=100)
     # Run knobs: each flag's dest is a run_policy / ExperimentRunner
     # keyword, and only flags the user sets reach the namespace, so the
     # runner alone declares, defaults and validates every knob.
-    knobs = run.add_argument_group(
+    knobs = parser.add_argument_group(
         "run knobs", "forwarded to the experiment runner when set",
         argument_default=argparse.SUPPRESS)
     knobs.add_argument("--rate", dest="rate_qps", type=float,
                        metavar="RATE",
                        help="Poisson arrival rate in qps "
                             "(default: dataset-calibrated)")
-    run.add_argument("--queries", type=int, default=100)
     knobs.add_argument("--sequential", action="store_true",
                        help="closed-loop workload (Fig 19 mode)")
     knobs.add_argument("--closed-loop-clients", type=int,
@@ -304,16 +311,14 @@ def make_parser() -> argparse.ArgumentParser:
     knobs.add_argument("--profiler-concurrency", type=int,
                        help="max in-flight profiler calls (models API "
                             "rate limits; default unbounded)")
-    knobs.add_argument("--retrieval-concurrency", type=int,
-                       help="max in-flight vector-store searches "
-                            "(unsharded store only; default unbounded)")
     knobs.add_argument("--retrieval-shards", type=int,
                        help="partition the corpus across K index shards "
                             "with scatter-gather search (default 1)")
     knobs.add_argument("--shard-concurrency",
                        help="per-shard search executors: one integer "
-                            "(broadcast) or a comma-separated list whose "
-                            "length must equal --retrieval-shards "
+                            "(broadcast; bounds the one pool of an "
+                            "unsharded store) or a comma-separated list "
+                            "whose length must equal --retrieval-shards "
                             "(default unbounded)")
     knobs.add_argument("--reranker", choices=RERANKER_NAMES,
                        help="re-score an over-fetched candidate pool "
@@ -396,8 +401,38 @@ def make_parser() -> argparse.ArgumentParser:
                             "attainment, and (with --policy metis) makes "
                             "the scheduler pick the cheapest in-range "
                             "configuration that fits")
+
+
+def make_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="METIS reproduction: serve RAG workloads and "
+                    "regenerate the paper's experiments.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    run = sub.add_parser("run", help="serve one workload with one policy")
+    _add_run_arguments(run)
     run.add_argument("--seed", type=int, default=0)
     run.set_defaults(func=_cmd_run)
+
+    sw = sub.add_parser(
+        "sweep", help="run a seed x rate grid of `run` cells",
+        description="Fan deterministic (seed, rate) cells of one run "
+                    "across worker processes and merge their results "
+                    "as canonical JSON (identical for any --jobs).")
+    _add_run_arguments(sw)
+    sw.add_argument("--seeds", default="0",
+                    help="comma-separated seed axis (default 0)")
+    sw.add_argument("--rates",
+                    help="comma-separated qps axis (default: --rate, "
+                         "else dataset-calibrated)")
+    sw.add_argument("--jobs", type=int, default=1,
+                    help="worker processes (1 = sequential in-process; "
+                         "results are identical either way)")
+    sw.add_argument("--output",
+                    help="write merged JSON here instead of stdout")
+    sw.set_defaults(func=_cmd_sweep)
 
     exp = sub.add_parser("experiment", help="run one paper experiment")
     exp.add_argument("name", choices=_EXPERIMENTS)
@@ -410,63 +445,20 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def make_sweep_parser() -> argparse.ArgumentParser:
-    """Parser for the ``--sweep`` surface (``repro --sweep ...``).
-
-    Kept separate from the subcommand parser so ``--sweep`` works as a
-    top-level flag: ``python -m repro.cli --sweep --seeds 0,1 --jobs 2``.
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro --sweep",
-        description="Fan deterministic (seed, config) sweep cells "
-                    "across worker processes and merge their results "
-                    "as canonical JSON (identical for any --jobs).",
-    )
-    parser.add_argument("--sweep", action="store_true",
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--dataset", choices=DATASET_NAMES,
-                        default="finsec")
-    parser.add_argument("--policy", default="metis",
-                        choices=("metis", "adaptive-rag", "median",
-                                 "vllm", "parrot"))
-    parser.add_argument("--config", default=None,
-                        help="method/num_chunks[/ilen] (for vllm/parrot)")
-    parser.add_argument("--seeds", default="0",
-                        help="comma-separated seed axis (default 0)")
-    parser.add_argument("--rates", default=None,
-                        help="comma-separated qps axis "
-                             "(default: dataset-calibrated)")
-    parser.add_argument("--queries", type=int, default=None)
-    parser.add_argument("--replicas", type=int, default=1)
-    parser.add_argument("--router", choices=ROUTER_NAMES,
-                        default="least-kv-load")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (1 = sequential "
-                             "in-process; results are identical "
-                             "either way)")
-    parser.add_argument("--output", default=None,
-                        help="write merged JSON here instead of stdout")
-    return parser
-
-
-def _cmd_sweep(argv: list[str]) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.sweep import canonical_json, expand_cells, sweep
 
-    args = make_sweep_parser().parse_args(argv)
     try:
         seeds = [int(s) for s in args.seeds.split(",")]
         rates = ([float(r) for r in args.rates.split(",")]
                  if args.rates else None)
     except ValueError:
-        print("error: --seeds/--rates must be comma-separated numbers",
-              file=sys.stderr)
-        return 2
-    base = dict(dataset=args.dataset, policy=args.policy,
-                config=args.config, queries=args.queries,
-                replicas=args.replicas, router=args.router)
+        raise ValueError(
+            "--seeds/--rates must be comma-separated numbers") from None
+    base = {k: v for k, v in vars(args).items()
+            if k not in _COMMAND_ARGS + ("seeds", "rates", "jobs", "output")}
     cells = expand_cells(base, seeds=seeds, rates=rates)
-    merged = sweep(cells, jobs=args.jobs)
-    text = canonical_json(merged)
+    text = canonical_json(sweep(cells, jobs=args.jobs))
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -478,13 +470,6 @@ def _cmd_sweep(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if "--sweep" in argv:
-        try:
-            return _cmd_sweep(argv)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -13,7 +13,7 @@ completions) interleave exactly as in a real serving stack: decisions
 made while the GPU is mid-iteration take effect at the next scheduling
 boundary. With the default *unbounded* resources the schedule is
 byte-identical to the pre-``repro.sim`` closure-based runner; finite
-``profiler_concurrency`` / ``retrieval_concurrency`` add FIFO queueing
+``profiler_concurrency`` / ``shard_concurrency`` add FIFO queueing
 (API rate limits, search-executor pools) on top.
 """
 
@@ -318,10 +318,9 @@ class ExperimentRunner:
     :class:`~repro.core.policy.SchedulingView` of the replica its query
     was routed to.
 
-    ``profiler_concurrency`` / ``retrieval_concurrency`` bound how many
-    profiler calls / vector-store searches may be in flight at once
-    (``None`` = unbounded, the pre-contention behavior); excess queries
-    wait in FIFO order and the waits surface in
+    ``profiler_concurrency`` bounds how many profiler calls may be in
+    flight at once (``None`` = unbounded, the pre-contention behavior);
+    excess queries wait in FIFO order and the waits surface in
     :attr:`RunResult.resource_stats` and the per-query
     ``profiler_queue_delay`` / ``retrieval_queue_delay`` fields.
 
@@ -329,11 +328,9 @@ class ExperimentRunner:
     shards (deterministic hash placement); each shard search contends
     on its own resource, bounded per shard by ``shard_concurrency`` (a
     single int broadcast to every shard, or one entry per shard — a
-    length mismatch fails fast with both counts).
-    ``retrieval_concurrency`` keeps its legacy meaning — the sole
-    executor pool of an *unsharded* store — so combining it with
-    ``retrieval_shards > 1`` (or with ``shard_concurrency``) is
-    rejected rather than silently reinterpreted. ``reranker``
+    length mismatch fails fast with both counts); an unsharded store is
+    one shard, so ``shard_concurrency=N`` bounds its one search
+    executor pool. ``reranker``
     (``"exact"`` or an instance) re-scores an over-fetched candidate
     pool at modelled per-candidate cost; ``index`` picks the per-shard
     index factory (``"flat"`` exact / ``"ivf"`` approximate).
@@ -365,7 +362,6 @@ class ExperimentRunner:
         n_replicas: int = 1,
         router: str = "least-kv-load",
         profiler_concurrency: int | None = None,
-        retrieval_concurrency: int | None = None,
         replica_speeds: list[float] | None = None,
         retrieval_shards: int = 1,
         shard_concurrency=None,
@@ -457,31 +453,10 @@ class ExperimentRunner:
         )
         if profiler_concurrency is not None:
             check_positive("profiler_concurrency", profiler_concurrency)
-        if retrieval_concurrency is not None:
-            check_positive("retrieval_concurrency", retrieval_concurrency)
         self.retrieval_shards = check_shard_count(
             "retrieval_shards", retrieval_shards)
         self.shard_concurrency = check_shard_concurrency(
             "shard_concurrency", shard_concurrency, self.retrieval_shards)
-        if retrieval_concurrency is not None and self.retrieval_shards > 1:
-            raise ValueError(
-                "retrieval_concurrency bounds the single executor pool "
-                "of an unsharded store; with retrieval_shards="
-                f"{self.retrieval_shards} pass shard_concurrency "
-                "(per-shard executor counts) instead — got "
-                f"retrieval_concurrency={retrieval_concurrency}"
-            )
-        if retrieval_concurrency is not None:
-            if self.shard_concurrency is not None:
-                raise ValueError(
-                    "pass either retrieval_concurrency (unsharded) or "
-                    "shard_concurrency (per shard), not both — got "
-                    f"retrieval_concurrency={retrieval_concurrency} and "
-                    f"shard_concurrency={shard_concurrency!r}"
-                )
-            # The sole executor pool of an unsharded store is its one
-            # shard's pool.
-            self.shard_concurrency = [retrieval_concurrency]
         if slo_seconds is not None:
             check_positive("slo_seconds", slo_seconds)
             slo_seconds = float(slo_seconds)

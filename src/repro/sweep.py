@@ -5,16 +5,23 @@ Every simulation in this repo is a pure function of its parameters —
 all randomness flows from named :mod:`repro.util.rng` streams, and the
 kernel dispatches events in a deterministic ``(time, rank, seq)``
 order — so a sweep over seeds/rates/configs is embarrassingly
-parallel: each *cell* (one ``run_policy`` invocation) can run in its
-own process and produce byte-identical results to a sequential run.
+parallel: each *cell* (one ``run`` invocation) can run in its own
+process and produce byte-identical results to a sequential run.
+
+A cell is a plain, picklable dict: the run target (``dataset``,
+``policy``, ``config``, ``seed``, ``queries``) plus any
+:func:`~repro.experiments.common.run_policy` /
+:class:`~repro.evaluation.runner.ExperimentRunner` keywords under
+their own names (``rate_qps``, ``n_replicas``, ``result_cache``, …).
+The runner declares, defaults and validates every knob; a cell only
+names the ones it sets.
 
 Three pieces:
 
-* :func:`run_cell` — execute one cell (a plain parameter dict, fully
-  picklable) and return its scalar summary. Cells sharing a
-  ``(dataset, seed, queries)`` key reuse one per-process
-  :class:`DatasetBundle` instead of rebuilding it every cell.
-* :func:`sweep` — run many cells, either in-process (``jobs <= 1``)
+* :func:`run_cell` — execute one cell through
+  :func:`repro.cli.run_target`, the path ``python -m repro run`` takes,
+  and return its scalar summary.
+* :func:`sweep` — run many cells, either in-process (``jobs == 1``)
   or on a :class:`~concurrent.futures.ProcessPoolExecutor`. The
   merged payload contains **only** cell parameters and results (no
   timing, no worker metadata), so sequential and parallel sweeps of
@@ -30,81 +37,67 @@ sequential on a 4-core machine). On a single-core host the executor
 still works — processes just time-slice — which is why the test suite
 pins *result equality*, not speedup.
 
-CLI::
+CLI (every ``run`` flag is forwarded to each cell)::
 
-    python -m repro.cli --sweep --dataset finsec --policy metis \\
-        --seeds 0,1,2,3 --rates 1.4 --jobs 4
+    python -m repro sweep --dataset finsec --policy metis \\
+        --seeds 0,1,2,3 --rates 1.4 --result-cache exact --jobs 4
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any
 
-__all__ = ["CELL_DEFAULTS", "expand_cells", "run_cell", "sweep",
-           "canonical_json"]
+__all__ = ["expand_cells", "run_cell", "sweep", "canonical_json"]
 
-#: Per-process DatasetBundle cache, keyed ``(dataset, seed, queries)``.
-#: Building a bundle (corpus synthesis + index build, ~0.7 s for
-#: finsec at the end-to-end benchmark's reference CPU speed) dominates
-#: small cells, and ``build_dataset`` is a pure function of the key,
-#: so workers build each distinct bundle once and reuse it across
-#: cells. Reuse is safe: the experiment runner never mutates a bundle
-#: (resharding returns a *new* store) and builds a fresh engine and
-#: pipeline per run, so cached-bundle results are byte-identical to a
-#: rebuild — the ``test_sweep.py`` canonical-JSON equality still pins
-#: sequential == parallel.
-_BUNDLE_CACHE: dict[tuple[str, int, int | None], Any] = {}
+#: The run target keys a cell must set (``run_target``'s required
+#: arguments).
+_REQUIRED = ("dataset", "policy")
 
 
-def _get_bundle(dataset: str, seed: int, queries: int | None):
-    key = (dataset, seed, queries)
-    bundle = _BUNDLE_CACHE.get(key)
-    if bundle is None:
-        from repro.data import build_dataset
+def _known_keys() -> set[str]:
+    """Cell keys: ``run_target``'s target plus every runner keyword."""
+    from repro.cli import run_target
+    from repro.evaluation.runner import ExperimentRunner
+    from repro.experiments.common import run_policy
 
-        bundle = build_dataset(dataset, seed=seed, n_queries=queries)
-        _BUNDLE_CACHE[key] = bundle
-    return bundle
+    names: set[str] = set()
+    for fn in (run_target, run_policy, ExperimentRunner.__init__):
+        names |= set(inspect.signature(fn).parameters)
+    return names - {"self", "bundle", "knobs", "runner_kwargs"}
+
+
+def _check_cells(cells: list[dict[str, Any]]) -> None:
+    """Reject unknown or missing keys before any cell runs, so a typo
+    fails the sweep up front instead of silently sweeping nothing."""
+    known = _known_keys()
+    for cell in cells:
+        unknown = sorted(set(cell) - known)
+        if unknown:
+            raise ValueError(
+                f"unknown sweep cell parameter(s) {unknown}; known: "
+                f"{', '.join(sorted(known))}"
+            )
+        missing = [k for k in _REQUIRED if k not in cell]
+        if missing:
+            raise ValueError(f"sweep cell {cell!r} is missing {missing}")
 
 
 def _warm_worker(keys: tuple[tuple[str, int, int | None], ...]) -> None:
     """Executor initializer: pre-build shared bundles once per worker.
 
-    Only invoked with the sweep's bundle keys when every cell shares
-    them (the common fixed-dataset rate/config sweep); heterogeneous
-    sweeps (e.g. over seeds) let each worker populate its cache lazily
-    from the cells it actually receives.
+    Only invoked with the sweep's bundle key when every cell shares it
+    (the common fixed-dataset rate/config sweep); ``build_dataset``
+    memoizes per process on the same key, so each cell then reuses the
+    bundle. Heterogeneous sweeps (e.g. over seeds) let each worker
+    build lazily from the cells it actually receives.
     """
+    from repro.data import build_dataset
+
     for dataset, seed, queries in keys:
-        _get_bundle(dataset, seed, queries)
-
-
-#: Recognized cell parameters and their defaults (mirrors the ``run``
-#: CLI surface). A cell dict may set any subset; unknown keys are an
-#: error so typos fail fast instead of silently sweeping nothing.
-CELL_DEFAULTS: dict[str, Any] = {
-    "dataset": "finsec",
-    "policy": "metis",
-    "config": None,          # fixed-config label for vllm/parrot
-    "seed": 0,
-    "rate": None,            # open-loop arrival rate (qps)
-    "queries": None,         # dataset size cap (None = bundle default)
-    "sequential": False,
-    "replicas": 1,
-    "router": "least-kv-load",
-    "retrieval_shards": 1,
-    "index": "flat",
-    "reranker": None,
-    "slo_seconds": None,
-    "speculation": None,
-    "hedge_delay": None,
-    "workload": None,
-    "autoscaler": None,
-    "scale_min": None,
-    "scale_max": None,
-}
+        build_dataset(dataset, seed=seed, n_queries=queries)
 
 
 def expand_cells(base: dict[str, Any] | None = None,
@@ -112,84 +105,59 @@ def expand_cells(base: dict[str, Any] | None = None,
                  rates: list[float] | None = None) -> list[dict[str, Any]]:
     """Cross ``base`` with seed × rate axes into a cell list.
 
-    ``seeds``/``rates`` of ``None`` (or empty) keep the base value for
-    that axis. Cell order is the deterministic grid order (seeds outer,
-    rates inner) — the merge preserves it, so two sweeps over the same
-    grid are comparable element-wise.
+    ``seeds``/``rates`` of ``None`` (or empty) leave that axis as
+    ``base`` has it; a given axis sets ``seed`` / ``rate_qps``. Cell
+    order is the deterministic grid order (seeds outer, rates inner) —
+    the merge preserves it, so two sweeps over the same grid are
+    comparable element-wise.
     """
     base = dict(base or {})
-    cells: list[dict[str, Any]] = []
-    for seed in (seeds if seeds else [base.get("seed", 0)]):
-        for rate in (rates if rates else [base.get("rate")]):
-            cell = dict(base)
-            cell["seed"] = seed
-            cell["rate"] = rate
-            cells.append(cell)
-    return cells
-
-
-def _validated(cell: dict[str, Any]) -> dict[str, Any]:
-    unknown = sorted(set(cell) - set(CELL_DEFAULTS))
-    if unknown:
-        known = ", ".join(sorted(CELL_DEFAULTS))
-        raise ValueError(
-            f"unknown sweep cell parameter(s) {unknown}; known: {known}"
-        )
-    return {**CELL_DEFAULTS, **cell}
+    seed_axis = [{"seed": s} for s in seeds] if seeds else [{}]
+    rate_axis = [{"rate_qps": r} for r in rates] if rates else [{}]
+    return [{**base, **s, **r} for s in seed_axis for r in rate_axis]
 
 
 def run_cell(cell: dict[str, Any]) -> dict[str, Any]:
     """Execute one sweep cell; returns ``{"params", "summary"}``.
 
-    Top-level (picklable) so :class:`ProcessPoolExecutor` can ship it
-    to workers. Imports are local: workers pay them once, and the
-    module stays importable without pulling the full pipeline.
+    ``params`` echoes the cell as given. Top-level (picklable) so
+    :class:`ProcessPoolExecutor` can ship it to workers. Imports are
+    local: workers pay them once, and the module stays importable
+    without pulling the full pipeline.
     """
-    from repro.cli import build_policy
-    from repro.experiments.common import run_policy
+    from repro.cli import run_target
 
-    p = _validated(cell)
-    bundle = _get_bundle(p["dataset"], p["seed"], p["queries"])
-    policy = build_policy(p["policy"], bundle, p["config"], p["seed"])
-    result = run_policy(
-        bundle, policy,
-        rate_qps=p["rate"], seed=p["seed"],
-        sequential=p["sequential"],
-        n_replicas=p["replicas"], router=p["router"],
-        retrieval_shards=p["retrieval_shards"],
-        index=p["index"], reranker=p["reranker"],
-        slo_seconds=p["slo_seconds"],
-        speculation=p["speculation"], hedge_delay=p["hedge_delay"],
-        workload=p["workload"], autoscaler=p["autoscaler"],
-        scale_min=p["scale_min"], scale_max=p["scale_max"],
-    )
-    return {"params": p, "summary": dict(result.summary())}
+    _check_cells([cell])
+    result = run_target(**cell)
+    return {"params": dict(cell), "summary": dict(result.summary())}
 
 
 def sweep(cells: list[dict[str, Any]], jobs: int = 1) -> dict[str, Any]:
     """Run every cell and merge results in input order.
 
-    ``jobs <= 1`` runs sequentially in-process; otherwise cells fan
-    out over a :class:`ProcessPoolExecutor` with ``min(jobs,
-    len(cells))`` workers. ``executor.map`` preserves input order, and
-    the payload carries no timing or worker information, so the merged
-    result is identical for any ``jobs`` — compare with
-    :func:`canonical_json`.
+    ``jobs == 1`` runs sequentially in-process; more fan cells out
+    over a :class:`ProcessPoolExecutor` with ``min(jobs, len(cells))``
+    workers. ``executor.map`` preserves input order, and the payload
+    carries no timing or worker information, so the merged result is
+    identical for any ``jobs`` — compare with :func:`canonical_json`.
     """
-    validated = [_validated(c) for c in cells]
-    if jobs <= 1 or len(validated) <= 1:
-        results = [run_cell(c) for c in validated]
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
+    _check_cells(cells)
+    if jobs == 1 or len(cells) <= 1:
+        results = [run_cell(c) for c in cells]
     else:
         keys = tuple(dict.fromkeys(
-            (c["dataset"], c["seed"], c["queries"]) for c in validated
+            (c["dataset"], c.get("seed", 0), c.get("queries"))
+            for c in cells
         ))
         # Pre-build the bundle in each worker only when the whole sweep
-        # shares one; otherwise workers fill their caches lazily.
+        # shares one; otherwise workers build lazily.
         warm = keys if len(keys) == 1 else ()
-        with ProcessPoolExecutor(max_workers=min(jobs, len(validated)),
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cells)),
                                  initializer=_warm_worker,
                                  initargs=(warm,)) as ex:
-            results = list(ex.map(run_cell, validated))
+            results = list(ex.map(run_cell, cells))
     return {"n_cells": len(results), "cells": results}
 
 

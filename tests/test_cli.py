@@ -173,15 +173,6 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "3 entries" in err and "retrieval_shards is 2" in err
 
-    def test_retrieval_concurrency_conflict_fails_fast(self, capsys):
-        code = main([
-            "run", "--dataset", "squad", "--policy", "vllm",
-            "--config", "stuff/5", "--queries", "4",
-            "--retrieval-shards", "2", "--retrieval-concurrency", "4",
-        ])
-        assert code == 2
-        assert "shard_concurrency" in capsys.readouterr().err
-
     def test_run_command_with_speculation(self, capsys):
         code = main([
             "run", "--dataset", "squad", "--policy", "vllm",

@@ -48,7 +48,7 @@ class TestUnboundedEquivalence:
             make_metis(finsec_bundle), arrivals)
         explicit = make_runner(
             finsec_bundle, engine_config,
-            profiler_concurrency=10**6, retrieval_concurrency=10**6,
+            profiler_concurrency=10**6, shard_concurrency=10**6,
         ).run(make_metis(finsec_bundle), arrivals)
         assert fingerprint(base) == fingerprint(explicit)
         assert base.makespan == explicit.makespan
@@ -148,7 +148,7 @@ class TestProfilerContention:
         # 500 qps (2 ms apart) through one slot must queue.
         arrivals = poisson_arrivals(finsec_bundle.queries, 500.0, seed=0)
         result = make_runner(
-            finsec_bundle, engine_config, retrieval_concurrency=1,
+            finsec_bundle, engine_config, shard_concurrency=1,
         ).run(FixedConfigPolicy(STUFF6), arrivals)
         stats = result.resource_stats[RETRIEVAL_RESOURCE]
         assert stats.n_queued > 0
@@ -195,7 +195,7 @@ class TestProfilerContention:
                         profiler_concurrency=0)
         with pytest.raises(ValueError):
             make_runner(finsec_bundle, engine_config,
-                        retrieval_concurrency=-1)
+                        shard_concurrency=-1)
 
 
 class TestClosedLoopClients:

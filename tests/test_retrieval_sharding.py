@@ -194,18 +194,6 @@ class TestRunnerValidation:
                              retrieval_shards=2,
                              shard_concurrency=[1, 0])
 
-    def test_retrieval_concurrency_conflicts_with_shards(
-            self, finsec_bundle, engine_config):
-        with pytest.raises(ValueError, match="retrieval_concurrency"):
-            ExperimentRunner(finsec_bundle, engine_config,
-                             retrieval_shards=2, retrieval_concurrency=4)
-
-    def test_retrieval_concurrency_conflicts_with_shard_concurrency(
-            self, finsec_bundle, engine_config):
-        with pytest.raises(ValueError, match="not both"):
-            ExperimentRunner(finsec_bundle, engine_config,
-                             retrieval_concurrency=4, shard_concurrency=2)
-
     def test_unknown_index_and_reranker(self, finsec_bundle,
                                         engine_config):
         with pytest.raises(ValueError, match="unknown index factory"):
