@@ -35,7 +35,7 @@ def main() -> None:
     for ilen in (20, 50, 100, 150, 200):
         config = RAGConfig(SynthesisMethod.MAP_REDUCE, k, ilen)
         plan = make_synthesizer(config.synthesis_method).build_plan(
-            query_id=query.query_id, query_tokens=query.n_tokens,
+            query_tokens=query.n_tokens,
             chunk_tokens=[h.chunk.n_tokens for h in hits],
             answer_tokens=query.answer_tokens_estimate, config=config,
         )

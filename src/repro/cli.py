@@ -99,10 +99,9 @@ def parse_config_label(label: str) -> RAGConfig:
     RAGConfig(map_reduce, chunks=8, ilen=100)
     """
     parts = label.split("/")
+    usage = f"config must be method/num_chunks[/ilen], got {label!r}"
     if len(parts) not in (2, 3):
-        raise ValueError(
-            f"config must be method/num_chunks[/ilen], got {label!r}"
-        )
+        raise ValueError(usage)
     try:
         method = SynthesisMethod(parts[0])
     except ValueError:
@@ -110,9 +109,11 @@ def parse_config_label(label: str) -> RAGConfig:
         raise ValueError(
             f"unknown synthesis method {parts[0]!r}; known: {known}"
         ) from None
-    num_chunks = int(parts[1])
-    ilen = int(parts[2]) if len(parts) == 3 else 0
-    return RAGConfig(method, num_chunks, ilen)
+    try:
+        sizes = [int(part) for part in parts[1:]]
+    except ValueError:
+        raise ValueError(usage) from None
+    return RAGConfig(method, *sizes)
 
 
 def build_policy(name: str, bundle, config_label: str | None, seed: int,

@@ -69,12 +69,6 @@ class SchedulingView:
     replica_id: int = 0
     replica_free_kv_bytes: tuple[float, ...] = ()
     replica_available_kv_bytes: tuple[float, ...] = ()
-    #: Event-time replica clocks at the decision instant. Replicas
-    #: advance independently on the shared event loop, so these are
-    #: *not* equal: busy replicas sit at (or ahead of) the frontier,
-    #: idle ones lag at their last admission. Placement heuristics can
-    #: read them alongside the memory tuples.
-    replica_now: tuple[float, ...] = ()
     #: Per-replica hardware-throughput multipliers (heterogeneous
     #: fleets); empty or all-1.0 for homogeneous clusters.
     replica_speeds: tuple[float, ...] = ()

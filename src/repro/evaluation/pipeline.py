@@ -281,7 +281,6 @@ class Lane:
     events: list[Event] = field(default_factory=list)
     #: Engine requests still in flight (removed as calls complete).
     requests: list[InferenceRequest] = field(default_factory=list)
-    finished: bool = False
     cancelled: bool = False
 
 
@@ -418,17 +417,29 @@ class DecideStage(_Stage):
             p.engine.pin_app(ex.query.query_id, preferred)
         ex.replica = p.engine.replica_of_app(ex.query.query_id)
         if p.cache_resource is not None:
-            # Probe the cache tiers first; only a full miss opens the
-            # primary lane and proceeds to retrieval. Caching off
-            # (cache_resource None) keeps this path byte-identical.
+            # Probe the cache tiers first; a result hit opens no lane.
+            # Caching off (cache_resource None) keeps this path
+            # byte-identical.
             p.cache_stage.enter(t, ex, view)
             return
-        primary = Lane(ex=ex, lane_id=0, app_id=ex.query.query_id,
-                       replica=ex.replica, start_time=t)
-        ex.lanes.append(primary)
+        self.open_lane(t, ex, view)
+
+    def open_lane(self, t: float, ex: QueryExecution, view: SchedulingView,
+                  chunk_ids: tuple[str, ...] | None = None) -> None:
+        """Open the primary lane and plan its hedge, then retrieve — or,
+        given memoized ``chunk_ids`` (a retrieval-cache hit), skip
+        scatter-gather and rerank and synthesize from them."""
+        p = self.p
+        lane = Lane(ex=ex, lane_id=0, app_id=ex.query.query_id,
+                    replica=ex.replica, start_time=t)
+        ex.lanes.append(lane)
         if p.speculation is not None:
             self._plan_hedge(t, ex, view)
-        p.retrieve.enter(t, primary)
+        if chunk_ids is None:
+            p.retrieve.enter(t, lane)
+        else:
+            lane.chunk_ids = list(chunk_ids)
+            p.synthesize.enter(t, lane)
 
     def _plan_hedge(self, t: float, ex: QueryExecution,
                     view: SchedulingView) -> None:
@@ -466,11 +477,12 @@ class CacheStage(_Stage):
     One lookup hold on the shared ``cache`` resource covers both
     probes (exact/semantic result key, then the retrieval key): a
     **result** hit finalizes the query right here — no lane, no
-    retrieval, no LLM calls; a **retrieval** hit opens the primary
-    lane with the memoized chunk ids and enters synthesis directly;
-    a full miss pays the lookup as added latency (the honest cost of
-    consulting a cache) and proceeds down the normal path. Hedges are
-    planned only for queries that will actually occupy the engine.
+    retrieval, no LLM calls, no hedge. Otherwise
+    :meth:`DecideStage.open_lane` opens the primary lane and plans
+    its hedge: a **retrieval** hit hands it the memoized chunk ids,
+    which enter synthesis directly; a full miss pays the lookup as
+    added latency (the honest cost of consulting a cache) and
+    proceeds down the normal path.
     """
 
     def enter(self, t: float, ex: QueryExecution, view) -> None:
@@ -485,13 +497,8 @@ class CacheStage(_Stage):
                    ex: QueryExecution, view) -> None:
         p = self.p
         ex.cache_lookup_seconds = lookup_s
-        query = ex.query
-        config = ex.decision.config
         if p.result_cache is not None:
-            key = ResultCache.key_for(query.text, config.label())
-            qvec = None
-            if p.result_cache.semantic and len(p.store):
-                qvec = p.store.embed_query(query.text)
+            key, qvec = p.result_probe(ex)
             entry, tier = p.result_cache.lookup(
                 key, qvec, now, corpus_version=p.store.corpus_version)
             if entry is not None:
@@ -501,39 +508,21 @@ class CacheStage(_Stage):
                     # key: future identical repeats hit exactly, and
                     # the resident set no longer depends on where the
                     # threshold fell (hit-rate monotone in threshold).
-                    p.result_cache.insert(
-                        key, entry.value, now,
-                        saved_seconds=entry.saved_seconds,
-                        saved_dollars=entry.saved_dollars,
-                        corpus_version=entry.corpus_version,
-                        embedding=qvec,
-                        config_label=config.label(),
-                    )
-                    p.charge_cache_insert(now)
+                    p.cache_result(ex, (key, qvec), entry.value, now,
+                                   saved_seconds=entry.saved_seconds,
+                                   saved_dollars=entry.saved_dollars,
+                                   corpus_version=entry.corpus_version)
                 return
-        lane = Lane(ex=ex, lane_id=0, app_id=query.query_id,
-                    replica=ex.replica, start_time=now)
-        ex.lanes.append(lane)
+        chunk_ids = None
         if p.retrieval_cache is not None:
             entry = p.retrieval_cache.lookup(
                 p.retrieval_cache_key(ex), now,
                 corpus_version=p.store.corpus_version)
             if entry is not None:
-                ex.cache_hit = True
-                ex.cache_tier = "retrieval"
-                ex.cache_stale = (entry.corpus_version
-                                  < p.store.corpus_version)
-                ex.cache_age_s = now - entry.insert_time
-                # Cached context, fresh answer: skip scatter-gather
-                # and rerank, synthesize from the memoized top-k.
-                lane.chunk_ids = list(entry.value)
-                if p.speculation is not None:
-                    p.decide._plan_hedge(now, ex, view)
-                p.synthesize.enter(now, lane)
-                return
-        if p.speculation is not None:
-            p.decide._plan_hedge(now, ex, view)
-        p.retrieve.enter(now, lane)
+                # Cached context, fresh answer.
+                p.stamp_cache_hit(ex, entry, "retrieval", now)
+                chunk_ids = entry.value
+        p.decide.open_lane(now, ex, view, chunk_ids)
 
 
 @dataclass
@@ -563,8 +552,7 @@ class RetrieveStage(_Stage):
         p = self.p
         store = p.store
         ex = lane.ex
-        k = ex.decision.config.num_chunks
-        fetch_k = p.reranker.fetch_k(k) if p.reranker else k
+        fetch_k = p.fetch_k(ex)
         qvec = store.embed_query(ex.query.text) if len(store) else None
         state = _ScatterState(
             t0=t, fetch_k=fetch_k, qvec=qvec,
@@ -651,7 +639,6 @@ class SynthesizeStage(_Stage):
         chunk_tokens = self._clipped_chunk_tokens(lane)
         synthesizer = p.synthesizer(ex.decision.config)
         lane.plan = synthesizer.build_plan(
-            query_id=lane.app_id,
             query_tokens=ex.query.n_tokens,
             chunk_tokens=chunk_tokens,
             answer_tokens=ex.query.answer_tokens_estimate,
@@ -729,7 +716,6 @@ class ServeStage(_Stage):
             lane.stage += 1
             self.submit_stage(lane, now)
             return
-        lane.finished = True
         self.p.complete_lane(lane, now)
 
 
@@ -809,7 +795,6 @@ class QueryPipeline:
         # are per-run mutable state like the ledger. Disabled (None
         # config, the default) constructs nothing: no tier objects, no
         # ``cache`` resource, no extra events — the byte-identity path.
-        self.cache_config = cache_config
         self.result_cache: ResultCache | None = None
         self.retrieval_cache: RetrievalCache | None = None
         self.cache_resource: Resource | None = None
@@ -830,8 +815,6 @@ class QueryPipeline:
                 )
             self.cache_resource = Resource(CACHE_RESOURCE, self.loop, None)
         self.ledger = CostLedger()
-        #: StepDriver wiring the engine onto the loop (set by ``run``).
-        self.driver = None
         self.records: list[QueryRecord] = []
         #: GPU seconds of cancelled duplicate work (roofline-priced at
         #: the losing replica's speed); the runner attributes this to
@@ -879,7 +862,7 @@ class QueryPipeline:
         # events on the shared loop (armed by a StepDriver; idle
         # replicas sleep and are woken by admission) — see
         # repro.sim.driver.
-        self.driver = self.engine.attach(self.loop)
+        self.engine.attach(self.loop)
         if self.autoscaler is not None:
             horizon = max(a.time for a in arrivals)
             self.autoscaler.start(
@@ -1028,20 +1011,10 @@ class QueryPipeline:
                 chunk_ids=tuple(lane.chunk_ids),
                 chunks_clipped=lane.chunks_clipped,
             )
-            key = ResultCache.key_for(ex.query.text,
-                                      ex.decision.config.label())
-            qvec = (self.store.embed_query(ex.query.text)
-                    if self.result_cache.semantic and len(self.store)
-                    else None)
-            self.result_cache.insert(
-                key, value, now,
-                saved_seconds=saved_seconds,
-                saved_dollars=saved_dollars,
-                corpus_version=self.store.corpus_version,
-                embedding=qvec,
-                config_label=ex.decision.config.label(),
-            )
-            self.charge_cache_insert(now)
+            self.cache_result(ex, self.result_probe(ex), value, now,
+                              saved_seconds=saved_seconds,
+                              saved_dollars=saved_dollars,
+                              corpus_version=self.store.corpus_version)
         self._close(ex, record, now, lane)
 
     def _append_record(self, ex: QueryExecution, now: float, tokens,
@@ -1128,16 +1101,53 @@ class QueryPipeline:
         self.cache_resource.request(
             now, CACHE_INSERT_SECONDS, lambda t, waited: None)
 
+    def result_probe(self, ex: QueryExecution) -> tuple[str, object]:
+        """Result-tier exact key of ``ex``'s query and chosen config,
+        and its semantic probe vector (``None`` in exact mode)."""
+        text = ex.query.text
+        qvec = (self.store.embed_query(text)
+                if self.result_cache.semantic and len(self.store) else None)
+        return ResultCache.key_for(text, ex.decision.config.label()), qvec
+
+    def cache_result(self, ex: QueryExecution, probe: tuple[str, object],
+                     value: CachedAnswer, now: float, *,
+                     saved_seconds: float, saved_dollars: float,
+                     corpus_version: int) -> None:
+        """Insert ``value`` as ``ex``'s answer in the result tier under
+        ``probe`` (from :meth:`result_probe`) and charge the insert on
+        the ``cache`` resource."""
+        key, qvec = probe
+        self.result_cache.insert(
+            key, value, now,
+            saved_seconds=saved_seconds,
+            saved_dollars=saved_dollars,
+            corpus_version=corpus_version,
+            embedding=qvec,
+            config_label=ex.decision.config.label(),
+        )
+        self.charge_cache_insert(now)
+
+    def stamp_cache_hit(self, ex: QueryExecution, entry, tier: str,
+                        now: float) -> None:
+        """Surface a hit on ``tier`` on ``ex``'s record."""
+        ex.cache_hit = True
+        ex.cache_tier = tier
+        ex.cache_stale = entry.corpus_version < self.store.corpus_version
+        ex.cache_age_s = now - entry.insert_time
+
+    def fetch_k(self, ex: QueryExecution) -> int:
+        """How deep ``ex``'s retrieval fetches: the reranker's
+        ``fetch_k`` when one is configured, else the chosen
+        ``num_chunks``."""
+        k = ex.decision.config.num_chunks
+        return self.reranker.fetch_k(k) if self.reranker else k
+
     def retrieval_cache_key(
             self, ex: QueryExecution) -> tuple[str, int, str, int]:
-        """Retrieval-tier key of ``ex``'s query at the depth its
-        retrieval fetches (the reranker's ``fetch_k`` when one is
-        configured, else the chosen ``num_chunks``)."""
-        k = ex.decision.config.num_chunks
-        fetch_k = self.reranker.fetch_k(k) if self.reranker else k
+        """Retrieval-tier key of ``ex``'s query at its fetch depth."""
         return RetrievalCache.key_for(
             canonical_query_id(ex.query.query_id), self.store.n_shards,
-            self.store.index_label, fetch_k)
+            self.store.index_label, self.fetch_k(ex))
 
     def maybe_cache_retrieval(self, lane: Lane, now: float) -> None:
         """Memoize a freshly retrieved top-k chunk-id list.
@@ -1172,10 +1182,7 @@ class QueryPipeline:
         """
         ex.done = True
         value = entry.value
-        ex.cache_hit = True
-        ex.cache_tier = tier
-        ex.cache_stale = entry.corpus_version < self.store.corpus_version
-        ex.cache_age_s = now - entry.insert_time
+        self.stamp_cache_hit(ex, entry, tier, now)
         # The reference tokens come from the query's truth alone, so the
         # context is built without the cached chunks.
         truth = self.bundle.synthesis_context(ex.query, [])
@@ -1248,7 +1255,6 @@ class QueryPipeline:
             replica_available_kv_bytes=tuple(
                 r.available_kv_bytes() for r in engine.replicas
             ),
-            replica_now=tuple(r.now for r in engine.replicas),
             replica_speeds=engine.replica_speeds,
             replica_outstanding=engine.replica_outstanding(),
         )

@@ -80,7 +80,6 @@ def evaluate_config(
     f1 = quality.expected_f1(ctx, config.synthesis_method,
                              config.intermediate_length)
     plan = make_synthesizer(config.synthesis_method).build_plan(
-        query_id=query.query_id,
         query_tokens=query.n_tokens,
         chunk_tokens=[h.chunk.n_tokens for h in hits],
         answer_tokens=query.answer_tokens_estimate,

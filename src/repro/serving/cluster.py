@@ -624,16 +624,13 @@ class ClusterEngine:
         self._busy_version += 1
         return True
 
-    def step(self, build_info: bool = True) -> ClusterStepInfo | list:
+    def step(self) -> ClusterStepInfo:
         """Advance the lagging busy replica by one engine iteration.
 
         This is the single stepping rule for both driving modes: the
         event-driven :class:`~repro.sim.driver.StepDriver` calls it
         once per fired step event, and manual loops call it directly —
         the min-clock / min-index order makes the two byte-identical.
-
-        ``build_info=False`` takes :meth:`ServingEngine.step`'s quiet
-        fast path (raw finished list instead of a ClusterStepInfo).
         """
         rid = -1
         best = _INF
@@ -643,13 +640,6 @@ class ClusterEngine:
                 rid = i
         if rid < 0:
             raise RuntimeError("step() called on an idle cluster")
-        if not build_info:
-            finished = self.replicas[rid].step(False)
-            if finished:
-                assignments = self._assignments
-                for req in finished:
-                    assignments.pop(req.request_id, None)
-            return finished
         info = self.replicas[rid].step()
         if info.finished:
             assignments = self._assignments
@@ -661,10 +651,11 @@ class ClusterEngine:
         """Quiet step fused with the post-step frontier probe.
 
         One call for the StepDriver's no-observer hot path: advances
-        the lagging busy replica exactly like ``step(False)``, then
-        returns :meth:`frontier` — saving a second full replica scan
-        and two method dispatches per step event. Same min-clock /
-        min-index rule, so dispatch order is byte-identical.
+        the lagging busy replica like :meth:`step`, on its quiet path
+        (no StepInfo), then returns :meth:`frontier` — saving a second
+        full replica scan and two method dispatches per step event.
+        Same min-clock / min-index rule, so dispatch order is
+        byte-identical.
         """
         replicas = self.replicas
         rid = -1

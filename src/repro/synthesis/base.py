@@ -60,7 +60,6 @@ class Synthesizer(ABC):
     @abstractmethod
     def build_plan(
         self,
-        query_id: str,
         query_tokens: int,
         chunk_tokens: Sequence[int],
         answer_tokens: int,

@@ -29,7 +29,6 @@ class MapReduceSynthesizer(Synthesizer):
 
     def build_plan(
         self,
-        query_id: str,
         query_tokens: int,
         chunk_tokens: Sequence[int],
         answer_tokens: int,
@@ -39,14 +38,13 @@ class MapReduceSynthesizer(Synthesizer):
         ilen = config.intermediate_length
         mappers = [
             LLMCall(
-                call_id=f"{query_id}/map{i}",
                 prompt_tokens=(
                     query_tokens + n + self.overheads.wrapper_tokens(1)
                 ),
                 output_tokens=ilen,
                 stage=0,
             )
-            for i, n in enumerate(chunk_tokens)
+            for n in chunk_tokens
         ]
         reduce_prompt = (
             query_tokens
@@ -54,12 +52,11 @@ class MapReduceSynthesizer(Synthesizer):
             + self.overheads.wrapper_tokens(len(chunk_tokens))
         )
         reduce_call = LLMCall(
-            call_id=f"{query_id}/reduce",
             prompt_tokens=reduce_prompt,
             output_tokens=answer_tokens,
             stage=1,
         )
-        return SynthesisPlan(query_id=query_id, calls=(*mappers, reduce_call))
+        return SynthesisPlan(calls=(*mappers, reduce_call))
 
     def estimate_footprint(
         self,

@@ -25,7 +25,6 @@ class MapRerankSynthesizer(Synthesizer):
 
     def build_plan(
         self,
-        query_id: str,
         query_tokens: int,
         chunk_tokens: Sequence[int],
         answer_tokens: int,
@@ -34,7 +33,6 @@ class MapRerankSynthesizer(Synthesizer):
         self._validate(query_tokens, chunk_tokens, answer_tokens, config)
         calls = tuple(
             LLMCall(
-                call_id=f"{query_id}/rerank{i}",
                 prompt_tokens=(
                     query_tokens + n + self.overheads.wrapper_tokens(1)
                 ),
@@ -43,9 +41,9 @@ class MapRerankSynthesizer(Synthesizer):
                 output_tokens=answer_tokens + 4,
                 stage=0,
             )
-            for i, n in enumerate(chunk_tokens)
+            for n in chunk_tokens
         )
-        return SynthesisPlan(query_id=query_id, calls=calls)
+        return SynthesisPlan(calls=calls)
 
     def estimate_footprint(
         self,

@@ -29,7 +29,6 @@ class LLMCall:
     before any call of stage *s+1* starts (mappers → reduce).
     """
 
-    call_id: str
     prompt_tokens: int
     output_tokens: int
     stage: int = 0
@@ -49,15 +48,11 @@ class LLMCall:
 class SynthesisPlan:
     """An executable DAG of LLM calls for one (query, config) pair."""
 
-    query_id: str
     calls: tuple[LLMCall, ...]
 
     def __post_init__(self) -> None:
         if not self.calls:
             raise ValueError("SynthesisPlan must contain at least one call")
-        ids = [c.call_id for c in self.calls]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate call_ids in plan: {ids}")
         stages = sorted({c.stage for c in self.calls})
         if stages != list(range(len(stages))):
             raise ValueError(f"stages must be contiguous from 0, got {stages}")

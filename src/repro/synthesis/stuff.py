@@ -24,7 +24,6 @@ class StuffSynthesizer(Synthesizer):
 
     def build_plan(
         self,
-        query_id: str,
         query_tokens: int,
         chunk_tokens: Sequence[int],
         answer_tokens: int,
@@ -37,12 +36,11 @@ class StuffSynthesizer(Synthesizer):
             + self.overheads.wrapper_tokens(len(chunk_tokens))
         )
         call = LLMCall(
-            call_id=f"{query_id}/stuff",
             prompt_tokens=prompt,
             output_tokens=answer_tokens,
             stage=0,
         )
-        return SynthesisPlan(query_id=query_id, calls=(call,))
+        return SynthesisPlan(calls=(call,))
 
     def estimate_footprint(
         self,

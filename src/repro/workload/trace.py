@@ -266,15 +266,27 @@ class Workload:
 
     @classmethod
     def from_json(cls, text: str) -> "Workload":
-        payload = json.loads(text)
-        periods = tuple(
-            WorkloadPeriod(
-                duration_s=float(p["duration_s"]),
-                n_arrivals=int(p["n_arrivals"]),
-                label=str(p.get("label", "")),
-            )
-            for p in payload.get("periods", ())
-        )
+        """Parse :meth:`to_json`'s format; malformed input raises
+        ``ValueError`` naming the offending field."""
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"not JSON ({exc})") from None
+        if not isinstance(payload, dict):
+            raise ValueError("a trace must be a JSON object")
+        periods = []
+        for i, period in enumerate(payload.get("periods", ())):
+            try:
+                periods.append(WorkloadPeriod(
+                    duration_s=float(period["duration_s"]),
+                    n_arrivals=int(period["n_arrivals"]),
+                    label=str(period.get("label", "")),
+                ))
+            except KeyError as exc:
+                raise ValueError(
+                    f"periods[{i}].{exc.args[0]} is missing") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"periods[{i}]: {exc}") from None
         return cls(
             periods=periods,
             name=str(payload.get("name", "trace")),
@@ -287,8 +299,17 @@ class Workload:
 
     @classmethod
     def load(cls, path) -> "Workload":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        """Read a trace file. A missing, unreadable or malformed file
+        raises ``ValueError`` naming the path (and the field)."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return cls.from_json(fh.read())
+        except OSError as exc:
+            raise ValueError(
+                f"trace file {os.fspath(path)!r}: {exc.strerror}") from None
+        except ValueError as exc:
+            raise ValueError(
+                f"trace file {os.fspath(path)!r}: {exc}") from None
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,6 @@ def estimate_plan(config: RAGConfig, view: SchedulingView) -> SynthesisPlan:
     shape: uniform nominal-size chunks, as the pipeline sizes them."""
     synthesizer = make_synthesizer(config.synthesis_method)
     return synthesizer.build_plan(
-        query_id="est",
         query_tokens=view.query_tokens,
         chunk_tokens=[view.chunk_tokens] * config.num_chunks,
         answer_tokens=view.answer_tokens,

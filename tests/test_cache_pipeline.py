@@ -1,8 +1,9 @@
 """Pipeline-level tests for the cache tiers: the disabled path is
 byte-identical to a cache-free run, exact hits bypass the engine while
 retrieval hits still synthesize, cached runs stay deterministic, the
-``cache`` resource only exists when a tier is on, and cluster runs
-release app pins on the hit path."""
+``cache`` resource only exists when a tier is on, cluster runs
+release app pins on the hit path, and hedging composes with both
+tiers."""
 
 from __future__ import annotations
 
@@ -11,11 +12,18 @@ import math
 import pytest
 
 from repro.baselines import FixedConfigPolicy
-from repro.caching import CACHE_INSERT_SECONDS
+from repro.caching import CACHE_INSERT_SECONDS, make_cache_config
 from repro.config.knobs import RAGConfig, SynthesisMethod
-from repro.evaluation.pipeline import CACHE_RESOURCE
+from repro.evaluation.pipeline import CACHE_RESOURCE, QueryPipeline
 from repro.evaluation.reports import cache_rows, query_group_rows
-from repro.experiments.common import run_policy
+from repro.experiments.common import (
+    default_engine_config,
+    make_metis,
+    run_policy,
+)
+from repro.llm.generation import SimulatedGenerator
+from repro.llm.quality import QualityModel
+from repro.serving import ClusterEngine, make_speculation
 from repro.util import canonical_query_id
 from repro.workload import zipfian_workload
 
@@ -175,6 +183,63 @@ class TestClusterHitPath:
         assert len(cached.records) == len(base.records)
         assert cached.cache_hit_rate > 0.0
         assert cached.mean_delay < base.mean_delay
+
+
+class TestHedgedCacheTiers:
+    """Cache hits on a hedged two-replica METIS fleet: every path that
+    opens a primary lane (retrieval hit, full miss) plans a hedge, and
+    a result hit, which opens no lane, never does."""
+
+    def _serve(self, bundle, result_cache: str | None) -> QueryPipeline:
+        pipeline = QueryPipeline(
+            bundle=bundle,
+            policy=make_metis(bundle),
+            engine=ClusterEngine(default_engine_config(), n_replicas=2,
+                                 seed=0),
+            generator=SimulatedGenerator(
+                quality=QualityModel(bundle.quality_params), root_seed=0),
+            speculation=make_speculation("hedge-after-delay",
+                                         hedge_delay=0.5),
+            cache_config=make_cache_config(result_cache=result_cache,
+                                           retrieval_cache=True),
+        )
+        # ~64 arrivals over the 30-query pool.
+        workload = zipfian_workload(n_periods=4, period_s=10.0,
+                                    pool_size=30, seed=0)
+        arrivals = workload.materialize(bundle.queries, seed=0)
+        pipeline.run(arrivals)
+        assert len(pipeline.records) == len(arrivals)
+        return pipeline
+
+    @staticmethod
+    def _assert_no_pins(pipeline: QueryPipeline) -> None:
+        for r in pipeline.records:
+            for app_id in (r.query_id, f"{r.query_id}#hedge"):
+                assert pipeline.engine.replica_of_app(app_id) is None
+
+    @pytest.mark.parametrize("result_cache", [None, "exact"])
+    def test_deterministic_and_pin_free(self, finsec_bundle, result_cache):
+        first = self._serve(finsec_bundle, result_cache)
+        second = self._serve(finsec_bundle, result_cache)
+        assert first.records == second.records
+        self._assert_no_pins(first)
+
+    def test_retrieval_hits_are_hedged(self, finsec_bundle):
+        records = self._serve(finsec_bundle, None).records
+        hits = [r for r in records if r.cache_tier == "retrieval"]
+        hedged = [r for r in hits if r.hedged]
+        assert hedged
+        assert any(r.hedge_won for r in hedged)
+
+    def test_result_hits_are_never_hedged(self, finsec_bundle):
+        records = self._serve(finsec_bundle, "exact").records
+        hits = [r for r in records if r.cache_tier == "result-exact"]
+        assert hits
+        for r in hits:
+            assert not r.hedged and not r.hedge_won
+            assert r.prefill_tokens == r.output_tokens == 0
+        assert any(r.hedged for r in records
+                   if r.cache_tier == "retrieval")
 
 
 class TestReports:

@@ -3,6 +3,7 @@
 import argparse
 import importlib
 import inspect
+import json
 import pkgutil
 
 import pytest
@@ -58,6 +59,52 @@ class TestParseConfigLabel:
     def test_malformed(self):
         with pytest.raises(ValueError, match="method/num_chunks"):
             parse_config_label("stuff")
+
+    def test_non_integer_part(self, capsys):
+        for label in ("stuff/x", "map_reduce/8/long"):
+            with pytest.raises(ValueError, match=(
+                    f"config must be method/num_chunks\\[/ilen\\], "
+                    f"got '{label}'")):
+                parse_config_label(label)
+        code = main(["run", "--dataset", "finsec", "--policy", "vllm",
+                     "--config", "stuff/x", "--queries", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: config must be method/num_chunks[/ilen], "
+            "got 'stuff/x'\n")
+
+
+class TestTraceFileErrors:
+    """A bad ``--workload`` trace file exits 2 with a one-line error
+    naming the file and, for a malformed period, the field."""
+
+    def _run(self, path, capsys) -> str:
+        code = main(["run", "--dataset", "finsec", "--policy", "metis",
+                     "--queries", "2", "--workload", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(str(path)) in err
+        return err
+
+    def test_missing_file(self, tmp_path, capsys):
+        err = self._run(tmp_path / "absent.json", capsys)
+        assert "No such file" in err
+
+    def test_not_json(self, tmp_path, capsys):
+        path = tmp_path / "trace.json"
+        path.write_text("not json\n")
+        assert "not JSON" in self._run(path, capsys)
+
+    @pytest.mark.parametrize("field", ["n_arrivals", "duration_s"])
+    def test_period_without_field(self, tmp_path, capsys, field):
+        period = {"duration_s": 10.0, "n_arrivals": 3}
+        del period[field]
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(
+            {"periods": [{"duration_s": 5.0, "n_arrivals": 1}, period]}))
+        err = self._run(path, capsys)
+        assert f"periods[1].{field} is missing" in err
 
 
 class TestBuildPolicy:

@@ -452,8 +452,8 @@ class TestRunnerIntegration:
 
     def test_scheduling_view_exposes_event_time_replica_state(
             self, finsec_bundle, engine_config):
-        """Policies see the independent replica clocks and speeds at
-        the decision instant (not a shared lockstep clock)."""
+        """Policies see each replica's own memory and speed at the
+        decision instant, with the replica clocks desynchronized."""
         from repro.evaluation.pipeline import QueryPipeline
         from repro.llm.generation import SimulatedGenerator
         from repro.llm.quality import QualityModel
@@ -475,6 +475,7 @@ class TestRunnerIntegration:
                 root_seed=0),
         )
         view = pipeline.make_view(finsec_bundle.queries[0])
-        assert view.replica_now == tuple(r.now for r in engine.replicas)
-        assert view.replica_now[0] > view.replica_now[1]
+        assert view.now == engine.now
+        assert view.replica_free_kv_bytes == tuple(
+            r.free_kv_bytes() for r in engine.replicas)
         assert view.replica_speeds == (1.0, 0.5)

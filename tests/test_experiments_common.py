@@ -129,7 +129,7 @@ class TestIsolatedServiceTime:
         config = RAGConfig(method, k,
                            ilen if method.uses_intermediate_length else 0)
         return make_synthesizer(method).build_plan(
-            "q", 30, [500] * k, 20, config)
+            30, [500] * k, 20, config)
 
     def test_positive(self):
         for method in SynthesisMethod:

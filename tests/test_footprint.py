@@ -37,7 +37,6 @@ def _materialized(config: RAGConfig, query_tokens: int, chunk_tokens: int,
                   answer_tokens: int):
     synthesizer = make_synthesizer(config.synthesis_method)
     return synthesizer.build_plan(
-        query_id="fp-test",
         query_tokens=query_tokens,
         chunk_tokens=[chunk_tokens] * config.num_chunks,
         answer_tokens=answer_tokens,
@@ -132,7 +131,7 @@ class TestFromPlanGrouping:
         config = RAGConfig(SynthesisMethod.MAP_RERANK, 4)
         synthesizer = make_synthesizer(SynthesisMethod.MAP_RERANK)
         plan = synthesizer.build_plan(
-            query_id="mixed", query_tokens=30,
+            query_tokens=30,
             chunk_tokens=[500, 500, 700, 500], answer_tokens=20,
             config=config)
         footprint = PlanFootprint.from_plan(plan)

@@ -165,11 +165,11 @@ class TestEstimatePlanSeconds:
         from repro.synthesis.plans import LLMCall, SynthesisPlan
 
         engine = ServingEngine(engine_config)
-        one = SynthesisPlan("q", (LLMCall("a", 500, 20),))
-        two = SynthesisPlan("q", (LLMCall("a", 500, 20),
-                                  LLMCall("b", 500, 20, stage=1)))
-        wide = SynthesisPlan("q", (LLMCall("a", 500, 20),
-                                   LLMCall("b", 500, 20)))
+        one = SynthesisPlan((LLMCall(500, 20),))
+        two = SynthesisPlan((LLMCall(500, 20),
+                             LLMCall(500, 20, stage=1)))
+        wide = SynthesisPlan((LLMCall(500, 20),
+                              LLMCall(500, 20)))
         s1 = estimate_plan_seconds(one, engine.cost)
         assert s1 > 0
         # Sequential stages add; parallel calls within a stage don't.

@@ -20,7 +20,7 @@ ANSWER_TOKENS = 20
 def build(method, k=3, ilen=100):
     config = RAGConfig(method, k, ilen if method.uses_intermediate_length else 0)
     return make_synthesizer(method).build_plan(
-        query_id="q", query_tokens=QUERY_TOKENS, chunk_tokens=CHUNKS,
+        query_tokens=QUERY_TOKENS, chunk_tokens=CHUNKS,
         answer_tokens=ANSWER_TOKENS, config=config,
     )
 
@@ -87,9 +87,9 @@ class TestFootprints:
         """map_reduce's schedulable unit fits where stuff's doesn't."""
         big_chunks = [2000] * 10
         stuff = make_synthesizer(SynthesisMethod.STUFF).build_plan(
-            "q", 30, big_chunks, 20, RAGConfig(SynthesisMethod.STUFF, 10))
+            30, big_chunks, 20, RAGConfig(SynthesisMethod.STUFF, 10))
         mr = make_synthesizer(SynthesisMethod.MAP_REDUCE).build_plan(
-            "q", 30, big_chunks, 20,
+            30, big_chunks, 20,
             RAGConfig(SynthesisMethod.MAP_REDUCE, 10, 100))
         assert mr.fit_tokens < stuff.fit_tokens
 
@@ -111,37 +111,32 @@ class TestValidation:
     def test_wrong_method_rejected(self):
         with pytest.raises(ValueError, match="cannot plan"):
             StuffSynthesizer().build_plan(
-                "q", 30, CHUNKS, 20,
+                30, CHUNKS, 20,
                 RAGConfig(SynthesisMethod.MAP_RERANK, 3))
 
     def test_too_many_chunks_rejected(self):
         with pytest.raises(ValueError, match="num_chunks"):
             StuffSynthesizer().build_plan(
-                "q", 30, CHUNKS, 20, RAGConfig(SynthesisMethod.STUFF, 2))
+                30, CHUNKS, 20, RAGConfig(SynthesisMethod.STUFF, 2))
 
     def test_fewer_chunks_than_config_allowed(self):
         # The store may run short; planners accept fewer chunks.
         plan = StuffSynthesizer().build_plan(
-            "q", 30, CHUNKS[:2], 20, RAGConfig(SynthesisMethod.STUFF, 10))
+            30, CHUNKS[:2], 20, RAGConfig(SynthesisMethod.STUFF, 10))
         assert len(plan.calls) == 1
 
     def test_empty_chunks_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             StuffSynthesizer().build_plan(
-                "q", 30, [], 20, RAGConfig(SynthesisMethod.STUFF, 3))
+                30, [], 20, RAGConfig(SynthesisMethod.STUFF, 3))
 
 
 class TestPlanValidation:
-    def test_duplicate_call_ids_rejected(self):
-        call = LLMCall("x", 10, 5)
-        with pytest.raises(ValueError, match="duplicate"):
-            SynthesisPlan(query_id="q", calls=(call, call))
-
     def test_non_contiguous_stages_rejected(self):
-        calls = (LLMCall("a", 10, 5, stage=0), LLMCall("b", 10, 5, stage=2))
+        calls = (LLMCall(10, 5, stage=0), LLMCall(10, 5, stage=2))
         with pytest.raises(ValueError, match="contiguous"):
-            SynthesisPlan(query_id="q", calls=calls)
+            SynthesisPlan(calls=calls)
 
     def test_empty_plan_rejected(self):
         with pytest.raises(ValueError):
-            SynthesisPlan(query_id="q", calls=())
+            SynthesisPlan(calls=())
