@@ -7,10 +7,10 @@ whole-fit, unit-fit (Fig 8) and fallback regimes — through two
 choosers:
 
 * the **fast path**: ``JointScheduler.choose`` scoring memoized
-  closed-form :class:`PlanFootprint` grids with numpy;
+  uniform-chunk ``SynthesisPlan`` grids with numpy;
 * the **reference**: ``choose_reference`` from
-  ``tests/decide_reference.py``, the original implementation that
-  materialises a full ``SynthesisPlan`` per candidate.
+  ``tests/decide_reference.py``, which builds each candidate's plan
+  and sums its cost and fit call by call in scalar loops.
 
 Both must return identical decisions (asserted here per tape entry;
 ``tests/test_decide_fastpath.py`` pins the same on a live run). The
@@ -120,7 +120,7 @@ def test_decide_micro_throughput():
     ref_per_sec = len(tape) / best_ref if best_ref > 0 else 0.0
     speedup = decisions_per_sec / ref_per_sec if ref_per_sec > 0 else 0.0
     assert speedup >= 5.0, (
-        f"fast path only {speedup:.1f}x over plan materialisation")
+        f"fast path only {speedup:.1f}x over the scalar reference")
 
     artifact = write_artifact("decide_micro.json", {
         "benchmark": "decide_micro_throughput",
@@ -134,5 +134,5 @@ def test_decide_micro_throughput():
         "fast_mode": FAST,
     })
     print(f"\ndecide micro: {decisions_per_sec:,.0f} decisions/sec "
-          f"(fast) vs {ref_per_sec:,.0f} (plan-materialising) = "
+          f"(fast) vs {ref_per_sec:,.0f} (scalar reference) = "
           f"{speedup:.1f}x -> {artifact}")

@@ -127,7 +127,7 @@ def extract_metrics(artifact_name: str, payload: dict) -> dict[str, Metric]:
             )
     elif artifact_name == "decide_micro.json":
         # Both wall-clock: absolute fast-path throughput, plus its
-        # ratio over the retained plan-materialising reference (the
+        # ratio over the scalar reference chooser in ``tests/`` (the
         # ratio is machine-dependent too, but far more stable — a
         # regression here means the fast path itself decayed).
         out["decisions_per_sec"] = (

@@ -197,21 +197,17 @@ class MetisPolicy(RAGPolicy):
                 config=pruned.most_expensive_config(), pruned_space=pruned
             )
         decision = self.scheduler.choose(pruned, view)
-        notes = {
-            "n_candidates": decision.n_candidates,
-            "n_fitting": decision.n_fitting,
-        }
+        preferred_replica = None
         if decision.fell_back:
             rescued, replica = self._cluster_rescue(pruned, view)
             if rescued is not None:
                 decision = rescued
-                notes["n_fitting"] = rescued.n_fitting
-                notes["preferred_replica"] = replica
+                preferred_replica = replica
         return Decision(
             config=decision.config,
             pruned_space=pruned,
             fell_back=decision.fell_back,
-            notes=notes,
+            preferred_replica=preferred_replica,
         )
 
     def _cluster_rescue(self, pruned: PrunedSpace, view: SchedulingView):

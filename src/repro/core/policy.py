@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import dataclasses
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.config.knobs import RAGConfig
 from repro.config.space import PrunedSpace
 from repro.core.profiles import QueryProfile
 from repro.data.types import Query
-from repro.synthesis import estimate_footprint
-from repro.synthesis.footprint import PlanFootprint
+from repro.synthesis import SynthesisPlan, estimate_footprint
 
 __all__ = ["PrepResult", "SchedulingView", "Decision", "RAGPolicy"]
 
@@ -79,9 +78,9 @@ class SchedulingView:
     #: rather than recomputed ad hoc).
     replica_outstanding: tuple[int, ...] = ()
 
-    def footprint(self, config: RAGConfig) -> PlanFootprint:
-        """Closed-form footprint of the plan ``config`` would produce
-        for this query shape (memoized; no plan object is built)."""
+    def footprint(self, config: RAGConfig) -> SynthesisPlan:
+        """The plan ``config`` would produce for this query shape, over
+        uniform nominal-size chunks (memoized per shape)."""
         return estimate_footprint(config, self.query_tokens,
                                   self.chunk_tokens, self.answer_tokens)
 
@@ -119,7 +118,9 @@ class Decision:
     pruned_space: PrunedSpace | None = None
     fell_back: bool = False
     used_recent_spaces: bool = False
-    notes: dict = field(default_factory=dict)
+    #: Replica a cluster-aware policy re-placed the query on (fallback
+    #: rescue); ``None`` keeps the router's placement.
+    preferred_replica: int | None = None
 
 
 class RAGPolicy(ABC):

@@ -15,13 +15,13 @@ optimises purely for the resource fit:
 
 **Fast path.** Sizing a candidate only ever reads aggregate token
 counts, so :meth:`JointScheduler.choose` scores the pruned grid against
-closed-form :class:`~repro.synthesis.footprint.PlanFootprint`\\ s —
-vectorized over the candidate axis with numpy — instead of
-materialising a :class:`~repro.synthesis.plans.SynthesisPlan` per
-candidate. Grids are memoized per ``(pruned space, query shape)``;
-query shapes cluster heavily across a trace, so most decisions reduce
-to two array comparisons and an argmax. Decisions are byte-identical to
-the plan-materialising reference chooser (``tests/decide_reference.py``,
+the candidates' memoized uniform-chunk
+:class:`~repro.synthesis.plans.SynthesisPlan`\\ s (one call group per
+stage), vectorized over the candidate axis with numpy. Grids are
+memoized per ``(pruned space, query shape)``; query shapes cluster
+heavily across a trace, so most decisions reduce to two array
+comparisons and an argmax. Decisions are byte-identical to the scalar
+reference chooser (``tests/decide_reference.py``,
 raced against this one by the equivalence suite and
 ``benchmarks/bench_decide_micro.py``): the float expressions keep the
 exact same association order, token counts convert to float64 exactly
@@ -39,8 +39,7 @@ import numpy as np
 from repro.config.knobs import RAGConfig, SynthesisMethod
 from repro.config.space import PrunedSpace
 from repro.core.policy import SchedulingView
-from repro.synthesis import estimate_footprint
-from repro.synthesis.footprint import PlanFootprint
+from repro.synthesis import SynthesisPlan, estimate_footprint
 from repro.util.validation import check_in_range
 
 __all__ = ["JointDecision", "JointScheduler"]
@@ -51,7 +50,7 @@ class JointDecision:
     """The scheduler's pick plus search diagnostics."""
 
     config: RAGConfig
-    footprint: PlanFootprint
+    footprint: SynthesisPlan
     fell_back: bool
     n_candidates: int
     n_fitting: int
@@ -61,7 +60,7 @@ class JointDecision:
 def _scored_grid(
     pruned: PrunedSpace, query_tokens: int, chunk_tokens: int,
     answer_tokens: int,
-) -> tuple[tuple[RAGConfig, ...], tuple[PlanFootprint, ...],
+) -> tuple[tuple[RAGConfig, ...], tuple[SynthesisPlan, ...],
            np.ndarray, np.ndarray, np.ndarray]:
     """Candidate configs, footprints and score arrays for one shape.
 

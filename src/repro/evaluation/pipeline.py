@@ -409,7 +409,7 @@ class DecideStage(_Stage):
         ex.decision = p.policy.choose(ex.query, ex.prep, view)
         # Cluster-aware policies may re-place the query on a replica
         # with more claimable memory (fallback rescue).
-        preferred = ex.decision.notes.get("preferred_replica")
+        preferred = ex.decision.preferred_replica
         if preferred is not None and p.engine.is_active(preferred):
             # A preference for a replica that started draining since
             # the view was built is dropped, not honoured: draining
@@ -446,11 +446,9 @@ class DecideStage(_Stage):
         """Ask the speculation policy when (if ever) to arm a duplicate."""
         p = self.p
         if p.speculation.needs_estimate:
-            # Closed-form footprint: bit-identical to pricing the
-            # materialised estimate plan (uniform chunks make every
-            # call in a stage identical), without building it.
-            footprint = view.footprint(ex.decision.config)
-            est_seconds = footprint.service_seconds(p.engine.cost)
+            # Priced on the memoized uniform-chunk plan of the config.
+            plan = view.footprint(ex.decision.config)
+            est_seconds = plan.service_seconds(p.engine.cost)
         else:
             est_seconds = 0.0  # pure timers never read the estimate
         ctx = HedgeContext(
@@ -684,20 +682,21 @@ class ServeStage(_Stage):
 
     def submit_stage(self, lane: Lane, t: float) -> None:
         engine = self.p.engine
-        calls = lane.plan.stage_calls(lane.stage)
-        lane.stage_remaining = len(calls)
-        for call in calls:
-            request = InferenceRequest(
-                prompt_tokens=call.prompt_tokens,
-                output_tokens=call.output_tokens,
-                arrival_time=max(t, engine.now),
-                app_id=lane.app_id,
-                stage=call.stage,
-                on_finish=lambda req, now, lane=lane: self._on_call_done(
-                    lane, req, now),
-            )
-            lane.requests.append(request)
-            engine.submit(request)
+        groups = lane.plan.stages[lane.stage]
+        lane.stage_remaining = sum(n for _, _, n in groups)
+        for prompt, output, n in groups:
+            for _ in range(n):
+                request = InferenceRequest(
+                    prompt_tokens=prompt,
+                    output_tokens=output,
+                    arrival_time=max(t, engine.now),
+                    app_id=lane.app_id,
+                    stage=lane.stage,
+                    on_finish=lambda req, now, lane=lane: self._on_call_done(
+                        lane, req, now),
+                )
+                lane.requests.append(request)
+                engine.submit(request)
 
     def _on_call_done(self, lane: Lane, request: InferenceRequest,
                       now: float) -> None:

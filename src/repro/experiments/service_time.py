@@ -18,13 +18,13 @@ __all__ = ["isolated_plan_seconds"]
 def isolated_plan_seconds(plan: SynthesisPlan, cost: RooflineCostModel) -> float:
     """Wall-clock to run ``plan`` alone on an idle engine."""
     total = 0.0
-    for stage in range(plan.n_stages):
-        calls = plan.stage_calls(stage)
-        prefill_tokens = sum(c.prompt_tokens for c in calls)
+    for groups in plan.stages:
+        prefill_tokens = sum(n * p for p, _o, n in groups)
         total += cost.prefill_seconds(prefill_tokens)
         # All calls of a stage decode together in one batch; the stage
         # ends when its longest output finishes.
-        kv = sum(c.total_tokens for c in calls)
-        longest = max(c.output_tokens for c in calls)
-        total += longest * cost.decode_step_seconds(kv, len(calls))
+        kv = sum(n * (p + o) for p, o, n in groups)
+        longest = max(o for _p, o, _n in groups)
+        n_calls = sum(n for _p, _o, n in groups)
+        total += longest * cost.decode_step_seconds(kv, n_calls)
     return total

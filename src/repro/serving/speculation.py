@@ -49,30 +49,8 @@ __all__ = [
     "HedgeAfterDelay",
     "DeadlineRisk",
     "SPECULATION_NAMES",
-    "estimate_plan_seconds",
     "make_speculation",
 ]
-
-
-def estimate_plan_seconds(plan, cost) -> float:
-    """Uncontended service-time estimate for a synthesis plan.
-
-    Per call: :meth:`~repro.llm.costs.RooflineCostModel.request_seconds`
-    (the same pricing rule feedback runs and wasted speculative work
-    are charged at, so arming estimates agree with the bill). Calls
-    within a stage run concurrently (stage time = slowest call);
-    stages are sequential. A speed-``s`` replica serves it in
-    ``estimate / s`` seconds.
-    """
-    total = 0.0
-    for stage in range(plan.n_stages):
-        stage_seconds = 0.0
-        for call in plan.stage_calls(stage):
-            seconds = cost.request_seconds(call.prompt_tokens,
-                                           call.output_tokens)
-            stage_seconds = max(stage_seconds, seconds)
-        total += stage_seconds
-    return total
 
 
 @dataclass(frozen=True)

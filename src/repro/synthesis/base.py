@@ -11,10 +11,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import groupby
 
 from repro.config.knobs import RAGConfig, SynthesisMethod
-from repro.synthesis.footprint import PlanFootprint
-from repro.synthesis.plans import SynthesisPlan
+from repro.synthesis.plans import CallGroup, SynthesisPlan
 from repro.util.validation import check_non_negative
 
 __all__ = ["PromptOverheads", "Synthesizer"]
@@ -65,7 +65,7 @@ class Synthesizer(ABC):
         answer_tokens: int,
         config: RAGConfig,
     ) -> SynthesisPlan:
-        """Build the call DAG for this method.
+        """Build the grouped call plan for this method.
 
         Args:
             query_tokens: token length of the query text.
@@ -76,38 +76,16 @@ class Synthesizer(ABC):
                 the engine decodes exactly this many tokens).
         """
 
-    @abstractmethod
-    def estimate_footprint(
-        self,
-        query_tokens: int,
-        chunk_tokens: int,
-        answer_tokens: int,
-        config: RAGConfig,
-    ) -> PlanFootprint:
-        """Closed-form footprint of the plan :meth:`build_plan` would
-        produce for ``config.num_chunks`` chunks of uniform length
-        ``chunk_tokens`` — O(1), no :class:`LLMCall` objects.
-
-        Exactness contract: for any ``(query_tokens, chunk_tokens,
-        answer_tokens, config)``, this equals ``PlanFootprint.from_plan``
-        of the materialised plan over ``[chunk_tokens] * num_chunks``,
-        integer for integer. The joint scheduler scores candidate grids
-        against these instead of building plans.
-        """
-
-    def _validate_estimate(self, query_tokens: int, chunk_tokens: int,
-                           answer_tokens: int, config: RAGConfig) -> None:
-        if config.synthesis_method is not self.method:
-            raise ValueError(
-                f"{type(self).__name__} cannot plan for "
-                f"{config.synthesis_method}"
-            )
-        if chunk_tokens <= 0:
-            raise ValueError(f"chunk_tokens must be positive, got {chunk_tokens}")
-        if query_tokens <= 0:
-            raise ValueError(f"query_tokens must be positive, got {query_tokens}")
-        if answer_tokens <= 0:
-            raise ValueError(f"answer_tokens must be positive, got {answer_tokens}")
+    def _per_chunk_calls(self, query_tokens: int,
+                         chunk_tokens: Sequence[int],
+                         output_tokens: int) -> tuple[CallGroup, ...]:
+        """One single-chunk call per chunk, in rank order, with runs of
+        equal-size consecutive chunks grouped (map stages)."""
+        wrapper = self.overheads.wrapper_tokens(1)
+        return tuple(
+            (query_tokens + n + wrapper, output_tokens, sum(1 for _ in run))
+            for n, run in groupby(chunk_tokens)
+        )
 
     def _validate(self, query_tokens: int, chunk_tokens: Sequence[int],
                   answer_tokens: int, config: RAGConfig) -> None:
@@ -123,6 +101,9 @@ class Synthesizer(ABC):
                 f"got {len(chunk_tokens)} chunks for num_chunks="
                 f"{config.num_chunks}"
             )
+        if min(chunk_tokens) <= 0:
+            raise ValueError(
+                f"chunk sizes must be positive, got {list(chunk_tokens)}")
         if query_tokens <= 0:
             raise ValueError(f"query_tokens must be positive, got {query_tokens}")
         if answer_tokens <= 0:

@@ -16,8 +16,7 @@ from collections.abc import Sequence
 
 from repro.config.knobs import RAGConfig, SynthesisMethod
 from repro.synthesis.base import Synthesizer
-from repro.synthesis.footprint import PlanFootprint
-from repro.synthesis.plans import LLMCall, SynthesisPlan
+from repro.synthesis.plans import SynthesisPlan
 
 __all__ = ["MapReduceSynthesizer"]
 
@@ -36,46 +35,11 @@ class MapReduceSynthesizer(Synthesizer):
     ) -> SynthesisPlan:
         self._validate(query_tokens, chunk_tokens, answer_tokens, config)
         ilen = config.intermediate_length
-        mappers = [
-            LLMCall(
-                prompt_tokens=(
-                    query_tokens + n + self.overheads.wrapper_tokens(1)
-                ),
-                output_tokens=ilen,
-                stage=0,
-            )
-            for n in chunk_tokens
-        ]
-        reduce_prompt = (
-            query_tokens
-            + len(chunk_tokens) * ilen
-            + self.overheads.wrapper_tokens(len(chunk_tokens))
-        )
-        reduce_call = LLMCall(
-            prompt_tokens=reduce_prompt,
-            output_tokens=answer_tokens,
-            stage=1,
-        )
-        return SynthesisPlan(calls=(*mappers, reduce_call))
-
-    def estimate_footprint(
-        self,
-        query_tokens: int,
-        chunk_tokens: int,
-        answer_tokens: int,
-        config: RAGConfig,
-    ) -> PlanFootprint:
-        self._validate_estimate(query_tokens, chunk_tokens, answer_tokens,
-                                config)
-        k = config.num_chunks
-        ilen = config.intermediate_length
-        map_prompt = (
-            query_tokens + chunk_tokens + self.overheads.wrapper_tokens(1)
-        )
+        k = len(chunk_tokens)
         reduce_prompt = (
             query_tokens + k * ilen + self.overheads.wrapper_tokens(k)
         )
-        return PlanFootprint.from_stages((
-            ((map_prompt, ilen, k),),
+        return SynthesisPlan.from_stages((
+            self._per_chunk_calls(query_tokens, chunk_tokens, ilen),
             ((reduce_prompt, answer_tokens, 1),),
         ))

@@ -11,8 +11,7 @@ from collections.abc import Sequence
 
 from repro.config.knobs import RAGConfig, SynthesisMethod
 from repro.synthesis.base import Synthesizer
-from repro.synthesis.footprint import PlanFootprint
-from repro.synthesis.plans import LLMCall, SynthesisPlan
+from repro.synthesis.plans import SynthesisPlan
 
 __all__ = ["StuffSynthesizer"]
 
@@ -35,28 +34,4 @@ class StuffSynthesizer(Synthesizer):
             + sum(chunk_tokens)
             + self.overheads.wrapper_tokens(len(chunk_tokens))
         )
-        call = LLMCall(
-            prompt_tokens=prompt,
-            output_tokens=answer_tokens,
-            stage=0,
-        )
-        return SynthesisPlan(calls=(call,))
-
-    def estimate_footprint(
-        self,
-        query_tokens: int,
-        chunk_tokens: int,
-        answer_tokens: int,
-        config: RAGConfig,
-    ) -> PlanFootprint:
-        self._validate_estimate(query_tokens, chunk_tokens, answer_tokens,
-                                config)
-        k = config.num_chunks
-        prompt = (
-            query_tokens
-            + k * chunk_tokens
-            + self.overheads.wrapper_tokens(k)
-        )
-        return PlanFootprint.from_stages(
-            (((prompt, answer_tokens, 1),),)
-        )
+        return SynthesisPlan.from_stages((((prompt, answer_tokens, 1),),))

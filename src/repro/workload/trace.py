@@ -274,6 +274,9 @@ class Workload:
             raise ValueError(f"not JSON ({exc})") from None
         if not isinstance(payload, dict):
             raise ValueError("a trace must be a JSON object")
+        for field in ("periods", "query_mix"):
+            if not isinstance(payload.get(field, []), list):
+                raise ValueError(f"{field} must be a list")
         periods = []
         for i, period in enumerate(payload.get("periods", ())):
             try:
@@ -287,10 +290,15 @@ class Workload:
                     f"periods[{i}].{exc.args[0]} is missing") from None
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"periods[{i}]: {exc}") from None
+        query_mix = payload.get("query_mix", [])
+        for i, entry in enumerate(query_mix):
+            if type(entry) is not int:
+                raise ValueError(
+                    f"query_mix[{i}] must be an integer, got {entry!r}")
         return cls(
             periods=periods,
             name=str(payload.get("name", "trace")),
-            query_mix=tuple(int(i) for i in payload.get("query_mix", ())),
+            query_mix=tuple(query_mix),
         )
 
     def save(self, path) -> None:

@@ -1,10 +1,11 @@
-"""Plan-materialising reference for ``JointScheduler.choose``.
+"""Scalar reference for ``JointScheduler.choose``.
 
-The pre-fast-path chooser, kept as the oracle the fast path is raced
-against: it builds a full :class:`~repro.synthesis.plans.SynthesisPlan`
-per candidate and scores it with scalar loops, where
-``JointScheduler.choose`` scores memoized closed-form footprints with
-numpy. The two must agree decision for decision — pinned by
+The oracle the fast path is raced against. Per candidate it builds the
+synthesis plan over uniform nominal-size chunks, expands it into one
+``(prompt, output)`` pair per LLM call, and computes ``cost_tokens``
+and ``fit_tokens`` with its own scalar loops, where
+``JointScheduler.choose`` scores the plans' memoized scalar footprints
+with numpy. The two must agree decision for decision — pinned by
 ``tests/test_decide_fastpath.py`` and ``tests/test_scheduler.py``, and
 raced for speed by ``benchmarks/bench_decide_micro.py``.
 
@@ -18,9 +19,7 @@ from repro.config.knobs import RAGConfig
 from repro.config.space import PrunedSpace
 from repro.core.policy import SchedulingView
 from repro.core.scheduler import JointDecision, JointScheduler
-from repro.synthesis import make_synthesizer
-from repro.synthesis.footprint import PlanFootprint
-from repro.synthesis.plans import SynthesisPlan
+from repro.synthesis import SynthesisPlan, make_synthesizer
 
 __all__ = ["choose_reference", "estimate_plan"]
 
@@ -35,6 +34,19 @@ def estimate_plan(config: RAGConfig, view: SchedulingView) -> SynthesisPlan:
         answer_tokens=view.answer_tokens,
         config=config,
     )
+
+
+def _cost_and_fit(plan: SynthesisPlan) -> tuple[int, int]:
+    """``(cost_tokens, fit_tokens)`` summed call by call over the
+    plan's expansion, without its precomputed scalars."""
+    cost = 0
+    fit = 0
+    for groups in plan.stages:
+        for prompt, output, n in groups:
+            for _ in range(n):
+                cost += prompt + output
+                fit = max(fit, prompt + output)
+    return cost, fit
 
 
 def _fits(scheduler: JointScheduler, tokens: int,
@@ -54,10 +66,10 @@ def choose_reference(scheduler: JointScheduler, pruned: PrunedSpace,
     """What ``scheduler.choose(pruned, view)`` must return, computed the
     slow way: whole-plan fit first (max cost, or the quality-SLO gated
     min cost), then unit fit (min cost), then the fallback config."""
-    candidates = [
-        (config, estimate_plan(config, view))
-        for config in pruned.enumerate()
-    ]
+    candidates = []
+    for config in pruned.enumerate():
+        plan = estimate_plan(config, view)
+        candidates.append((config, plan, *_cost_and_fit(plan)))
     n_candidates = len(candidates)
 
     best: tuple[int, RAGConfig, SynthesisPlan] | None = None
@@ -69,39 +81,38 @@ def choose_reference(scheduler: JointScheduler, pruned: PrunedSpace,
         # the earliest strict winner, like argmin.
         floor = scheduler._chunk_floor(pruned)
         gated_best: tuple[int, RAGConfig, SynthesisPlan] | None = None
-        for config, plan in candidates:
-            if not _fits(scheduler, plan.cost_tokens, view):
+        for config, plan, cost, _fit in candidates:
+            if not _fits(scheduler, cost, view):
                 continue
             n_fitting += 1
-            if best is None or plan.cost_tokens < best[0]:
-                best = (plan.cost_tokens, config, plan)
+            if best is None or cost < best[0]:
+                best = (cost, config, plan)
             if config.num_chunks >= floor and (
-                    gated_best is None
-                    or plan.cost_tokens < gated_best[0]):
-                gated_best = (plan.cost_tokens, config, plan)
+                    gated_best is None or cost < gated_best[0]):
+                gated_best = (cost, config, plan)
         if gated_best is not None:
             best = gated_best
     else:
-        for config, plan in candidates:
-            if not _fits(scheduler, plan.cost_tokens, view):
+        for config, plan, cost, _fit in candidates:
+            if not _fits(scheduler, cost, view):
                 continue
             n_fitting += 1
-            if best is None or plan.cost_tokens > best[0]:
-                best = (plan.cost_tokens, config, plan)
+            if best is None or cost > best[0]:
+                best = (cost, config, plan)
 
     if best is None:
-        for config, plan in candidates:
-            if not _fits(scheduler, plan.fit_tokens, view):
+        for config, plan, cost, fit in candidates:
+            if not _fits(scheduler, fit, view):
                 continue
             n_fitting += 1
-            if best is None or plan.cost_tokens < best[0]:
-                best = (plan.cost_tokens, config, plan)
+            if best is None or cost < best[0]:
+                best = (cost, config, plan)
 
     if best is not None:
         _, config, plan = best
         return JointDecision(
             config=config,
-            footprint=PlanFootprint.from_plan(plan),
+            footprint=plan,
             fell_back=False,
             n_candidates=n_candidates,
             n_fitting=n_fitting,
@@ -109,7 +120,7 @@ def choose_reference(scheduler: JointScheduler, pruned: PrunedSpace,
     config = scheduler._fallback_config(pruned, view)
     return JointDecision(
         config=config,
-        footprint=PlanFootprint.from_plan(estimate_plan(config, view)),
+        footprint=estimate_plan(config, view),
         fell_back=True,
         n_candidates=n_candidates,
         n_fitting=0,

@@ -106,6 +106,19 @@ class TestTraceFileErrors:
         err = self._run(path, capsys)
         assert f"periods[1].{field} is missing" in err
 
+    @pytest.mark.parametrize("payload, named", [
+        ({"periods": 5}, "periods must be a list"),
+        ({"periods": {"duration_s": 5.0}}, "periods must be a list"),
+        ({"periods": [], "query_mix": 3}, "query_mix must be a list"),
+        ({"periods": [], "query_mix": [0, "x"]}, "query_mix[1]"),
+        ({"periods": [], "query_mix": [1.5]}, "query_mix[0]"),
+    ], ids=["periods-int", "periods-object", "mix-int", "mix-str",
+            "mix-float"])
+    def test_field_of_wrong_type(self, tmp_path, capsys, payload, named):
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(payload))
+        assert named in self._run(path, capsys)
+
 
 class TestBuildPolicy:
     def test_named_policies(self, finsec_bundle):

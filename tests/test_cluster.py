@@ -301,7 +301,7 @@ class TestControllerClusterMode:
         view = make_cluster_view((0, 1_000_000), routed=0)
         decision = policy.choose(finsec_bundle.queries[0], prep(), view)
         assert not decision.fell_back
-        assert decision.notes["preferred_replica"] == 1
+        assert decision.preferred_replica == 1
         assert decision.pruned_space.contains(decision.config)
 
     def test_no_rescue_when_disabled(self, finsec_bundle):
@@ -309,21 +309,21 @@ class TestControllerClusterMode:
         view = make_cluster_view((0, 1_000_000), routed=0)
         decision = policy.choose(finsec_bundle.queries[0], prep(), view)
         assert decision.fell_back
-        assert "preferred_replica" not in decision.notes
+        assert decision.preferred_replica is None
 
     def test_no_rescue_when_every_replica_starved(self, finsec_bundle):
         policy = metis()
         view = make_cluster_view((0, 0, 0), routed=1)
         decision = policy.choose(finsec_bundle.queries[0], prep(), view)
         assert decision.fell_back
-        assert "preferred_replica" not in decision.notes
+        assert decision.preferred_replica is None
 
     def test_no_rescue_on_single_replica_view(self, finsec_bundle):
         policy = metis()
         view = make_cluster_view((0,), routed=0)
         decision = policy.choose(finsec_bundle.queries[0], prep(), view)
         assert decision.fell_back
-        assert "preferred_replica" not in decision.notes
+        assert decision.preferred_replica is None
 
     def test_plain_view_unaffected(self, finsec_bundle):
         """Bare-engine views take the exact pre-cluster path."""
@@ -332,7 +332,7 @@ class TestControllerClusterMode:
         decision = policy.choose(finsec_bundle.queries[0], prep(),
                                  make_view(1e6))
         assert not decision.fell_back
-        assert "preferred_replica" not in decision.notes
+        assert decision.preferred_replica is None
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """The decision-plane fast path changes no decision.
 
-``JointScheduler.choose`` scores closed-form footprints with numpy;
-``decide_reference.choose_reference`` is the original plan-materialising
-implementation, kept verbatim. This suite races both on every decision
-of a real METIS run (the same ``(pruned, view)`` pairs, at the same
-instants, under load-driven memory pressure) and on synthetic corner
-cases, pinning that ``(config, fell_back, n_candidates, n_fitting)``
-and the footprints agree everywhere.
+``JointScheduler.choose`` scores memoized plan footprints with numpy;
+``decide_reference.choose_reference`` recomputes each candidate's cost
+and fit call by call with scalar loops. This suite races both on every
+decision of a real METIS run (the same ``(pruned, view)`` pairs, at the
+same instants, under load-driven memory pressure) and on synthetic
+corner cases, pinning that ``(config, fell_back, n_candidates,
+n_fitting)`` and the footprints agree everywhere.
 """
 
 import pytest

@@ -24,7 +24,6 @@ from repro.serving.speculation import (
     HedgeContext,
     NoSpeculation,
     SPECULATION_NAMES,
-    estimate_plan_seconds,
     make_speculation,
 )
 from repro.sim import EventLoop, Lease, Resource
@@ -161,20 +160,22 @@ class TestMakeSpeculation:
 
 
 class TestEstimatePlanSeconds:
-    def test_stages_sum_calls_max(self, engine_config):
-        from repro.synthesis.plans import LLMCall, SynthesisPlan
+    """``SynthesisPlan.service_seconds``, the deadline-risk estimate."""
 
-        engine = ServingEngine(engine_config)
-        one = SynthesisPlan((LLMCall(500, 20),))
-        two = SynthesisPlan((LLMCall(500, 20),
-                             LLMCall(500, 20, stage=1)))
-        wide = SynthesisPlan((LLMCall(500, 20),
-                              LLMCall(500, 20)))
-        s1 = estimate_plan_seconds(one, engine.cost)
+    def test_stages_sum_calls_max(self, engine_config):
+        from repro.synthesis import SynthesisPlan
+
+        cost = ServingEngine(engine_config).cost
+        one = SynthesisPlan.from_stages((((500, 20, 1),),))
+        two = SynthesisPlan.from_stages((((500, 20, 1),), ((500, 20, 1),)))
+        wide = SynthesisPlan.from_stages((((500, 20, 2),),))
+        split = SynthesisPlan.from_stages((((500, 20, 1), (300, 10, 1)),))
+        s1 = one.service_seconds(cost)
         assert s1 > 0
         # Sequential stages add; parallel calls within a stage don't.
-        assert estimate_plan_seconds(two, engine.cost) == pytest.approx(2 * s1)
-        assert estimate_plan_seconds(wide, engine.cost) == pytest.approx(s1)
+        assert two.service_seconds(cost) == pytest.approx(2 * s1)
+        assert wide.service_seconds(cost) == pytest.approx(s1)
+        assert split.service_seconds(cost) == s1
 
 
 # ----------------------------------------------------------------------

@@ -1,54 +1,87 @@
 """Unit tests for synthesis planners and plan footprints."""
 
+import random
+
 import pytest
 
 from repro.config.knobs import RAGConfig, SynthesisMethod
+from repro.llm.costs import RooflineCostModel
+from repro.llm.gpu import A40, ClusterSpec
+from repro.llm.model import MISTRAL_7B_AWQ
 from repro.synthesis import (
     MapReduceSynthesizer,
     MapRerankSynthesizer,
     PromptOverheads,
     StuffSynthesizer,
+    SynthesisPlan,
     make_synthesizer,
 )
-from repro.synthesis.plans import LLMCall, SynthesisPlan
 
 CHUNKS = [400, 420, 380]
 QUERY_TOKENS = 30
 ANSWER_TOKENS = 20
+METHODS = tuple(SynthesisMethod)
 
 
-def build(method, k=3, ilen=100):
+def build(method, k=3, ilen=100, chunks=CHUNKS):
     config = RAGConfig(method, k, ilen if method.uses_intermediate_length else 0)
     return make_synthesizer(method).build_plan(
-        query_tokens=QUERY_TOKENS, chunk_tokens=CHUNKS,
+        query_tokens=QUERY_TOKENS, chunk_tokens=chunks,
         answer_tokens=ANSWER_TOKENS, config=config,
     )
+
+
+def expand(plan: SynthesisPlan) -> list[tuple[int, int, int]]:
+    """One ``(prompt_tokens, output_tokens, stage)`` per call, in the
+    order the pipeline submits them."""
+    return [
+        (prompt, output, stage)
+        for stage, groups in enumerate(plan.stages)
+        for prompt, output, n in groups
+        for _ in range(n)
+    ]
+
+
+def per_call(method, query_tokens, chunks, answer_tokens, ilen):
+    """Each method's calls written out one by one, independently of the
+    planners' grouping."""
+    over = PromptOverheads()
+    k = len(chunks)
+    if method is SynthesisMethod.STUFF:
+        return [(query_tokens + sum(chunks) + over.wrapper_tokens(k),
+                 answer_tokens, 0)]
+    single = [query_tokens + n + over.wrapper_tokens(1) for n in chunks]
+    if method is SynthesisMethod.MAP_RERANK:
+        return [(p, answer_tokens + 4, 0) for p in single]
+    return [(p, ilen, 0) for p in single] + [
+        (query_tokens + k * ilen + over.wrapper_tokens(k), answer_tokens, 1)
+    ]
 
 
 class TestStuff:
     def test_single_call(self):
         plan = build(SynthesisMethod.STUFF)
-        assert len(plan.calls) == 1
+        assert plan.n_calls == 1
         assert plan.n_stages == 1
 
     def test_prompt_includes_everything(self):
         plan = build(SynthesisMethod.STUFF)
-        call = plan.calls[0]
+        ((prompt, output, _),) = expand(plan)
         overhead = PromptOverheads().wrapper_tokens(3)
-        assert call.prompt_tokens == QUERY_TOKENS + sum(CHUNKS) + overhead
-        assert call.output_tokens == ANSWER_TOKENS
+        assert prompt == QUERY_TOKENS + sum(CHUNKS) + overhead
+        assert output == ANSWER_TOKENS
 
 
 class TestMapRerank:
     def test_one_call_per_chunk_single_stage(self):
         plan = build(SynthesisMethod.MAP_RERANK)
-        assert len(plan.calls) == 3
+        assert plan.n_calls == 3
         assert plan.n_stages == 1
 
     def test_each_call_sees_one_chunk(self):
         plan = build(SynthesisMethod.MAP_RERANK)
-        for call, n in zip(plan.calls, CHUNKS):
-            assert call.prompt_tokens == (
+        for (prompt, _, _), n in zip(expand(plan), CHUNKS, strict=True):
+            assert prompt == (
                 QUERY_TOKENS + n + PromptOverheads().wrapper_tokens(1)
             )
 
@@ -56,20 +89,19 @@ class TestMapRerank:
 class TestMapReduce:
     def test_mappers_plus_reduce(self):
         plan = build(SynthesisMethod.MAP_REDUCE, ilen=100)
-        assert len(plan.calls) == 4
+        assert plan.n_calls == 4
         assert plan.n_stages == 2
-        assert len(plan.stage_calls(0)) == 3
-        assert len(plan.stage_calls(1)) == 1
+        assert [stage for _, _, stage in expand(plan)] == [0, 0, 0, 1]
 
     def test_mapper_outputs_are_ilen(self):
         plan = build(SynthesisMethod.MAP_REDUCE, ilen=77)
-        for call in plan.stage_calls(0):
-            assert call.output_tokens == 77
+        assert {output for _, output, _ in plan.stages[0]} == {77}
 
     def test_reduce_prompt_holds_summaries(self):
         plan = build(SynthesisMethod.MAP_REDUCE, ilen=100)
-        reduce_call = plan.stage_calls(1)[0]
-        assert reduce_call.prompt_tokens == (
+        ((prompt, _, n),) = plan.stages[1]
+        assert n == 1
+        assert prompt == (
             QUERY_TOKENS + 3 * 100 + PromptOverheads().wrapper_tokens(3)
         )
 
@@ -95,16 +127,91 @@ class TestFootprints:
 
     def test_prefill_totals(self):
         plan = build(SynthesisMethod.MAP_REDUCE)
-        assert plan.total_prefill_tokens == sum(c.prompt_tokens
-                                                for c in plan.calls)
-        assert plan.total_output_tokens == sum(c.output_tokens
-                                               for c in plan.calls)
+        calls = expand(plan)
+        assert plan.total_prefill_tokens == sum(p for p, _, _ in calls)
+        assert plan.total_output_tokens == sum(o for _, o, _ in calls)
 
     def test_stage_peak(self):
         plan = build(SynthesisMethod.MAP_REDUCE)
-        stage0 = sum(c.total_tokens for c in plan.stage_calls(0))
-        stage1 = sum(c.total_tokens for c in plan.stage_calls(1))
-        assert plan.stage_peak_tokens == max(stage0, stage1)
+        stage_totals = [sum(p + o for p, o, s in expand(plan) if s == stage)
+                        for stage in range(plan.n_stages)]
+        assert plan.stage_peak_tokens == max(stage_totals)
+
+
+class TestCallOrder:
+    """The grouped plan is the call sequence the engine is sent: runs
+    of identical consecutive calls, never merged across a gap, because
+    the pipeline submits groups in order and admission order shapes
+    the records."""
+
+    @staticmethod
+    def _chunk_lists(seed):
+        rng = random.Random(seed)
+        # Repeats that are not adjacent, from the grouping example on.
+        lists = [[500, 500, 700, 500], [500, 700, 500, 700, 700]]
+        for _ in range(60):
+            lists.append([rng.choice((300, 500, 700))
+                          for _ in range(rng.randint(1, 16))])
+        return lists
+
+    @staticmethod
+    def _config(method, k, ilen=120):
+        return RAGConfig(method, k,
+                         ilen if method.uses_intermediate_length else 0)
+
+    @pytest.mark.parametrize("method", METHODS, ids=str)
+    def test_stages_expand_to_per_call_formula(self, method):
+        for chunks in self._chunk_lists(f"order-{method}"):
+            config = self._config(method, len(chunks))
+            plan = make_synthesizer(method).build_plan(
+                QUERY_TOKENS, chunks, ANSWER_TOKENS, config)
+            assert expand(plan) == per_call(
+                method, QUERY_TOKENS, chunks, ANSWER_TOKENS,
+                config.intermediate_length), chunks
+            for groups in plan.stages:
+                # Run-length: neighbouring groups never share a shape.
+                shapes = [(p, o) for p, o, _ in groups]
+                assert all(a != b for a, b in zip(shapes, shapes[1:]))
+
+    def test_run_length_groups_keep_call_order(self):
+        plan = build(SynthesisMethod.MAP_RERANK, k=4,
+                     chunks=[500, 500, 700, 500])
+        wrapper = PromptOverheads().wrapper_tokens(1)
+        out = ANSWER_TOKENS + 4
+        assert plan.stages == ((
+            (QUERY_TOKENS + 500 + wrapper, out, 2),
+            (QUERY_TOKENS + 700 + wrapper, out, 1),
+            (QUERY_TOKENS + 500 + wrapper, out, 1),
+        ),)
+        assert plan.n_calls == 4
+
+    @pytest.mark.parametrize("method", METHODS, ids=str)
+    def test_uniform_chunks_one_group_per_stage(self, method):
+        rng = random.Random(f"uniform-{method}")
+        for k in range(1, 33):
+            chunks = [rng.randint(1, 2000)] * k
+            plan = make_synthesizer(method).build_plan(
+                QUERY_TOKENS, chunks, ANSWER_TOKENS,
+                self._config(method, k))
+            assert all(len(groups) == 1 for groups in plan.stages)
+
+    @pytest.mark.parametrize("method", METHODS, ids=str)
+    def test_service_seconds_is_per_call_max_then_sum(self, method):
+        cost = RooflineCostModel(MISTRAL_7B_AWQ, ClusterSpec(A40))
+        for chunks in self._chunk_lists(f"seconds-{method}"):
+            plan = make_synthesizer(method).build_plan(
+                QUERY_TOKENS, chunks, ANSWER_TOKENS,
+                self._config(method, len(chunks)))
+            calls = expand(plan)
+            expected = 0.0
+            for stage in range(plan.n_stages):
+                slowest = 0.0
+                for prompt, output, s in calls:
+                    if s == stage:
+                        slowest = max(slowest,
+                                      cost.request_seconds(prompt, output))
+                expected += slowest
+            assert plan.service_seconds(cost) == expected
 
 
 class TestValidation:
@@ -123,20 +230,34 @@ class TestValidation:
         # The store may run short; planners accept fewer chunks.
         plan = StuffSynthesizer().build_plan(
             30, CHUNKS[:2], 20, RAGConfig(SynthesisMethod.STUFF, 10))
-        assert len(plan.calls) == 1
+        assert plan.n_calls == 1
 
     def test_empty_chunks_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             StuffSynthesizer().build_plan(
                 30, [], 20, RAGConfig(SynthesisMethod.STUFF, 3))
 
+    @pytest.mark.parametrize("synthesizer", [
+        StuffSynthesizer(), MapRerankSynthesizer(), MapReduceSynthesizer(),
+    ], ids=lambda s: str(s.method))
+    def test_non_positive_sizes_rejected(self, synthesizer):
+        config = RAGConfig(synthesizer.method, 3,
+                           100 if synthesizer.method.uses_intermediate_length
+                           else 0)
+        for q, chunks, a in [(30, [400, 0, 380], 20), (0, CHUNKS, 20),
+                             (30, CHUNKS, 0)]:
+            with pytest.raises(ValueError, match="positive"):
+                synthesizer.build_plan(q, chunks, a, config)
+
 
 class TestPlanValidation:
     def test_non_contiguous_stages_rejected(self):
-        calls = (LLMCall(10, 5, stage=0), LLMCall(10, 5, stage=2))
+        # Calls in stages 0 and 2 only: stage 1 is empty.
         with pytest.raises(ValueError, match="contiguous"):
-            SynthesisPlan(calls=calls)
+            SynthesisPlan.from_stages((((10, 5, 1),), (), ((10, 5, 1),)))
 
     def test_empty_plan_rejected(self):
         with pytest.raises(ValueError):
-            SynthesisPlan(calls=())
+            SynthesisPlan.from_stages(())
+        with pytest.raises(ValueError, match="positive"):
+            SynthesisPlan.from_stages((((10, 5, 0),),))
