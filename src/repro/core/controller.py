@@ -10,18 +10,26 @@ the same controller rather than separate code paths.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.config.knobs import RAGConfig, SynthesisMethod
 from repro.config.space import PrunedSpace
-from repro.core.feedback import FeedbackConfig, FeedbackLoop
+from repro.core.feedback import FeedbackLoop
 from repro.core.mapping import map_profile_to_space
 from repro.core.policy import Decision, PrepResult, RAGPolicy, SchedulingView
 from repro.core.profiler import GPT4O_PROFILER, LLMProfiler, ProfilerModelSpec
 from repro.data.types import Query
-from repro.util.validation import check_probability
 
-__all__ = ["MetisConfig", "MetisPolicy"]
+__all__ = ["CONFIDENCE_THRESHOLD", "MetisConfig", "MetisPolicy"]
+
+#: Profiles at or above this confidence are trusted and remembered;
+#: below it the controller reuses the recent pruned spaces (§5).
+CONFIDENCE_THRESHOLD = 0.90
+#: How many confident pruned spaces the low-confidence path merges.
+RECENT_SPACES = 10
+#: Values used when a knob's adaptation is disabled (Fig 16).
+FIXED_NUM_CHUNKS = 20
+FIXED_INTERMEDIATE_LENGTH = 100
 
 
 @dataclass(frozen=True)
@@ -29,32 +37,19 @@ class MetisConfig:
     """Controller configuration (defaults = the full METIS system)."""
 
     profiler_spec: ProfilerModelSpec = GPT4O_PROFILER
-    confidence_threshold: float = 0.90
-    recent_spaces: int = 10
-    memory_buffer_frac: float = 0.02
     chunk_slack: float = 3.0
     ilen_steps: int = 4
     # Refinements (§5).
     enable_confidence_fallback: bool = True
     enable_feedback: bool = False
-    feedback: FeedbackConfig = field(default_factory=FeedbackConfig)
     # Ablation switches (Fig 12 / Fig 16).
     adapt_num_chunks: bool = True
     adapt_synthesis: bool = True
     adapt_intermediate_length: bool = True
     memory_aware: bool = True
-    #: Cluster mode: when serving behind a multi-replica cluster and the
-    #: routed replica cannot fit any pruned configuration, re-place the
-    #: query on the replica with the most claimable KV memory instead of
-    #: falling back to a degraded configuration. No-op on single-replica
-    #: views.
-    cluster_aware: bool = True
     #: "best_fit" (METIS), "median" (strawman of §4.3) or "max"
     #: (quality-maximising, what AdaptiveRAG*-style tuners do).
     selection_mode: str = "best_fit"
-    #: Values used when a knob's adaptation is disabled.
-    fixed_num_chunks: int = 20
-    fixed_intermediate_length: int = 100
     #: Quality SLO to target ("metric>=value" or a parsed
     #: :class:`~repro.evaluation.metrics.QualitySLO`): the joint
     #: scheduler then picks the *cheapest* in-range fitting
@@ -63,7 +58,6 @@ class MetisConfig:
     quality_slo: object = None
 
     def __post_init__(self) -> None:
-        check_probability("confidence_threshold", self.confidence_threshold)
         if isinstance(self.quality_slo, str):
             from repro.evaluation.metrics import QualitySLO
 
@@ -75,8 +69,6 @@ class MetisConfig:
             raise ValueError(
                 f"unknown selection_mode: {self.selection_mode!r}"
             )
-        if self.recent_spaces < 1:
-            raise ValueError(f"recent_spaces must be >= 1, got {self.recent_spaces}")
 
 
 class MetisPolicy(RAGPolicy):
@@ -99,17 +91,15 @@ class MetisPolicy(RAGPolicy):
         self.profiler = LLMProfiler(
             self.config.profiler_spec, metadata_tokens, seed=seed
         )
-        self.scheduler = JointScheduler(self.config.memory_buffer_frac,
-                                        quality_slo=self.config.quality_slo)
+        self.scheduler = JointScheduler(quality_slo=self.config.quality_slo)
         self.feedback: FeedbackLoop | None = None
         if self.config.enable_feedback:
             self.feedback = FeedbackLoop(
                 profiler=self.profiler,
-                config=self.config.feedback,
                 chunk_tokens=chunk_tokens,
             )
         self._recent_spaces: deque[PrunedSpace] = deque(
-            maxlen=self.config.recent_spaces
+            maxlen=RECENT_SPACES
         )
         self._queries_by_id: dict[str, Query] = {}
 
@@ -134,7 +124,7 @@ class MetisPolicy(RAGPolicy):
         used_recent = False
         if (
             self.config.enable_confidence_fallback
-            and profile.confidence < self.config.confidence_threshold
+            and profile.confidence < CONFIDENCE_THRESHOLD
             and self._recent_spaces
         ):
             # Low-confidence profile: reuse the pruned spaces of the
@@ -147,7 +137,7 @@ class MetisPolicy(RAGPolicy):
                 chunk_slack=self.config.chunk_slack,
                 ilen_steps=self.config.ilen_steps,
             )
-            if profile.confidence >= self.config.confidence_threshold:
+            if profile.confidence >= CONFIDENCE_THRESHOLD:
                 self._recent_spaces.append(pruned)
 
         pruned = self._apply_knob_switches(pruned)
@@ -177,9 +167,9 @@ class MetisPolicy(RAGPolicy):
         if not cfg.adapt_synthesis:
             methods = (SynthesisMethod.STUFF,)
         if not cfg.adapt_num_chunks:
-            chunks = (cfg.fixed_num_chunks, cfg.fixed_num_chunks)
+            chunks = (FIXED_NUM_CHUNKS, FIXED_NUM_CHUNKS)
         if not cfg.adapt_intermediate_length:
-            ilen = (cfg.fixed_intermediate_length, cfg.fixed_intermediate_length)
+            ilen = (FIXED_INTERMEDIATE_LENGTH, FIXED_INTERMEDIATE_LENGTH)
         return PrunedSpace(
             methods=methods,
             num_chunks_range=chunks,
@@ -217,9 +207,10 @@ class MetisPolicy(RAGPolicy):
         prune already happened against the routed replica's memory; if
         even the fallback path triggered there, a sibling replica with
         more claimable KV can often serve an in-range configuration.
+        A no-op on single-replica views.
         Returns ``(decision, replica_id)`` or ``(None, None)``.
         """
-        if not self.config.cluster_aware or view.n_replicas < 2:
+        if view.n_replicas < 2:
             return None, None
         best = view.best_replica()
         if best == view.replica_id:

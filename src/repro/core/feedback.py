@@ -1,10 +1,11 @@
 """Golden-configuration feedback for the profiler (§5).
 
-Every ``every``-th query, METIS runs the most resource-demanding
-configuration (``map_reduce`` with 30 chunks and 300-token summaries)
-to obtain the most accurate achievable answer, then shows the profiler
-LLM the query together with that golden answer as a feedback prompt.
-Only the last ``keep`` feedback prompts are retained (prompt budget).
+Every :data:`FEEDBACK_EVERY`-th query, METIS runs the most
+resource-demanding configuration (``map_reduce`` with 30 chunks and
+300-token summaries) to obtain the most accurate achievable answer,
+then shows the profiler LLM the query together with that golden answer
+as a feedback prompt. Only the last :data:`FEEDBACK_KEEP` feedback
+prompts are retained (prompt budget).
 
 The simulator models the *effect* of the retained prompts as an
 accuracy bonus on the profiler, and accounts the golden run's token
@@ -21,31 +22,17 @@ from repro.config.knobs import RAGConfig, SynthesisMethod
 from repro.core.profiler import LLMProfiler
 from repro.data.types import Query
 
-__all__ = ["FeedbackConfig", "FeedbackEvent", "FeedbackLoop", "GOLDEN_CONFIG"]
+__all__ = ["FeedbackEvent", "FeedbackLoop", "GOLDEN_CONFIG"]
 
 #: The paper's golden configuration: map_reduce, 30 chunks, 300-token
 #: intermediate summaries.
 GOLDEN_CONFIG = RAGConfig(SynthesisMethod.MAP_REDUCE, 30, 300)
-
-
-@dataclass(frozen=True)
-class FeedbackConfig:
-    """Feedback cadence and strength."""
-
-    every: int = 30
-    keep: int = 4
-    accuracy_boost_per_prompt: float = 0.018
-
-    def __post_init__(self) -> None:
-        if self.every < 1:
-            raise ValueError(f"every must be >= 1, got {self.every}")
-        if self.keep < 1:
-            raise ValueError(f"keep must be >= 1, got {self.keep}")
-        if not 0.0 <= self.accuracy_boost_per_prompt <= 0.1:
-            raise ValueError(
-                "accuracy_boost_per_prompt must be in [0, 0.1], "
-                f"got {self.accuracy_boost_per_prompt}"
-            )
+#: A golden run fires on every this-many-th completed query.
+FEEDBACK_EVERY = 30
+#: Feedback prompts retained (the oldest is dropped beyond this).
+FEEDBACK_KEEP = 4
+#: Profiler accuracy bonus per retained feedback prompt.
+ACCURACY_BOOST_PER_PROMPT = 0.018
 
 
 @dataclass(frozen=True)
@@ -63,7 +50,6 @@ class FeedbackLoop:
     """Counts queries, fires golden runs, boosts the profiler."""
 
     profiler: LLMProfiler
-    config: FeedbackConfig = field(default_factory=FeedbackConfig)
     chunk_tokens: int = 512
     _count: int = 0
     _prompts: list[str] = field(default_factory=list)
@@ -72,13 +58,13 @@ class FeedbackLoop:
     def on_query_complete(self, query: Query) -> FeedbackEvent | None:
         """Register a completion; maybe fire a feedback event."""
         self._count += 1
-        if self._count % self.config.every != 0:
+        if self._count % FEEDBACK_EVERY != 0:
             return None
         self._prompts.append(query.query_id)
-        if len(self._prompts) > self.config.keep:
+        if len(self._prompts) > FEEDBACK_KEEP:
             self._prompts.pop(0)
         self.profiler.set_accuracy_boost(
-            len(self._prompts) * self.config.accuracy_boost_per_prompt
+            len(self._prompts) * ACCURACY_BOOST_PER_PROMPT
         )
         golden = GOLDEN_CONFIG
         prefill = golden.num_chunks * (

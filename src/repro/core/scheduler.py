@@ -40,9 +40,12 @@ from repro.config.knobs import RAGConfig, SynthesisMethod
 from repro.config.space import PrunedSpace
 from repro.core.policy import SchedulingView
 from repro.synthesis import SynthesisPlan, estimate_footprint
-from repro.util.validation import check_in_range
 
-__all__ = ["JointDecision", "JointScheduler"]
+__all__ = ["JointDecision", "JointScheduler", "MEMORY_BUFFER_FRAC"]
+
+#: Head-room on every fit test: a configuration fits when its KV
+#: footprint times ``1.0 + MEMORY_BUFFER_FRAC`` fits (§4.3's 2%).
+MEMORY_BUFFER_FRAC = 0.02
 
 
 @dataclass(frozen=True)
@@ -103,10 +106,7 @@ class JointScheduler:
     the byte-identical schedule.
     """
 
-    def __init__(self, memory_buffer_frac: float = 0.02,
-                 quality_slo=None) -> None:
-        check_in_range("memory_buffer_frac", memory_buffer_frac, 0.0, 0.5)
-        self.memory_buffer_frac = memory_buffer_frac
+    def __init__(self, quality_slo=None) -> None:
         if isinstance(quality_slo, str):
             from repro.evaluation.metrics import QualitySLO
 
@@ -134,7 +134,7 @@ class JointScheduler:
         )
         n_candidates = len(configs)
         kv = view.kv_bytes_per_token
-        buffered = 1.0 + self.memory_buffer_frac
+        buffered = 1.0 + MEMORY_BUFFER_FRAC
         available = view.available_kv_bytes
 
         # Same association order as the scalar expression
@@ -214,7 +214,7 @@ class JointScheduler:
         joint = SynthesisMethod.MAP_RERANK not in pruned.methods
         lo, hi = pruned.num_chunks_range
         budget_tokens = view.available_kv_bytes / (
-            view.kv_bytes_per_token * (1.0 + self.memory_buffer_frac)
+            view.kv_bytes_per_token * (1.0 + MEMORY_BUFFER_FRAC)
         )
         per_chunk = view.chunk_tokens
         fixed = view.query_tokens + view.answer_tokens + 48  # template slack

@@ -41,7 +41,7 @@ from repro.util.validation import (
     check_count,
     check_positive,
     check_shard_concurrency,
-    check_shard_count,
+    check_speed,
 )
 from repro.workload import (
     Autoscaler,
@@ -453,8 +453,8 @@ class ExperimentRunner:
         )
         if profiler_concurrency is not None:
             check_positive("profiler_concurrency", profiler_concurrency)
-        self.retrieval_shards = check_shard_count(
-            "retrieval_shards", retrieval_shards)
+        self.retrieval_shards = check_count(
+            "retrieval_shards", retrieval_shards, 1)
         self.shard_concurrency = check_shard_concurrency(
             "shard_concurrency", shard_concurrency, self.retrieval_shards)
         if slo_seconds is not None:
@@ -492,7 +492,7 @@ class ExperimentRunner:
                     "with --replicas 2)"
                 )
             for i, s in enumerate(speeds):
-                check_positive(f"replica_speeds[{i}]", s)
+                check_speed(f"replica_speeds[{i}]", s)
             replica_speeds = speeds
         self.bundle = bundle
         self.engine_config = engine_config

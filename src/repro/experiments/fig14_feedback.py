@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import MetisConfig
-from repro.core.feedback import FeedbackConfig
 from repro.data import build_dataset
 from repro.experiments.common import (
     DEFAULT_RATES,
@@ -55,7 +54,7 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentReport:
             bundle,
             make_metis(
                 bundle,
-                MetisConfig(enable_feedback=True, feedback=FeedbackConfig()),
+                MetisConfig(enable_feedback=True),
                 seed=seed,
                 name="metis-feedback",
             ),

@@ -10,6 +10,7 @@ good; 85–90% of the below-threshold ones are bad.
 
 from __future__ import annotations
 
+from repro.core.controller import CONFIDENCE_THRESHOLD
 from repro.core.profiler import GPT4O_PROFILER, LLMProfiler
 from repro.core.profiles import profile_is_good
 from repro.data import DATASET_NAMES
@@ -21,18 +22,17 @@ from repro.experiments.common import (
 
 __all__ = ["run", "confidence_stats"]
 
-THRESHOLD = 0.90
 
-
-def confidence_stats(bundle, spec=GPT4O_PROFILER, seed: int = 0,
-                     threshold: float = THRESHOLD) -> dict[str, float]:
-    """Profile all queries; return the Fig 9 fractions."""
+def confidence_stats(bundle, spec=GPT4O_PROFILER,
+                     seed: int = 0) -> dict[str, float]:
+    """Profile all queries; return the Fig 9 fractions against the
+    controller's :data:`~repro.core.controller.CONFIDENCE_THRESHOLD`."""
     profiler = LLMProfiler(spec, metadata_tokens(bundle), seed=seed)
     above_good = above_bad = below_good = below_bad = 0
     for query in bundle.queries:
         result = profiler.profile(query)
         good = profile_is_good(result.profile, query.truth)
-        high = result.profile.confidence >= threshold
+        high = result.profile.confidence >= CONFIDENCE_THRESHOLD
         if high and good:
             above_good += 1
         elif high:

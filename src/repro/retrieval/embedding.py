@@ -2,15 +2,15 @@
 
 :class:`HashedEmbedding` is a feature-hashing bag-of-tokens embedder:
 each token hashes (stably, via SHA-256) to a signed coordinate in a
-``dim``-dimensional space; a text's embedding is the TF-weighted sum of
-its token vectors, L2-normalised. Texts sharing entity/attribute tokens
-land close together, which is precisely the property RAG retrieval
-relies on — and it emerges here from the text itself rather than from
-hand-assigned similarities.
+``dim``-dimensional space; a text's embedding is the sum of its token
+vectors weighted by the sublinear term frequency ``1 + log(tf)``,
+L2-normalised. Texts sharing entity/attribute tokens land close
+together, which is precisely the property RAG retrieval relies on — and
+it emerges here from the text itself rather than from hand-assigned
+similarities.
 
 The paper (§A.2) observes that swapping embedding models changes F1 by
-<1%; we mirror that by making the embedder pluggable behind
-:class:`EmbeddingModel` and shipping two hash-seed "families".
+<1%; the embedder is pluggable behind :class:`EmbeddingModel`.
 """
 
 from __future__ import annotations
@@ -81,27 +81,20 @@ class EmbeddingModel(ABC):
 
 
 class HashedEmbedding(EmbeddingModel):
-    """Feature-hashing embedder with stable, seed-parameterised hashing.
+    """Feature-hashing embedder with stable, seeded hashing.
 
     Args:
         dim: embedding dimensionality.
-        family: hash-seed family name; two different families behave
-            like two different (but similarly capable) embedding models.
-        sublinear_tf: dampen repeated tokens with ``1 + log(tf)``.
+        idf: optional IDF weights applied on top of the term frequency.
     """
 
-    def __init__(
-        self,
-        dim: int = 512,
-        family: str = "cohere-embed-v3-sim",
-        sublinear_tf: bool = True,
-        idf: IdfWeights | None = None,
-    ) -> None:
+    #: Hash seed: every token's coordinate derives from it.
+    FAMILY = "cohere-embed-v3-sim"
+
+    def __init__(self, dim: int = 512, idf: IdfWeights | None = None) -> None:
         if dim < 8:
             raise ValueError(f"dim must be >= 8, got {dim}")
         self.dim = dim
-        self.family = family
-        self.sublinear_tf = sublinear_tf
         self.idf = idf
         self._tokenizer = SimTokenizer()
         self._token_cache: dict[str, tuple[int, float]] = {}
@@ -111,7 +104,7 @@ class HashedEmbedding(EmbeddingModel):
         cached = self._token_cache.get(token)
         if cached is not None:
             return cached
-        digest = hashlib.sha256(f"{self.family}\x00{token}".encode()).digest()
+        digest = hashlib.sha256(f"{self.FAMILY}\x00{token}".encode()).digest()
         coord = int.from_bytes(digest[:4], "little") % self.dim
         sign = 1.0 if digest[4] % 2 == 0 else -1.0
         result = (coord, sign)
@@ -124,7 +117,7 @@ class HashedEmbedding(EmbeddingModel):
         if not counts:
             return vec
         for token, tf in counts.items():
-            weight = 1.0 + np.log(tf) if self.sublinear_tf else float(tf)
+            weight = 1.0 + np.log(tf)
             if self.idf is not None:
                 weight *= self.idf.weight(token)
             coord, sign = self._token_coord(token)

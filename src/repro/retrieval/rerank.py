@@ -10,19 +10,18 @@ candidates are re-ranked by their exact L2 distance to the query
 (recomputed from the stored vectors), which is a no-op on an exact
 ``flat`` index but recovers recall lost to ``ivf`` cell probing. Its
 *cost* model is what the pipeline charges: the reranker holds its
-:class:`~repro.sim.resource.Resource` for ``per_candidate_seconds``
-per candidate scored, so reranking latency scales with the fetch
-multiplier — the overhead side of the quality/latency trade.
+:class:`~repro.sim.resource.Resource` for
+:attr:`ExactReranker.PER_CANDIDATE_SECONDS` per candidate scored, so
+reranking latency scales with the candidate pool the shards return
+(:attr:`ExactReranker.FETCH_MULTIPLIER` times ``k``) — the overhead
+side of the quality/latency trade.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.retrieval.sharded import SearchHit, ShardedVectorStore
-from repro.util.validation import check_non_negative, check_positive
 
 __all__ = ["ExactReranker", "RERANKER_NAMES", "make_reranker"]
 
@@ -30,33 +29,23 @@ __all__ = ["ExactReranker", "RERANKER_NAMES", "make_reranker"]
 RERANKER_NAMES = ("exact",)
 
 
-@dataclass(frozen=True)
 class ExactReranker:
-    """Re-score the merged candidate pool by exact L2 distance.
+    """Re-score the merged candidate pool by exact L2 distance."""
 
-    Args:
-        per_candidate_seconds: modelled scoring cost per candidate
-            (the resource hold time is ``per_candidate_seconds * n``).
-        fetch_multiplier: shards are asked for ``multiplier * k``
-            candidates so the reranker has a pool to recover from.
-    """
-
-    per_candidate_seconds: float = 2e-4
-    fetch_multiplier: int = 4
-    name: str = "exact"
-
-    def __post_init__(self) -> None:
-        check_non_negative("per_candidate_seconds",
-                           self.per_candidate_seconds)
-        check_positive("fetch_multiplier", self.fetch_multiplier)
+    name = "exact"
+    #: Modelled scoring cost per candidate, in seconds.
+    PER_CANDIDATE_SECONDS = 2e-4
+    #: Shards are asked for this many times ``k`` candidates, so the
+    #: reranker has a pool to recover from.
+    FETCH_MULTIPLIER = 4
 
     def fetch_k(self, k: int) -> int:
         """How many candidates to pull from the shards for a top-``k``."""
-        return int(k) * int(self.fetch_multiplier)
+        return int(k) * self.FETCH_MULTIPLIER
 
     def hold_seconds(self, n_candidates: int) -> float:
         """Resource hold time for scoring ``n_candidates``."""
-        return self.per_candidate_seconds * n_candidates
+        return self.PER_CANDIDATE_SECONDS * n_candidates
 
     def rerank(self, store: ShardedVectorStore, query_vec: np.ndarray,
                candidates: list[SearchHit], k: int) -> list[SearchHit]:

@@ -8,7 +8,7 @@ first-order quality/latency knob, which METIS treats as a near-free
 constant — :class:`ShardedVectorStore` makes it a modelled subsystem.
 
 Placement is deterministic: a chunk lands on shard
-``derive_seed(placement_seed, "shard", chunk_id) % n_shards``
+``derive_seed(PLACEMENT_SEED, "shard", chunk_id) % n_shards``
 (:mod:`repro.util.rng`), so the same corpus shards identically across
 processes and runs. Gather merges shard candidates by
 ``(distance, global insertion position)`` — a total order, so ties
@@ -19,10 +19,10 @@ Timing model (consumed by the query pipeline, not charged here):
 * ``shard_hold_seconds(sid)`` — one shard search holds its search
   executor for ``L * (f + (1 - f) * shard_size / corpus_size)`` where
   ``L`` is the full-corpus search latency (``retrieval_latency_s``)
-  and ``f`` (``shard_overhead_fraction``) is the per-search fixed
-  overhead that does not shrink with shard size. A shard holding the
-  whole corpus returns **exactly** ``L`` (guarded, not computed), which
-  is the K=1 byte-identity anchor.
+  and ``f`` (:data:`SHARD_OVERHEAD_FRACTION`, 0.25) is the per-search
+  fixed overhead that does not shrink with shard size. A shard holding
+  the whole corpus returns **exactly** ``L`` (guarded, not computed),
+  which is the K=1 byte-identity anchor.
 * ``gather_seconds(n_candidates, k)`` — merging costs
   ``gather_per_candidate_s`` per *excess* candidate (those fetched
   beyond the final top-k). With one shard there is no excess and the
@@ -60,13 +60,18 @@ from repro.retrieval.embedding import EmbeddingModel, HashedEmbedding
 from repro.retrieval.index import INDEX_FACTORIES
 from repro.util.rng import derive_seed
 from repro.util.validation import (
-    check_in_range,
+    check_count,
     check_non_negative,
     check_positive,
-    check_shard_count,
 )
 
 __all__ = ["SearchHit", "ShardedVectorStore"]
+
+#: Root of the chunk -> shard placement hash.
+PLACEMENT_SEED = 0
+#: Share of the full-corpus search latency that is fixed per-search
+#: overhead (does not shrink with the shard count).
+SHARD_OVERHEAD_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -117,9 +122,6 @@ class ShardedVectorStore:
         index_factory: per-shard index constructor ``dim -> index``, or
             a name from :data:`repro.retrieval.index.INDEX_FACTORIES`
             (``"flat"`` / ``"ivf"``). Defaults to exact ``FlatL2Index``.
-        placement_seed: root of the chunk->shard hash.
-        shard_overhead_fraction: share of ``retrieval_latency_s`` that
-            is fixed per-search overhead (does not shrink with K).
         gather_per_candidate_s: merge cost per excess candidate.
     """
 
@@ -129,19 +131,13 @@ class ShardedVectorStore:
         embedding: EmbeddingModel | None = None,
         retrieval_latency_s: float = 0.004,
         index_factory: str | Callable | None = None,
-        placement_seed: int = 0,
-        shard_overhead_fraction: float = 0.25,
         gather_per_candidate_s: float = 2e-5,
     ) -> None:
-        check_shard_count("n_shards", n_shards)
+        check_count("n_shards", n_shards, 1)
         check_positive("retrieval_latency_s", retrieval_latency_s)
-        check_in_range("shard_overhead_fraction", shard_overhead_fraction,
-                       0.0, 1.0)
         check_non_negative("gather_per_candidate_s", gather_per_candidate_s)
         self.embedding = embedding or HashedEmbedding()
         self.retrieval_latency_s = retrieval_latency_s
-        self.placement_seed = int(placement_seed)
-        self.shard_overhead_fraction = float(shard_overhead_fraction)
         self.gather_per_candidate_s = float(gather_per_candidate_s)
         self.index_label, self._index_factory = self._resolve_factory(
             index_factory)
@@ -218,7 +214,7 @@ class ShardedVectorStore:
     def _place(self, chunk_id: str) -> int:
         if self.n_shards == 1:
             return 0
-        return derive_seed(self.placement_seed, "shard", chunk_id) \
+        return derive_seed(PLACEMENT_SEED, "shard", chunk_id) \
             % self.n_shards
 
     def add_chunks(self, chunks: list[Chunk]) -> None:
@@ -267,8 +263,6 @@ class ShardedVectorStore:
         n_shards: int,
         index_factory: str | Callable | None = None,
         retrieval_latency_s: float | None = None,
-        placement_seed: int | None = None,
-        shard_overhead_fraction: float | None = None,
         gather_per_candidate_s: float | None = None,
     ) -> "ShardedVectorStore":
         """A new store over the same corpus with a different partition.
@@ -287,13 +281,6 @@ class ShardedVectorStore:
             index_factory=(
                 self._index_factory if index_factory is None
                 else index_factory),
-            placement_seed=(
-                self.placement_seed if placement_seed is None
-                else placement_seed),
-            shard_overhead_fraction=(
-                self.shard_overhead_fraction
-                if shard_overhead_fraction is None
-                else shard_overhead_fraction),
             gather_per_candidate_s=(
                 self.gather_per_candidate_s
                 if gather_per_candidate_s is None
@@ -408,7 +395,7 @@ class ShardedVectorStore:
             # The whole-corpus guard: exactly the legacy constant, not
             # a float expression that merely rounds to it (K=1 anchor).
             return self.retrieval_latency_s
-        f = self.shard_overhead_fraction
+        f = SHARD_OVERHEAD_FRACTION
         return self.retrieval_latency_s * (f + (1.0 - f) * (size / total))
 
     def gather_seconds(self, n_candidates: int, k: int) -> float:

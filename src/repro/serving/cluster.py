@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from repro.serving.engine import EngineConfig, EngineStats, ServingEngine, StepInfo
 from repro.serving.request import InferenceRequest
 from repro.util.rng import stream
-from repro.util.validation import check_positive
+from repro.util.validation import check_positive, check_speed
 
 _INF = float("inf")
 
@@ -247,7 +247,7 @@ class ClusterEngine:
                     "per replica"
                 )
             for i, s in enumerate(speeds):
-                check_positive(f"replica_speeds[{i}]", s)
+                check_speed(f"replica_speeds[{i}]", s)
         self.config = config
         self.replicas = [ServingEngine(config, speed=s) for s in speeds]
         self.replica_speeds: tuple[float, ...] = tuple(speeds)
@@ -411,8 +411,8 @@ class ClusterEngine:
         holds no events until work is routed to it, so adding capacity
         never perturbs the existing schedule by itself.
         """
-        check_positive("speed", speed)
-        engine = ServingEngine(self.config, speed=float(speed))
+        speed = check_speed("speed", speed)
+        engine = ServingEngine(self.config, speed=speed)
         engine.advance_to(at)
         self.replicas.append(engine)
         self._busy_version += 1

@@ -2,9 +2,10 @@
 
 Discrete-event semantics: each :meth:`ServingEngine.step` simulates one
 engine iteration — admit waiting requests under KV-memory admission
-control, schedule a (possibly chunked) prefill batch plus one decode
-token for every running sequence, then advance the clock by the
-iteration's duration from the roofline cost model.
+control, schedule a chunked prefill batch (at most
+:data:`MAX_BATCHED_PREFILL_TOKENS` prompt tokens) plus one decode token
+for every running sequence, then advance the clock by the iteration's
+duration from the roofline cost model.
 
 Deliberate deviations from vLLM, chosen to keep the simulator honest
 but tractable (documented in DESIGN.md):
@@ -28,42 +29,39 @@ but tractable (documented in DESIGN.md):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.llm.costs import RooflineCostModel
 from repro.llm.gpu import ClusterSpec
 from repro.llm.model import ModelSpec
 from repro.serving.kv_cache import BlockManager
 from repro.serving.memory import GPUMemoryModel
-from repro.serving.policies import SchedulingPolicy, make_policy
+from repro.serving.policies import make_policy
 from repro.serving.request import InferenceRequest, RequestPhase
-from repro.util.validation import check_in_range, check_positive
+from repro.util.validation import check_speed
 
 __all__ = ["EngineConfig", "ServingEngine", "StepInfo", "EngineStats"]
+
+# Engine constants (vLLM's defaults).
+#: Tokens per paged KV block.
+BLOCK_TOKENS = 16
+#: Most sequences in one running batch.
+MAX_NUM_SEQS = 48
+#: Prompt tokens one iteration may prefill, summed over its chunks.
+MAX_BATCHED_PREFILL_TOKENS = 2_048
+#: Share of the KV blocks a non-empty engine keeps free at admission.
+WATERMARK_FRAC = 0.01
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Static engine parameters (defaults mirror vLLM's)."""
+    """Static engine parameters: the served model, its hardware, an
+    optional KV-pool cap and the admission-order policy name."""
 
     model: ModelSpec
     cluster: ClusterSpec
-    block_tokens: int = 16
-    max_num_seqs: int = 48
-    max_batched_prefill_tokens: int = 2_048
-    chunked_prefill: bool = True
-    gpu_memory_utilization: float = 0.90
-    activation_reserve_frac: float = 0.08
     kv_pool_cap_bytes: float | None = None
-    watermark_frac: float = 0.01
     policy: str = "fcfs"
-
-    def __post_init__(self) -> None:
-        check_positive("block_tokens", self.block_tokens)
-        check_positive("max_num_seqs", self.max_num_seqs)
-        check_positive("max_batched_prefill_tokens",
-                       self.max_batched_prefill_tokens)
-        check_in_range("watermark_frac", self.watermark_frac, 0.0, 0.2)
 
 
 @dataclass
@@ -124,29 +122,24 @@ class ServingEngine:
     to the pre-``speed`` engine.
     """
 
-    def __init__(self, config: EngineConfig,
-                 policy: SchedulingPolicy | None = None,
-                 speed: float = 1.0) -> None:
-        check_positive("speed", speed)
+    def __init__(self, config: EngineConfig, speed: float = 1.0) -> None:
         self.config = config
-        self.speed = float(speed)
+        self.speed = check_speed("speed", speed)
         self.memory = GPUMemoryModel(
             config.model,
             config.cluster,
-            gpu_memory_utilization=config.gpu_memory_utilization,
-            activation_reserve_frac=config.activation_reserve_frac,
             kv_pool_cap_bytes=config.kv_pool_cap_bytes,
         )
         self.blocks = BlockManager(
-            n_blocks=self.memory.n_blocks(config.block_tokens),
-            block_tokens=config.block_tokens,
+            n_blocks=self.memory.n_blocks(BLOCK_TOKENS),
+            block_tokens=BLOCK_TOKENS,
         )
         self.cost = RooflineCostModel(config.model, config.cluster)
-        self.policy = policy or make_policy(config.policy)
+        self.policy = make_policy(config.policy)
         self.now = 0.0
         self._waiting: list[InferenceRequest] = []
         self._running: list[InferenceRequest] = []
-        self._watermark_blocks = int(self.blocks.n_blocks * config.watermark_frac)
+        self._watermark_blocks = int(self.blocks.n_blocks * WATERMARK_FRAC)
         # Raw stats counters (see EngineStats: the dataclass is built
         # lazily by the ``stats`` property at report time).
         self._iterations = 0
@@ -174,9 +167,6 @@ class ServingEngine:
         self._mem_bandwidth = config.cluster.mem_bandwidth
         self._step_overhead_s = self.cost.step_overhead_s
         self._per_seq_overhead_s = self.cost.per_seq_overhead_s
-        self._max_num_seqs = config.max_num_seqs
-        self._prefill_budget = config.max_batched_prefill_tokens
-        self._chunked_prefill = config.chunked_prefill
         # Admission-order cache: a stall-bound engine re-sorts an
         # unchanged waiting queue every iteration otherwise. The version
         # bumps whenever ``_waiting`` mutates (submit / cancel / admit);
@@ -452,7 +442,6 @@ class ServingEngine:
             return admitted
         running = self._running
         blocks = self.blocks
-        max_num_seqs = self._max_num_seqs
         prefill_phase = RequestPhase.PREFILL
         if self.policy.waiting_only:
             key = (self._waiting_version, blocks.free_blocks, len(running))
@@ -467,7 +456,7 @@ class ServingEngine:
             key = None
             ordered = self.policy.order(waiting, running)
         for request in ordered:
-            if len(running) >= max_num_seqs:
+            if len(running) >= MAX_NUM_SEQS:
                 break
             # An empty engine always admits its queue head (ignore the
             # watermark) — otherwise a pool-sized request could stall
@@ -515,32 +504,17 @@ class ServingEngine:
             else:  # running requests are PREFILL or DECODE only
                 decoding.append(r)
                 kv_tokens += r.prefilled_tokens + r.decoded_tokens
-        budget = self._prefill_budget
+        budget = MAX_BATCHED_PREFILL_TOKENS
         plan: list[tuple[InferenceRequest, int]] = []
         prefill_tokens = 0
-
-        if self._chunked_prefill:
-            for request in prefilling:
-                if budget <= 0:
-                    break
-                remaining = request.prompt_tokens - request.prefilled_tokens
-                chunk = remaining if remaining < budget else budget
-                plan.append((request, chunk))
-                budget -= chunk
-                prefill_tokens += chunk
-            return plan, decoding, prefill_tokens, kv_tokens
-
-        # vLLM-v0 style: prefill-only iterations process whole prompts;
-        # decode-only iterations run otherwise.
-        if prefilling:
-            for request in prefilling:
-                chunk = request.prompt_tokens - request.prefilled_tokens
-                if plan and chunk > budget:
-                    break
-                plan.append((request, chunk))
-                budget -= chunk
-                prefill_tokens += chunk
-            return plan, [], prefill_tokens, 0
+        for request in prefilling:
+            if budget <= 0:
+                break
+            remaining = request.prompt_tokens - request.prefilled_tokens
+            chunk = remaining if remaining < budget else budget
+            plan.append((request, chunk))
+            budget -= chunk
+            prefill_tokens += chunk
         return plan, decoding, prefill_tokens, kv_tokens
 
     def _apply_iteration(

@@ -1,9 +1,9 @@
 """GPU memory budget for serving: weights + activations + KV cache.
 
 Mirrors vLLM's memory partitioning: a fraction
-``gpu_memory_utilization`` of HBM is claimed by the engine; weights and
-an activation workspace are carved out first and the remainder becomes
-the paged KV-cache pool. This module also implements the paper's
+:data:`GPU_MEMORY_UTILIZATION` of HBM is claimed by the engine; weights
+and an activation workspace (:data:`ACTIVATION_RESERVE_FRAC` of HBM)
+are carved out first and the remainder becomes the paged KV-cache pool. This module also implements the paper's
 ``get_free_memory()`` (§6, via pynvml there): the instantaneous free KV
 memory METIS' joint scheduler consults.
 """
@@ -14,26 +14,22 @@ from dataclasses import dataclass
 
 from repro.llm.gpu import ClusterSpec
 from repro.llm.model import ModelSpec
-from repro.util.validation import check_in_range
 
 __all__ = ["GPUMemoryModel"]
+
+#: Fraction of total HBM the engine may use (vLLM's default).
+GPU_MEMORY_UTILIZATION = 0.90
+#: Fraction of total HBM reserved for activations, CUDA graphs and
+#: fragmentation slack.
+ACTIVATION_RESERVE_FRAC = 0.08
 
 
 @dataclass(frozen=True)
 class GPUMemoryModel:
-    """Static partition of cluster memory for one served model.
-
-    Attributes:
-        gpu_memory_utilization: fraction of total HBM the engine may
-            use (vLLM default 0.9).
-        activation_reserve_frac: fraction of total HBM reserved for
-            activations / CUDA graphs / fragmentation slack.
-    """
+    """Static partition of cluster memory for one served model."""
 
     model: ModelSpec
     cluster: ClusterSpec
-    gpu_memory_utilization: float = 0.90
-    activation_reserve_frac: float = 0.08
     #: Optional hard cap on the KV pool. Production deployments often
     #: reserve most of HBM for co-located models, CUDA graphs and burst
     #: headroom; the paper's testbed exhibits routinely-scarce free
@@ -42,10 +38,6 @@ class GPUMemoryModel:
     kv_pool_cap_bytes: float | None = None
 
     def __post_init__(self) -> None:
-        check_in_range("gpu_memory_utilization",
-                       self.gpu_memory_utilization, 0.1, 1.0)
-        check_in_range("activation_reserve_frac",
-                       self.activation_reserve_frac, 0.0, 0.5)
         if self.kv_pool_cap_bytes is not None and self.kv_pool_cap_bytes <= 0:
             raise ValueError(
                 f"kv_pool_cap_bytes must be positive, got {self.kv_pool_cap_bytes}"
@@ -58,11 +50,11 @@ class GPUMemoryModel:
 
     @property
     def usable_bytes(self) -> float:
-        return self.cluster.memory_bytes * self.gpu_memory_utilization
+        return self.cluster.memory_bytes * GPU_MEMORY_UTILIZATION
 
     @property
     def activation_bytes(self) -> float:
-        return self.cluster.memory_bytes * self.activation_reserve_frac
+        return self.cluster.memory_bytes * ACTIVATION_RESERVE_FRAC
 
     @property
     def kv_pool_bytes(self) -> float:

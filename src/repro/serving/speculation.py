@@ -172,15 +172,12 @@ class DeadlineRisk(SpeculationPolicy):
     already passed): late arming gives the primary every chance to
     win unaided, bounding duplicate cost.
 
-    ``margin_frac`` scales both the safety margin and the arming
-    headroom by the plan's service estimate.
+    ``margin_frac`` (0.25) scales both the safety margin and the
+    arming headroom by the plan's service estimate.
     """
 
     name = "deadline-risk"
-
-    def __init__(self, margin_frac: float = 0.25) -> None:
-        check_positive("margin_frac", margin_frac)
-        self.margin_frac = float(margin_frac)
+    margin_frac = 0.25
 
     def hedge_time(self, ctx: HedgeContext) -> float | None:
         if ctx.deadline is None:

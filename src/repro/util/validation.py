@@ -6,12 +6,14 @@ deeply nested simulator code point directly at the offending parameter.
 
 from __future__ import annotations
 
+import math
+
 __all__ = [
     "check_positive",
     "check_non_negative",
     "check_probability",
     "check_in_range",
-    "check_shard_count",
+    "check_speed",
     "check_shard_concurrency",
     "check_count",
     "check_non_empty",
@@ -46,25 +48,24 @@ def check_in_range(name: str, value: float, lo: float, hi: float) -> float:
     return value
 
 
-def check_shard_count(name: str, value) -> int:
-    """Require an integral shard count >= 1; return it as ``int``."""
-    try:
-        as_int = int(value)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{name} must be an integer >= 1, got {value!r}"
-        ) from None
-    if as_int != value or as_int < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return as_int
+def check_speed(name: str, value: float) -> float:
+    """Require a finite hardware-speed multiplier > 0; return it as
+    ``float``.
+
+    A replica at infinite speed would finish every iteration in zero
+    seconds and bill zero GPU time, so ``inf`` is rejected with the
+    non-positive values and NaN.
+    """
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return float(value)
 
 
 def check_count(name: str, value, minimum: int = 0) -> int:
     """Require an integral count >= ``minimum``; return it as ``int``.
 
-    The generic sibling of :func:`check_shard_count`, used by the
-    workload/autoscaler layer for arrival counts, period counts, and
-    fleet-size bounds.
+    Used for shard counts, arrival and period counts, and fleet-size
+    bounds.
     """
     try:
         as_int = int(value)

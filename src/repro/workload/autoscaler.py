@@ -129,28 +129,17 @@ class ReactivePolicy(ScalingPolicy):
     """Threshold rule on queue depth, guarded by window attainment.
 
     Scale up by one when the mean queue per active replica exceeds
-    ``up_threshold`` **or** the sliding-window SLO attainment falls
-    below ``slo_floor``; scale down by one when the queue is below
-    ``down_threshold`` *and* the window attainment (when observable)
-    is healthy. Single-step moves plus the provisioning delay give the
+    ``up_threshold`` (4.0) **or** the sliding-window SLO attainment
+    falls below ``slo_floor`` (0.9); scale down by one when the queue
+    is below ``down_threshold`` (1.0) *and* the window attainment (when
+    observable) is healthy. Single-step moves plus the provisioning delay give the
     classic reactive lag the forecast planner exists to beat.
     """
 
     name = "reactive"
-
-    def __init__(self, up_threshold: float = 4.0,
-                 down_threshold: float = 1.0,
-                 slo_floor: float = 0.9) -> None:
-        check_positive("up_threshold", up_threshold)
-        check_positive("down_threshold", down_threshold)
-        if down_threshold >= up_threshold:
-            raise ValueError(
-                f"down_threshold must be < up_threshold, got "
-                f"{down_threshold} >= {up_threshold}"
-            )
-        self.up_threshold = float(up_threshold)
-        self.down_threshold = float(down_threshold)
-        self.slo_floor = float(slo_floor)
+    up_threshold = 4.0
+    down_threshold = 1.0
+    slo_floor = 0.9
 
     def desired_fleet(self, signals: ScalingSignals) -> int:
         provisioned = signals.n_active + signals.n_provisioning
@@ -172,27 +161,22 @@ class ForecastPolicy(ScalingPolicy):
         util(n)  = forecast_rate * service_seconds / n
         score(n) = n + latency_weight * util / (1 - util)
 
-    — provisioned cost grows linearly in ``n``, expected queueing
-    (the M/M/1 factor) explodes as utilization approaches 1, and the
-    cheapest fleet whose combined score wins is chosen (ties go to the
-    smaller fleet). Infeasible candidates (``util >= 1``) score as the
+    with ``latency_weight`` 2.0: provisioned cost grows linearly in
+    ``n``, expected queueing (the M/M/1 factor) explodes as utilization
+    approaches 1, and the cheapest fleet whose combined score wins is
+    chosen (ties go to the smaller fleet). Infeasible candidates (``util >= 1``) score as the
     backlog they would accumulate over the next period, so when even
     ``scale_max`` is infeasible the largest fleet still wins.
 
     ``service_seconds`` is the *observed* mean GPU time per completed
-    query (``default_service_s`` before the first completion) — the
-    planner calibrates its capacity model from the run itself. With no
+    query (``default_service_s``, 0.6 s, before the first completion)
+    — the planner calibrates its capacity model from the run itself. With no
     workload trace to forecast from, the current fleet is kept.
     """
 
     name = "forecast"
-
-    def __init__(self, latency_weight: float = 2.0,
-                 default_service_s: float = 0.6) -> None:
-        check_positive("latency_weight", latency_weight)
-        check_positive("default_service_s", default_service_s)
-        self.latency_weight = float(latency_weight)
-        self.default_service_s = float(default_service_s)
+    latency_weight = 2.0
+    default_service_s = 0.6
 
     def desired_fleet(self, signals: ScalingSignals) -> int:
         rate = signals.forecast_rate_qps
@@ -225,21 +209,10 @@ class EwmaForecastPolicy(ForecastPolicy):
     (provision, cancel, provision ...); the EWMA remembers recent
     history, so single-period spikes are damped and the fleet makes
     strictly fewer moves (pinned by ``tests/test_autoscaler.py``).
-    ``smoothing_alpha=1.0`` degrades to the raw forecast.
     """
 
     name = "forecast-ewma"
-
-    def __init__(self, smoothing_alpha: float = 0.3,
-                 latency_weight: float = 2.0,
-                 default_service_s: float = 0.6) -> None:
-        super().__init__(latency_weight=latency_weight,
-                         default_service_s=default_service_s)
-        if not 0.0 < smoothing_alpha <= 1.0:
-            raise ValueError(
-                f"smoothing_alpha must be in (0, 1], got {smoothing_alpha}"
-            )
-        self.smoothing_alpha = float(smoothing_alpha)
+    smoothing_alpha = 0.3
 
 
 #: Autoscaler names accepted by :func:`make_scaling_policy` (and

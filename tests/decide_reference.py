@@ -18,7 +18,11 @@ from __future__ import annotations
 from repro.config.knobs import RAGConfig
 from repro.config.space import PrunedSpace
 from repro.core.policy import SchedulingView
-from repro.core.scheduler import JointDecision, JointScheduler
+from repro.core.scheduler import (
+    MEMORY_BUFFER_FRAC,
+    JointDecision,
+    JointScheduler,
+)
 from repro.synthesis import SynthesisPlan, make_synthesizer
 
 __all__ = ["choose_reference", "estimate_plan"]
@@ -49,14 +53,13 @@ def _cost_and_fit(plan: SynthesisPlan) -> tuple[int, int]:
     return cost, fit
 
 
-def _fits(scheduler: JointScheduler, tokens: int,
-          view: SchedulingView) -> bool:
+def _fits(tokens: int, view: SchedulingView) -> bool:
     """Whether ``tokens`` of KV, plus the scheduler's buffer, fit in
     the view's available memory (``choose``'s association order)."""
     need = (
         tokens
         * view.kv_bytes_per_token
-        * (1.0 + scheduler.memory_buffer_frac)
+        * (1.0 + MEMORY_BUFFER_FRAC)
     )
     return need <= view.available_kv_bytes
 
@@ -82,7 +85,7 @@ def choose_reference(scheduler: JointScheduler, pruned: PrunedSpace,
         floor = scheduler._chunk_floor(pruned)
         gated_best: tuple[int, RAGConfig, SynthesisPlan] | None = None
         for config, plan, cost, _fit in candidates:
-            if not _fits(scheduler, cost, view):
+            if not _fits(cost, view):
                 continue
             n_fitting += 1
             if best is None or cost < best[0]:
@@ -94,7 +97,7 @@ def choose_reference(scheduler: JointScheduler, pruned: PrunedSpace,
             best = gated_best
     else:
         for config, plan, cost, _fit in candidates:
-            if not _fits(scheduler, cost, view):
+            if not _fits(cost, view):
                 continue
             n_fitting += 1
             if best is None or cost > best[0]:
@@ -102,7 +105,7 @@ def choose_reference(scheduler: JointScheduler, pruned: PrunedSpace,
 
     if best is None:
         for config, plan, cost, fit in candidates:
-            if not _fits(scheduler, fit, view):
+            if not _fits(fit, view):
                 continue
             n_fitting += 1
             if best is None or cost < best[0]:

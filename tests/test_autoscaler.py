@@ -154,11 +154,11 @@ class TestClusterLifecycle:
 # ----------------------------------------------------------------------
 class TestPolicies:
     def test_reactive_scales_up_on_queue_depth(self):
-        pol = ReactivePolicy(up_threshold=4.0, down_threshold=1.0)
+        pol = ReactivePolicy()
         assert pol.desired_fleet(signals(outstanding_per_active=6.0)) == 3
 
     def test_reactive_scales_up_on_slo_pain(self):
-        pol = ReactivePolicy(slo_floor=0.9)
+        pol = ReactivePolicy()
         s = signals(outstanding_per_active=2.0, window_slo_attainment=0.5)
         assert pol.desired_fleet(s) == 3
 
@@ -167,16 +167,23 @@ class TestPolicies:
         assert pol.desired_fleet(signals(outstanding_per_active=0.2)) == 1
 
     def test_reactive_holds_in_band(self):
-        pol = ReactivePolicy(up_threshold=4.0, down_threshold=1.0)
+        pol = ReactivePolicy()
         s = signals(outstanding_per_active=2.0, n_provisioning=1)
         assert pol.desired_fleet(s) == 3  # active + provisioning
 
     def test_reactive_validates_thresholds(self):
-        with pytest.raises(ValueError, match="down_threshold"):
-            ReactivePolicy(up_threshold=1.0, down_threshold=2.0)
+        """The band is well formed, and its edges are strict: a queue
+        exactly at either threshold holds the fleet."""
+        pol = ReactivePolicy()
+        assert 0.0 < pol.down_threshold < pol.up_threshold
+        assert 0.0 < pol.slo_floor <= 1.0
+        for edge in (pol.down_threshold, pol.up_threshold):
+            s = signals(outstanding_per_active=edge,
+                        window_slo_attainment=pol.slo_floor)
+            assert pol.desired_fleet(s) == 2
 
     def test_forecast_sizes_fleet_to_rate(self):
-        pol = ForecastPolicy(latency_weight=2.0)
+        pol = ForecastPolicy()
         quiet = signals(forecast_rate_qps=0.2, est_service_seconds=0.5)
         busy = signals(forecast_rate_qps=4.0, est_service_seconds=0.5)
         assert pol.desired_fleet(quiet) == 1
@@ -229,8 +236,27 @@ class TestEwmaForecast:
             wl.ewma_rate(5.0, alpha=0.0)
 
     def test_ewma_validates_alpha(self):
-        with pytest.raises(ValueError, match="smoothing_alpha"):
-            EwmaForecastPolicy(smoothing_alpha=1.5)
+        """The autoscaler reads the policy's class-level alpha (a valid
+        EWMA weight) and feeds the EWMA planner the smoothed rate at the
+        lookahead; the raw planner gets the plain period rate."""
+        from repro.sim import EventLoop
+
+        alpha = EwmaForecastPolicy.smoothing_alpha
+        assert 0.0 < alpha <= 1.0
+        wl = bursty_workload(n_periods=8, period_s=30.0, seed=0)
+        lookahead = 15.0 + 30.0  # interval + provisioning delay
+        expected = {
+            "forecast-ewma": lambda t: wl.ewma_rate(t + lookahead, alpha),
+            "forecast": lambda t: wl.forecast_rate(t, lookahead),
+        }
+        for policy in (EwmaForecastPolicy(), ForecastPolicy()):
+            scaler = Autoscaler(policy, interval_s=15.0,
+                                provision_delay_s=30.0, workload=wl)
+            scaler.start(EventLoop(), IdleEngine(), horizon=240.0,
+                         records=[])
+            for t in (0.0, 50.0, 125.0):
+                assert (scaler.signals(t).forecast_rate_qps
+                        == expected[policy.name](t))
 
     def test_ewma_makes_fewer_moves_on_a_noisy_trace(self):
         """Pinned contract: on an MMPP-bursty trace, the EWMA-fed
@@ -262,7 +288,7 @@ class TestEwmaForecast:
             raw = desired_moves(
                 ForecastPolicy(),
                 lambda t: wl.forecast_rate(t, lookahead))
-            ewma_policy = EwmaForecastPolicy(smoothing_alpha=0.3)
+            ewma_policy = EwmaForecastPolicy()
             ewma = desired_moves(
                 ewma_policy,
                 lambda t: wl.ewma_rate(

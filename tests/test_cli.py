@@ -189,6 +189,19 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "3 entries" in err and "n_replicas is 2" in err
 
+    def test_infinite_replica_speed_rejected(self, capsys):
+        code = main([
+            "run", "--dataset", "finsec", "--policy", "metis",
+            "--queries", "12", "--replicas", "2",
+            "--replica-speeds", "inf,1",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "replica_speeds[0]" in captured.err
+
     def test_replica_speeds_parse_error_reported(self, capsys):
         code = main([
             "run", "--dataset", "squad", "--policy", "vllm",

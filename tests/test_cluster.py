@@ -304,13 +304,6 @@ class TestControllerClusterMode:
         assert decision.preferred_replica == 1
         assert decision.pruned_space.contains(decision.config)
 
-    def test_no_rescue_when_disabled(self, finsec_bundle):
-        policy = metis(cluster_aware=False)
-        view = make_cluster_view((0, 1_000_000), routed=0)
-        decision = policy.choose(finsec_bundle.queries[0], prep(), view)
-        assert decision.fell_back
-        assert decision.preferred_replica is None
-
     def test_no_rescue_when_every_replica_starved(self, finsec_bundle):
         policy = metis()
         view = make_cluster_view((0, 0, 0), routed=1)

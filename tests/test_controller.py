@@ -4,6 +4,7 @@ import pytest
 
 from repro.config.knobs import SynthesisMethod
 from repro.core import MetisConfig, MetisPolicy
+from repro.core.controller import FIXED_INTERMEDIATE_LENGTH, FIXED_NUM_CHUNKS
 from repro.core.policy import SchedulingView
 from repro.core.profiles import QueryProfile
 from repro.core.policy import PrepResult
@@ -102,20 +103,22 @@ class TestKnobSwitches:
         assert decision.config.synthesis_method is SynthesisMethod.STUFF
 
     def test_disable_chunks_pins_value(self, finsec_bundle):
-        policy = make_policy(adapt_num_chunks=False, fixed_num_chunks=7)
+        policy = make_policy(adapt_num_chunks=False)
         q = finsec_bundle.queries[0]
         decision = policy.choose(q, prep_with(profile(pieces=2)),
                                  make_view(1e6))
-        assert decision.config.num_chunks == 7
+        assert decision.config.num_chunks == FIXED_NUM_CHUNKS == 20
 
     def test_disable_ilen_pins_value(self, finsec_bundle):
-        policy = make_policy(adapt_intermediate_length=False,
-                             fixed_intermediate_length=123)
+        policy = make_policy(adapt_intermediate_length=False)
         q = finsec_bundle.queries[0]
         decision = policy.choose(q, prep_with(profile(high=True)),
                                  make_view(1e6))
+        assert decision.pruned_space.intermediate_length_range == (
+            FIXED_INTERMEDIATE_LENGTH, FIXED_INTERMEDIATE_LENGTH)
+        assert FIXED_INTERMEDIATE_LENGTH == 100
         if decision.config.synthesis_method is SynthesisMethod.MAP_REDUCE:
-            assert decision.config.intermediate_length == 123
+            assert decision.config.intermediate_length == 100
 
 
 class TestSelectionModes:

@@ -28,8 +28,8 @@ def _decision_key(decision):
 class RecordingScheduler(JointScheduler):
     """Runs the fast path, replays the reference, records agreement."""
 
-    def __init__(self, memory_buffer_frac: float = 0.02) -> None:
-        super().__init__(memory_buffer_frac)
+    def __init__(self) -> None:
+        super().__init__()
         self.tape = []
 
     def choose(self, pruned, view):
@@ -44,8 +44,7 @@ class TestMetisRunEquivalence:
     def test_per_query_decisions_identical(self, finsec_bundle):
         """Every JointDecision of a METIS run matches the reference."""
         policy = make_metis(finsec_bundle)
-        scheduler = RecordingScheduler(
-            policy.scheduler.memory_buffer_frac)
+        scheduler = RecordingScheduler()
         policy.scheduler = scheduler
         run_policy(finsec_bundle, policy, rate_qps=1.4, seed=0)
         assert len(scheduler.tape) >= len(finsec_bundle.queries)

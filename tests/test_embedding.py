@@ -22,8 +22,14 @@ class TestHashedEmbedding:
         assert np.allclose(a, b)
 
     def test_families_differ(self):
-        a = HashedEmbedding(family="fam-a").embed("hello world")
-        b = HashedEmbedding(family="fam-b").embed("hello world")
+        """FAMILY seeds every token's hash: another family is another
+        (similarly capable) embedding model."""
+
+        class OtherFamily(HashedEmbedding):
+            FAMILY = "fam-b"
+
+        a = HashedEmbedding().embed("hello world")
+        b = OtherFamily().embed("hello world")
         assert not np.allclose(a, b)
 
     def test_similar_texts_closer_than_dissimilar(self):

@@ -5,7 +5,11 @@ import dataclasses
 import pytest
 
 from repro.llm import A40, ClusterSpec, MISTRAL_7B_AWQ
-from repro.serving.engine import EngineConfig, ServingEngine
+from repro.serving.engine import (
+    MAX_BATCHED_PREFILL_TOKENS,
+    EngineConfig,
+    ServingEngine,
+)
 from repro.serving.request import InferenceRequest, RequestPhase
 from repro.util.units import GB
 
@@ -135,26 +139,10 @@ class TestContinuousBatching:
 
 class TestChunkedPrefill:
     def test_chunked_splits_long_prompt(self):
-        eng = make_engine(max_batched_prefill_tokens=1024)
-        eng.submit(req(prompt=4096, out=1))
+        eng = make_engine()
+        eng.submit(req(prompt=8192, out=1))
         info = eng.step()
-        assert info.prefill_tokens == 1024
-
-    def test_unchunked_runs_whole_prompt(self):
-        eng = make_engine(chunked_prefill=False,
-                          max_batched_prefill_tokens=1024)
-        eng.submit(req(prompt=4096, out=1))
-        info = eng.step()
-        assert info.prefill_tokens == 4096
-
-    def test_unchunked_separates_prefill_and_decode(self):
-        eng = make_engine(chunked_prefill=False)
-        eng.submit(req(prompt=1000, out=10, app="a"))
-        eng.step()  # a prefilled
-        eng.submit(req(prompt=1000, out=10, app="b"))
-        info = eng.step()  # b prefill-only iteration
-        assert info.n_decode_seqs == 0
-        assert info.prefill_tokens == 1000
+        assert info.prefill_tokens == MAX_BATCHED_PREFILL_TOKENS == 2048
 
 
 class TestStats:

@@ -10,13 +10,15 @@ from repro.experiments import (
     fig5_per_query,
     fig9_confidence,
     fig12_breakdown,
+    fig14_feedback,
     fig16_incremental,
+    fig17_profiler_llm,
     fig18_overhead,
     fig19_lowload,
     table1,
 )
 
-# fig10/11/13/14/15/17 are exercised (more cheaply) via their building
+# fig10/11/13/15 are exercised (more cheaply) via their building
 # blocks in test_integration_metis.py, and fig11 also by
 # benchmarks/bench_fig11_throughput.py; running all of them here would
 # double CI time for no new coverage.
@@ -27,6 +29,11 @@ from repro.experiments import (
     (fig4_knobs, {"panel", "query", "knob", "delay_s", "f1"}),
     (fig9_confidence, {"dataset", "frac_above_threshold"}),
     (fig18_overhead, {"dataset", "mean_fraction", "max_fraction"}),
+    # The only driver that turns on the §5 feedback loop.
+    (fig14_feedback, {"dataset", "query_index", "f1_no_feedback",
+                      "f1_with_feedback"}),
+    # The only driver that swaps the profiler model.
+    (fig17_profiler_llm, {"dataset", "system", "mean_delay_s", "mean_f1"}),
 ])
 def test_light_drivers(driver, required_columns):
     report = driver.run(fast=True)

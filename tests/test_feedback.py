@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.feedback import (
-    FeedbackConfig,
+    ACCURACY_BOOST_PER_PROMPT,
+    FEEDBACK_EVERY,
+    FEEDBACK_KEEP,
     FeedbackLoop,
     GOLDEN_CONFIG,
 )
@@ -15,9 +17,18 @@ def loop(finsec_bundle):
     profiler = LLMProfiler(GPT4O_PROFILER, 40)
     return FeedbackLoop(
         profiler=profiler,
-        config=FeedbackConfig(every=5, keep=2, accuracy_boost_per_prompt=0.01),
         chunk_tokens=finsec_bundle.chunk_tokens,
     ), profiler
+
+
+def complete(fb, bundle, n, offset=0):
+    """Feed ``n`` completions (cycling the bundle's queries); return the
+    last event."""
+    queries = bundle.queries
+    event = None
+    for i in range(offset, offset + n):
+        event = fb.on_query_complete(queries[i % len(queries)])
+    return event
 
 
 class TestGoldenConfig:
@@ -30,49 +41,46 @@ class TestGoldenConfig:
 class TestFeedbackLoop:
     def test_fires_every_nth_query(self, loop, finsec_bundle):
         fb, _ = loop
+        queries = finsec_bundle.queries
         events = [
-            fb.on_query_complete(finsec_bundle.queries[i % 20])
-            for i in range(10)
+            fb.on_query_complete(queries[i % len(queries)])
+            for i in range(60)
         ]
-        fired = [e for e in events if e is not None]
-        assert len(fired) == 2  # queries 5 and 10
+        fired = [i + 1 for i, e in enumerate(events) if e is not None]
+        assert fired == [30, 60]
 
     def test_keeps_last_k_prompts(self, loop, finsec_bundle):
         fb, _ = loop
-        for i in range(25):
-            fb.on_query_complete(finsec_bundle.queries[i % 20])
-        assert fb.n_active_prompts == 2  # keep=2
+        complete(fb, finsec_bundle, 6 * FEEDBACK_EVERY)
+        assert fb.n_active_prompts == FEEDBACK_KEEP == 4
 
     def test_boost_applied_to_profiler(self, loop, finsec_bundle):
         fb, profiler = loop
         base = profiler.accuracy
-        for i in range(5):
-            fb.on_query_complete(finsec_bundle.queries[i])
-        assert profiler.accuracy == pytest.approx(base + 0.01)
-        for i in range(5):
-            fb.on_query_complete(finsec_bundle.queries[i + 5])
-        assert profiler.accuracy == pytest.approx(base + 0.02)
+        complete(fb, finsec_bundle, 30)
+        assert profiler.accuracy == pytest.approx(base + 0.018)
+        complete(fb, finsec_bundle, 30, offset=30)
+        assert profiler.accuracy == pytest.approx(base + 0.036)
 
     def test_boost_saturates_at_keep(self, loop, finsec_bundle):
         fb, profiler = loop
         base_accuracy = GPT4O_PROFILER.base_accuracy
-        for i in range(30):
-            fb.on_query_complete(finsec_bundle.queries[i % 20])
-        assert profiler.accuracy <= base_accuracy + 2 * 0.01 + 1e-9
+        complete(fb, finsec_bundle, 6 * 30)
+        assert profiler.accuracy == pytest.approx(base_accuracy + 4 * 0.018)
 
     def test_event_costs_recorded(self, loop, finsec_bundle):
         fb, _ = loop
-        for i in range(5):
-            event = fb.on_query_complete(finsec_bundle.queries[i])
+        event = complete(fb, finsec_bundle, 30)
         assert event is not None
         assert event.golden_prefill_tokens > GOLDEN_CONFIG.num_chunks * 1000
         assert event.golden_output_tokens > 0
         assert fb.events == [event]
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FeedbackConfig(every=0)
-        with pytest.raises(ValueError):
-            FeedbackConfig(keep=0)
-        with pytest.raises(ValueError):
-            FeedbackConfig(accuracy_boost_per_prompt=0.5)
+        """Cadence and strength hold the ranges the loop relies on: a
+        full prompt budget's boost stays under the profiler's accuracy
+        cap, so the boost saturates at FEEDBACK_KEEP, not at the cap."""
+        assert FEEDBACK_EVERY >= 1 and FEEDBACK_KEEP >= 1
+        assert 0.0 <= ACCURACY_BOOST_PER_PROMPT <= 0.1
+        assert (GPT4O_PROFILER.base_accuracy
+                + FEEDBACK_KEEP * ACCURACY_BOOST_PER_PROMPT) < 0.985

@@ -1,8 +1,11 @@
 """Unit tests for the GPU memory partition model."""
 
+import dataclasses
+
 import pytest
 
 from repro.llm import A40, ClusterSpec, LLAMA3_70B_AWQ, MISTRAL_7B_AWQ
+from repro.llm.model import Quantization
 from repro.serving.memory import GPUMemoryModel
 from repro.util.units import GB
 
@@ -40,10 +43,12 @@ class TestGPUMemoryModel:
         assert mem.tokens_to_bytes(10) == 10 * MISTRAL_7B_AWQ.kv_bytes_per_token
 
     def test_model_too_big_rejected(self):
-        # 70B AWQ does not fit a single A40 at 30% utilisation.
+        # 70B in fp16 holds 141 GB of weights: no KV pool is left on one
+        # 48 GB A40 at 90% utilisation.
+        llama3_70b_fp16 = dataclasses.replace(
+            LLAMA3_70B_AWQ, quantization=Quantization.FP16)
         with pytest.raises(ValueError, match="does not fit"):
-            GPUMemoryModel(LLAMA3_70B_AWQ, ClusterSpec(A40),
-                           gpu_memory_utilization=0.5)
+            GPUMemoryModel(llama3_70b_fp16, ClusterSpec(A40))
 
     def test_70b_fits_two_gpus(self):
         mem = GPUMemoryModel(LLAMA3_70B_AWQ, ClusterSpec(A40, n_gpus=2))

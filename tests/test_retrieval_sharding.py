@@ -157,12 +157,13 @@ class TestRerankStage:
         assert all(r.rerank_seconds > 0 for r in result.records)
 
     def test_custom_reranker_instance(self, finsec_bundle, engine_config):
-        reranker = ExactReranker(per_candidate_seconds=1e-3,
-                                 fetch_multiplier=2)
+        """An instance serves exactly as the registry name does."""
+        by_name = run_sharded(finsec_bundle, engine_config,
+                              retrieval_shards=2, reranker="exact")
         result = run_sharded(finsec_bundle, engine_config,
-                             retrieval_shards=2, reranker=reranker)
-        # hold = per_candidate * pool; pool = sum_s min(2k, shard)
-        assert all(r.rerank_seconds >= 1e-3 * 6 for r in result.records)
+                             retrieval_shards=2, reranker=ExactReranker())
+        assert result.reranker == "exact"
+        assert result.records == by_name.records
 
     def test_reranker_on_ivf_runs(self, finsec_bundle, engine_config):
         result = run_sharded(finsec_bundle, engine_config,

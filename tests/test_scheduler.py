@@ -7,7 +7,7 @@ import pytest
 from repro.config.knobs import SynthesisMethod
 from repro.config.space import PrunedSpace
 from repro.core.policy import SchedulingView
-from repro.core.scheduler import JointScheduler
+from repro.core.scheduler import MEMORY_BUFFER_FRAC, JointScheduler
 
 from decide_reference import choose_reference, estimate_plan
 
@@ -157,16 +157,23 @@ class TestPerReplicaPruning:
 
 class TestBuffer:
     def test_buffer_tightens_fit(self):
-        loose = JointScheduler(memory_buffer_frac=0.0)
-        tight = JointScheduler(memory_buffer_frac=0.4)
-        view = make_view(2_700)
-        k_loose = loose.choose(space(), view).config.num_chunks
-        k_tight = tight.choose(space(), view).config.num_chunks
-        assert k_tight <= k_loose
+        """A plan whose KV footprint fills available memory exactly
+        fits only without the MEMORY_BUFFER_FRAC head-room: the
+        scheduler takes the next cheaper one."""
+        richest = scheduler.choose(space(), make_view(1_000_000))
+        exact = make_view(richest.footprint.cost_tokens)
+        tight = scheduler.choose(space(), exact)
+        assert MEMORY_BUFFER_FRAC == 0.02
+        assert not tight.fell_back
+        assert tight.config.num_chunks < richest.config.num_chunks
+        roomy = make_view(richest.footprint.cost_tokens
+                          * (1.0 + MEMORY_BUFFER_FRAC))
+        assert scheduler.choose(space(), roomy).config == richest.config
 
     def test_invalid_buffer_rejected(self):
-        with pytest.raises(ValueError):
-            JointScheduler(memory_buffer_frac=0.9)
+        """The constant stays in the range the constructor once
+        enforced: head-room, never more than half the memory."""
+        assert 0.0 <= MEMORY_BUFFER_FRAC <= 0.5
 
 
 class TestQualitySLOGate:

@@ -17,7 +17,7 @@ from repro.retrieval.index import (
     FlatL2Index,
 )
 from repro.retrieval.rerank import ExactReranker, make_reranker
-from repro.retrieval.sharded import ShardedVectorStore
+from repro.retrieval.sharded import PLACEMENT_SEED, ShardedVectorStore
 from repro.util.rng import derive_seed
 from repro.workload import zipfian_workload
 
@@ -64,10 +64,15 @@ class TestPlacement:
             assert a.shard_of(chunk.chunk_id) == b.shard_of(chunk.chunk_id)
 
     def test_placement_seed_changes_layout(self):
-        a = build(8)
-        b = build(8, placement_seed=1)
-        assert [a.shard_of(f"c{i}") for i in range(40)] != \
-            [b.shard_of(f"c{i}") for i in range(40)]
+        """The layout is the PLACEMENT_SEED hash; another seed would lay
+        the same chunks out differently."""
+        store = build(8)
+        ids = [f"c{i}" for i in range(40)]
+        layout = [store.shard_of(cid) for cid in ids]
+        assert layout == [derive_seed(PLACEMENT_SEED, "shard", cid) % 8
+                          for cid in ids]
+        assert layout != [derive_seed(PLACEMENT_SEED + 1, "shard", cid) % 8
+                          for cid in ids]
 
     def test_single_shard_holds_everything(self):
         store = build(1)
@@ -248,7 +253,7 @@ class TestExactReranker:
         chunks = make_chunks(60)
         flat = build(1, chunks=chunks)
         ivf = build(4, chunks=chunks, index_factory="ivf")
-        reranker = ExactReranker(fetch_multiplier=4)
+        reranker = ExactReranker()
         qvec = ivf.embed_query("nvidia revenue asia")
         pool = ivf.search("nvidia revenue asia", reranker.fetch_k(5))
         top = reranker.rerank(ivf, qvec, pool, 5)
@@ -273,20 +278,15 @@ class TestExactReranker:
     def test_make_reranker(self):
         assert make_reranker(None) is None
         assert isinstance(make_reranker("exact"), ExactReranker)
-        custom = ExactReranker(per_candidate_seconds=1e-3)
+        custom = ExactReranker()
         assert make_reranker(custom) is custom
         with pytest.raises(ValueError, match="unknown reranker"):
             make_reranker("cross-encoder")
 
     def test_cost_model(self):
-        reranker = ExactReranker(per_candidate_seconds=2e-4,
-                                 fetch_multiplier=3)
-        assert reranker.fetch_k(5) == 15
-        assert reranker.hold_seconds(15) == pytest.approx(3e-3)
-        with pytest.raises(ValueError):
-            ExactReranker(per_candidate_seconds=-1.0)
-        with pytest.raises(ValueError):
-            ExactReranker(fetch_multiplier=0)
+        reranker = ExactReranker()
+        assert reranker.fetch_k(5) == 20
+        assert reranker.hold_seconds(20) == pytest.approx(4e-3)
 
 
 def _ranked(hits) -> list[tuple]:

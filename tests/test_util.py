@@ -17,7 +17,11 @@ from repro.util import (
     format_tokens,
     stream,
 )
-from repro.util.validation import check_shard_concurrency, check_shard_count
+from repro.util.validation import (
+    check_count,
+    check_shard_concurrency,
+    check_speed,
+)
 
 
 class TestDeriveSeed:
@@ -109,16 +113,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_in_range("v", 11, 0, 10)
 
+    def test_check_speed(self):
+        assert check_speed("s", 2) == 2.0
+        assert isinstance(check_speed("s", 2), float)
+        for bad in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="s must be finite and > 0"):
+                check_speed("s", bad)
+
 
 class TestShardValidation:
     def test_shard_count_accepts_integral(self):
-        assert check_shard_count("k", 4) == 4
-        assert check_shard_count("k", 4.0) == 4
+        assert check_count("k", 4, 1) == 4
+        assert check_count("k", 4.0, 1) == 4
 
     def test_shard_count_rejects_bad_values(self):
         for bad in (0, -1, 1.5, "four", None):
-            with pytest.raises(ValueError, match="k must be an integer"):
-                check_shard_count("k", bad)
+            with pytest.raises(ValueError, match="k must be an integer >= 1"):
+                check_count("k", bad, 1)
 
     def test_shard_concurrency_none_passthrough(self):
         assert check_shard_concurrency("sc", None, 4) is None
