@@ -40,8 +40,8 @@ from repro.sim import ResourceStats
 from repro.util.validation import (
     check_count,
     check_positive,
+    check_replica_speeds,
     check_shard_concurrency,
-    check_speed,
 )
 from repro.workload import (
     Autoscaler,
@@ -482,25 +482,14 @@ class ExperimentRunner:
             store = store.reshard(self.retrieval_shards,
                                   index_factory=index)
         self.store = store
-        if replica_speeds is not None:
-            speeds = [float(s) for s in replica_speeds]
-            if len(speeds) != int(n_replicas):
-                raise ValueError(
-                    f"replica_speeds has {len(speeds)} entries but "
-                    f"n_replicas is {int(n_replicas)}; pass exactly one "
-                    "speed per replica (e.g. --replica-speeds 1.0,0.5 "
-                    "with --replicas 2)"
-                )
-            for i, s in enumerate(speeds):
-                check_speed(f"replica_speeds[{i}]", s)
-            replica_speeds = speeds
         self.bundle = bundle
         self.engine_config = engine_config
         self.seed = seed
         self.n_replicas = int(n_replicas)
         self.router = router
         self.profiler_concurrency = profiler_concurrency
-        self.replica_speeds = replica_speeds
+        self.replica_speeds = check_replica_speeds(replica_speeds,
+                                                   n_replicas)
         params = quality_params or bundle.quality_params
         self.generator = SimulatedGenerator(
             quality=QualityModel(params), root_seed=seed

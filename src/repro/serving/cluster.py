@@ -54,7 +54,11 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from repro.serving.engine import EngineConfig, EngineStats, ServingEngine, StepInfo
 from repro.serving.request import InferenceRequest
 from repro.util.rng import stream
-from repro.util.validation import check_positive, check_speed
+from repro.util.validation import (
+    check_positive,
+    check_replica_speeds,
+    check_speed,
+)
 
 _INF = float("inf")
 
@@ -236,21 +240,10 @@ class ClusterEngine:
     ) -> None:
         check_positive("n_replicas", n_replicas)
         n_replicas = int(n_replicas)
-        if replica_speeds is None:
-            speeds = [1.0] * n_replicas
-        else:
-            speeds = [float(s) for s in replica_speeds]
-            if len(speeds) != n_replicas:
-                raise ValueError(
-                    f"replica_speeds has {len(speeds)} entries but the "
-                    f"cluster has {n_replicas} replicas; pass one speed "
-                    "per replica"
-                )
-            for i, s in enumerate(speeds):
-                check_speed(f"replica_speeds[{i}]", s)
+        speeds = check_replica_speeds(replica_speeds, n_replicas)
         self.config = config
         self.replicas = [ServingEngine(config, speed=s) for s in speeds]
-        self.replica_speeds: tuple[float, ...] = tuple(speeds)
+        self.replica_speeds: tuple[float, ...] = speeds
         # Elastic-fleet lifecycle (driven by repro.workload.Autoscaler).
         # The initial fleet is provisioned at t=0 and active; replicas
         # are never removed from the list — retirement keeps indices

@@ -35,7 +35,7 @@ from repro.llm.costs import RooflineCostModel
 from repro.llm.gpu import ClusterSpec
 from repro.llm.model import ModelSpec
 from repro.serving.kv_cache import BlockManager
-from repro.serving.memory import GPUMemoryModel
+from repro.serving.memory import BLOCK_TOKENS, GPUMemoryModel
 from repro.serving.policies import make_policy
 from repro.serving.request import InferenceRequest, RequestPhase
 from repro.util.validation import check_speed
@@ -43,8 +43,6 @@ from repro.util.validation import check_speed
 __all__ = ["EngineConfig", "ServingEngine", "StepInfo", "EngineStats"]
 
 # Engine constants (vLLM's defaults).
-#: Tokens per paged KV block.
-BLOCK_TOKENS = 16
 #: Most sequences in one running batch.
 MAX_NUM_SEQS = 48
 #: Prompt tokens one iteration may prefill, summed over its chunks.
@@ -131,7 +129,7 @@ class ServingEngine:
             kv_pool_cap_bytes=config.kv_pool_cap_bytes,
         )
         self.blocks = BlockManager(
-            n_blocks=self.memory.n_blocks(BLOCK_TOKENS),
+            n_blocks=self.memory.n_blocks,
             block_tokens=BLOCK_TOKENS,
         )
         self.cost = RooflineCostModel(config.model, config.cluster)

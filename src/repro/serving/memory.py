@@ -22,6 +22,8 @@ GPU_MEMORY_UTILIZATION = 0.90
 #: Fraction of total HBM reserved for activations, CUDA graphs and
 #: fragmentation slack.
 ACTIVATION_RESERVE_FRAC = 0.08
+#: Tokens per paged KV block (vLLM's default).
+BLOCK_TOKENS = 16
 
 
 @dataclass(frozen=True)
@@ -73,11 +75,10 @@ class GPUMemoryModel:
         """Total KV-cache capacity in tokens."""
         return int(self.kv_pool_bytes // self.kv_bytes_per_token)
 
-    def n_blocks(self, block_tokens: int) -> int:
-        """Number of KV blocks the pool holds."""
-        if block_tokens <= 0:
-            raise ValueError(f"block_tokens must be positive, got {block_tokens}")
-        return self.kv_pool_tokens // block_tokens
+    @property
+    def n_blocks(self) -> int:
+        """Number of :data:`BLOCK_TOKENS`-token KV blocks the pool holds."""
+        return self.kv_pool_tokens // BLOCK_TOKENS
 
     def tokens_to_bytes(self, n_tokens: int) -> float:
         """KV bytes consumed by ``n_tokens`` context tokens."""

@@ -7,11 +7,10 @@ model. See ``docs/ARCHITECTURE.md``.
 """
 
 from repro.sim.driver import StepDriver
-from repro.sim.kernel import Clock, Event, EventLoop, Steppable
+from repro.sim.kernel import Event, EventLoop, Steppable
 from repro.sim.resource import Lease, Resource, ResourceStats
 
 __all__ = [
-    "Clock",
     "Event",
     "EventLoop",
     "Lease",

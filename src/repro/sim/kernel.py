@@ -1,4 +1,4 @@
-"""Deterministic discrete-event kernel: clock, typed events, event loop.
+"""Deterministic discrete-event kernel: typed events and the event loop.
 
 This is the substrate every workload driver in the repo shares. Four
 properties are load-bearing and pinned by ``tests/test_sim_kernel.py``:
@@ -34,31 +34,31 @@ properties are load-bearing and pinned by ``tests/test_sim_kernel.py``:
 Pending-set representation
 --------------------------
 
-The pending set is a **calendar queue** (bucketed timer wheel) rather
-than a single binary heap: events land in fixed-width time buckets
-(``dict`` keyed by ``int(time / bucket_width)``), a small heap orders
-the active bucket ids, and each bucket is sorted lazily — descending,
-so the minimum pops off the tail in O(1) — only when it becomes the
-frontier bucket. Events far beyond the frontier (more than
-``_FAR_SPAN`` buckets ahead) fall back to a plain heap; every pop
-compares the full ``(time, rank, seq)`` key of the near minimum against
-the far minimum, so classification never affects dispatch order.
-Cancelled events are dropped lazily when they surface, and the whole
-structure is compacted (dead entries swept out, surviving order
-untouched) once tombstones outnumber live events — so a hedging-heavy
-run never drags thousands of dead timers through every comparison.
-``tests/test_kernel_queue.py`` pins dispatch-order equivalence against
-a reference heapq implementation under random schedule / cancel /
-reschedule mixes.
+The pending set is one binary heap (``heapq``) of ``(time, rank, seq,
+event)`` entries. On the real workloads it stays small (peaks of
+1.8k-3k entries, mostly arrivals scheduled up front), so a heap about
+11 levels deep is the whole mechanism. Cancelled events stay in the
+heap as tombstones and are dropped when they surface; once tombstones
+outnumber live events (and exceed ``_COMPACT_MIN_DEAD``) the survivors
+are re-heapified in one amortized sweep, so a hedging-heavy run never
+drags thousands of dead timers through every comparison. Keys are
+unique (``seq`` never repeats), so compaction cannot reorder a
+dispatch. ``tests/test_kernel_queue.py`` pins dispatch-order
+equivalence against a reference heapq model under random schedule /
+cancel / reschedule / rearm mixes with source ranks and equal-time ties.
 """
 
 from __future__ import annotations
 
-from heapq import heappop as _heappop, heappush as _heappush
+from heapq import (
+    heapify as _heapify,
+    heappop as _heappop,
+    heappush as _heappush,
+)
 import itertools
 from typing import Any, Callable, Protocol
 
-__all__ = ["Clock", "Event", "EventLoop", "Steppable"]
+__all__ = ["Event", "EventLoop", "Steppable"]
 
 EventHandler = Callable[[float, Any], None]
 
@@ -67,27 +67,8 @@ _PENDING = 0
 _POPPED = 1
 _CANCELLED = 2
 
-#: Buckets further than this beyond the frontier go to the far heap.
-_FAR_SPAN = 4096
 #: Compaction floor: never compact below this many dead entries.
 _COMPACT_MIN_DEAD = 64
-
-
-class Clock:
-    """Monotonic simulated clock (seconds since run start)."""
-
-    __slots__ = ("now",)
-
-    def __init__(self, start: float = 0.0) -> None:
-        self.now = float(start)
-
-    def advance_to(self, t: float) -> None:
-        """Move forward to ``t``; moving backwards is a silent no-op."""
-        if t > self.now:
-            self.now = t
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Clock(now={self.now:.6f})"
 
 
 class Steppable(Protocol):
@@ -149,7 +130,7 @@ class Event:
 
 
 class EventLoop:
-    """Calendar-queue event loop with stable FIFO tie-breaking.
+    """Binary-heap event loop with stable FIFO tie-breaking.
 
     :meth:`run` dispatches everything until idle. With substrates
     registered via :meth:`attach` (and their step events kept armed
@@ -161,30 +142,17 @@ class EventLoop:
     (and swept wholesale by amortized compaction), so surviving events
     keep their exact ``(time, rank, seq)`` order.
 
-    ``bucket_width`` is the calendar-queue bucket size in simulated
-    seconds. It is a pure performance knob: dispatch order is
-    independent of it (pinned by ``tests/test_kernel_queue.py``).
+    ``now`` is the simulated clock: the latest dispatch time, never
+    rewound.
     """
 
-    def __init__(self, clock: Clock | None = None,
-                 bucket_width: float = 1.0 / 64.0) -> None:
-        if bucket_width <= 0:
-            raise ValueError(f"bucket_width must be positive, got {bucket_width}")
-        self.clock = clock or Clock()
+    def __init__(self) -> None:
+        self.now = 0.0
         self._seq = itertools.count()
-        #: near-future buckets: bucket id -> [(time, rank, seq, event)]
-        self._buckets: dict[int, list[tuple]] = {}
-        #: min-heap of active bucket ids (invariant: == set(_buckets))
-        self._bucket_ids: list[int] = []
-        #: bucket ids appended to since their last sort
-        self._dirty: set[int] = set()
-        #: heap fallback for events far beyond the frontier
-        self._far: list[tuple] = []
-        self._inv_width = 1.0 / bucket_width
-        #: frontier in bucket coordinates (last pop's ``time/width``)
-        self._cursor = 0.0
+        #: min-heap of ``(time, rank, seq, event)`` entries
+        self._heap: list[tuple] = []
         self._n_pending = 0
-        #: cancelled entries still resident in the structures
+        #: cancelled entries still resident in the heap
         self._n_dead = 0
         self._sources: list[Steppable] = []
         #: per-source fused advance-and-read-clock callables (see attach)
@@ -209,27 +177,14 @@ class EventLoop:
         their raw time for queue ordering; at dispatch their handler
         observes ``max(event.time, substrate.now)`` when a substrate is
         attached, but the *raw* event time without one (only
-        ``clock.now`` itself never rewinds).
+        :attr:`now` itself never rewinds).
 
         ``source`` marks a substrate-scheduled step event: it ranks
         after equal-time external events and is dispatched without the
         attached-source advance/clamp (see :class:`Event`).
         """
         event = Event(time, next(self._seq), kind, handler, payload, source)
-        # _insert, inlined (schedule is a hot call).
-        entry = (event.time, event.rank, event.seq, event)
-        fb = entry[0] * self._inv_width
-        if fb - self._cursor > _FAR_SPAN:
-            _heappush(self._far, entry)
-        else:
-            b = int(fb)
-            bucket = self._buckets.get(b)
-            if bucket is None:
-                self._buckets[b] = [entry]
-                _heappush(self._bucket_ids, b)
-            else:
-                bucket.append(entry)
-                self._dirty.add(b)
+        _heappush(self._heap, (time, event.rank, event.seq, event))
         self._n_pending += 1
         self.n_scheduled += 1
         return event
@@ -248,37 +203,10 @@ class EventLoop:
         event.time = time
         event.seq = seq
         event._status = _PENDING
-        entry = (time, event.rank, seq, event)
-        fb = time * self._inv_width
-        if fb - self._cursor > _FAR_SPAN:
-            _heappush(self._far, entry)
-        else:
-            b = int(fb)
-            bucket = self._buckets.get(b)
-            if bucket is None:
-                self._buckets[b] = [entry]
-                _heappush(self._bucket_ids, b)
-            else:
-                bucket.append(entry)
-                self._dirty.add(b)
+        _heappush(self._heap, (time, event.rank, seq, event))
         self._n_pending += 1
         self.n_scheduled += 1
         return event
-
-    def _insert(self, entry: tuple) -> None:
-        """Place an entry in its bucket (or the far heap)."""
-        fb = entry[0] * self._inv_width
-        if fb - self._cursor > _FAR_SPAN:
-            _heappush(self._far, entry)
-            return
-        b = int(fb)
-        bucket = self._buckets.get(b)
-        if bucket is None:
-            self._buckets[b] = [entry]
-            _heappush(self._bucket_ids, b)
-        else:
-            bucket.append(entry)
-            self._dirty.add(b)
 
     def is_pending(self, event: Event) -> bool:
         """Whether ``event`` is scheduled and neither fired nor cancelled.
@@ -297,8 +225,8 @@ class EventLoop:
         ``False`` if it had already been dispatched or cancelled.
         Cancellation never perturbs the relative order of surviving
         events (lazy deletion — pinned by ``tests/test_sim_kernel.py``);
-        once tombstones outnumber live events the structures are
-        compacted in one amortized sweep.
+        once tombstones outnumber live events the heap is compacted in
+        one amortized sweep.
         """
         if event._status != _PENDING:
             return False
@@ -327,26 +255,16 @@ class EventLoop:
                              payload=event.payload, source=event.source)
 
     def _compact(self) -> None:
-        """Sweep dead entries out of every structure in one pass.
+        """Sweep dead entries out of the heap in one pass.
 
         Surviving entries keep their ``(time, rank, seq)`` keys, so the
         dispatch order is untouched (pinned by
         ``tests/test_kernel_queue.py``).
         """
-        survivors = [entry
-                     for bucket in self._buckets.values()
-                     for entry in bucket
-                     if entry[3]._status == _PENDING]
-        survivors.extend(entry for entry in self._far
-                         if entry[3]._status == _PENDING)
-        self._buckets.clear()
-        self._bucket_ids.clear()
-        self._dirty.clear()
-        # In-place clear: ``run``'s inlined hot loop holds a local
-        # alias to this list, which must survive compaction.
-        del self._far[:]
-        for entry in survivors:
-            self._insert(entry)
+        heap = self._heap
+        # In-place: ``run``'s hot loop holds a local alias to the heap.
+        heap[:] = [entry for entry in heap if entry[3]._status == _PENDING]
+        _heapify(heap)
         self._n_dead = 0
 
     # ------------------------------------------------------------------
@@ -373,13 +291,9 @@ class EventLoop:
 
     def queued_entries(self) -> list[tuple]:
         """Every ``(time, rank, seq, event)`` entry still resident in
-        the queue structures, live or tombstoned (testing/debugging
-        aid — the drain property test asserts residual entries are all
-        tombstones)."""
-        entries = [entry for bucket in self._buckets.values()
-                   for entry in bucket]
-        entries.extend(self._far)
-        return entries
+        the heap, live or tombstoned (testing/debugging aid — the drain
+        property test asserts residual entries are all tombstones)."""
+        return list(self._heap)
 
     # ------------------------------------------------------------------
     @property
@@ -424,53 +338,18 @@ class EventLoop:
         ``max_steps`` (a diverging simulation).
         """
         steps = 0
-        # THE hot loop (every run lives here): the structure aliases
-        # are safe because ``_insert``/``_compact`` mutate these
-        # containers in place, never rebind them.
-        buckets = self._buckets
-        ids = self._bucket_ids
-        dirty = self._dirty
-        far = self._far
-        clock = self.clock
+        # THE hot loop (every run lives here): the heap alias is safe
+        # because ``_compact`` rewrites the list in place.
+        heap = self._heap
         deferred = self._deferred
         heappop = _heappop
         while self._n_pending:
-            # -- locate + remove the min live entry --
-            # The frontier bucket is sorted descending on first use, so
-            # its minimum pops off the tail; dead entries surfacing at
-            # either structure's head are dropped. Near and far minima
-            # are compared on their full ``(time, rank, seq)`` keys, so
-            # far classification can never reorder a dispatch.
-            near = None
-            while ids:
-                b = ids[0]
-                bucket = buckets[b]
-                if b in dirty:
-                    bucket.sort(reverse=True)
-                    dirty.discard(b)
-                while bucket:
-                    if bucket[-1][3]._status == _PENDING:
-                        near = bucket
-                        break
-                    bucket.pop()
-                    self._n_dead -= 1
-                if near is not None:
-                    break
-                del buckets[b]
-                heappop(ids)
-            while far and far[0][3]._status != _PENDING:
-                heappop(far)
+            event = heappop(heap)[3]
+            if event._status != _PENDING:
                 self._n_dead -= 1
-            if near is None:
-                entry = heappop(far)
-            elif far and far[0] < near[-1]:
-                entry = heappop(far)
-            else:
-                entry = near.pop()
-            event = entry[3]
+                continue
             event._status = _POPPED
             self._n_pending -= 1
-            self._cursor = entry[0] * self._inv_width
             # -- advance attached sources + dispatch --
             t = event.time
             if event.source is None and self._sources:
@@ -478,8 +357,8 @@ class EventLoop:
                     now = adv(t)
                     if now > t:
                         t = now
-            if t > clock.now:
-                clock.now = t
+            if t > self.now:
+                self.now = t
             self.n_dispatched += 1
             self._in_dispatch = True
             try:

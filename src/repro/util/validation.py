@@ -14,6 +14,7 @@ __all__ = [
     "check_probability",
     "check_in_range",
     "check_speed",
+    "check_replica_speeds",
     "check_shard_concurrency",
     "check_count",
     "check_non_empty",
@@ -59,6 +60,28 @@ def check_speed(name: str, value: float) -> float:
     if not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     return float(value)
+
+
+def check_replica_speeds(speeds, n_replicas: int) -> tuple[float, ...]:
+    """Normalise a per-replica speed list to a float tuple.
+
+    ``None`` is a homogeneous fleet (every replica at 1.0). Otherwise
+    the length must equal ``n_replicas`` — a mismatch fails fast with
+    both counts — and each entry must pass :func:`check_speed`.
+    """
+    n_replicas = int(n_replicas)
+    if speeds is None:
+        return (1.0,) * n_replicas
+    speeds = [float(s) for s in speeds]
+    if len(speeds) != n_replicas:
+        raise ValueError(
+            f"replica_speeds has {len(speeds)} entries but "
+            f"n_replicas is {n_replicas}; pass exactly one "
+            "speed per replica (e.g. --replica-speeds 1.0,0.5 "
+            "with --replicas 2)"
+        )
+    return tuple(check_speed(f"replica_speeds[{i}]", s)
+                 for i, s in enumerate(speeds))
 
 
 def check_count(name: str, value, minimum: int = 0) -> int:

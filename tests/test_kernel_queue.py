@@ -1,13 +1,13 @@
-"""Property tests: the calendar-queue kernel vs a reference heapq.
+"""Property tests: the heap kernel vs a reference heapq model.
 
-The kernel's pending set is a calendar queue (near buckets + far-heap
-fallback + lazy tombstones + amortized compaction) — pure mechanism.
-Its observable contract is the one a plain ``heapq`` ordered by
-``(time, rank, seq)`` provides. These tests pin that equivalence under
-randomized schedule / cancel / reschedule workloads (including ops
-issued from inside firing handlers), that tombstone compaction never
-perturbs the surviving order, and that ``bucket_width`` is a pure
-performance knob with no observable effect.
+The kernel's pending set is one binary heap with lazy tombstones and
+amortized compaction. Its observable contract is the one a plain
+``heapq`` ordered by ``(time, rank, seq)`` provides. These tests pin
+that equivalence under randomized schedule / cancel / reschedule /
+rearm workloads (including ops issued from inside firing handlers,
+source-marked events that rank after equal-time external ones, and
+tapes on a time grid so that equal-time ties really happen), and that
+tombstone compaction never perturbs the surviving order.
 """
 
 from __future__ import annotations
@@ -21,53 +21,71 @@ from repro.sim import EventLoop
 from repro.sim.kernel import _COMPACT_MIN_DEAD
 from repro.util.rng import RngStreams
 
+#: The ``source`` a tape passes for source-marked events.
+_SOURCE = "substrate"
+
+_PENDING, _FIRED, _CANCELLED = "pending", "fired", "cancelled"
+
 
 class _RefHandle:
-    __slots__ = ("time", "seq", "payload", "handler", "alive")
+    __slots__ = ("time", "rank", "seq", "payload", "handler", "source",
+                 "state")
 
-    def __init__(self, time, seq, handler, payload):
-        self.time = time
-        self.seq = seq
+    def __init__(self, handler, payload, source):
         self.handler = handler
         self.payload = payload
-        self.alive = True
+        self.source = source
+        self.rank = 0 if source is None else 1
 
 
 class ReferenceLoop:
     """Plain-heapq model of the kernel's dispatch contract: strict
-    ``(time, seq)`` order (every event here is external, rank 0) with
-    lazy-deletion cancellation and cancel-plus-fresh-seq reschedule."""
+    ``(time, rank, seq)`` order (source-marked events rank 1, after
+    equal-time external ones), lazy-deletion cancellation,
+    cancel-plus-fresh-seq reschedule, and rearm of a fired event at a
+    fresh seq."""
 
     def __init__(self):
-        self._heap: list[tuple[float, int, _RefHandle]] = []
+        self._heap: list[tuple[float, int, int, _RefHandle]] = []
         self._seq = itertools.count()
         self.now = 0.0
 
-    def schedule(self, time, kind, handler, payload=None):
-        handle = _RefHandle(time, next(self._seq), handler, payload)
-        heapq.heappush(self._heap, (time, handle.seq, handle))
+    def _push(self, handle, time):
+        handle.time = time
+        handle.seq = next(self._seq)
+        handle.state = _PENDING
+        heapq.heappush(self._heap, (time, handle.rank, handle.seq, handle))
         return handle
 
+    def schedule(self, time, kind, handler, payload=None, source=None):
+        return self._push(_RefHandle(handler, payload, source), time)
+
+    def rearm(self, handle, time):
+        if handle.state != _FIRED:
+            raise ValueError("rearm() requires a fired event")
+        return self._push(handle, time)
+
     def cancel(self, handle):
-        if not handle.alive:
+        if handle.state != _PENDING:
             return False
-        handle.alive = False
+        handle.state = _CANCELLED
         return True
 
     def reschedule(self, handle, time):
         if not self.cancel(handle):
             raise ValueError("reschedule() requires a pending event")
-        return self.schedule(time, "", handle.handler, handle.payload)
+        return self.schedule(time, "", handle.handler, handle.payload,
+                             handle.source)
 
     def is_pending(self, handle):
-        return handle.alive
+        return handle.state == _PENDING
 
     def run(self):
         while self._heap:
-            time, _, handle = heapq.heappop(self._heap)
-            if not handle.alive:
+            time, _, _, handle = heapq.heappop(self._heap)
+            if handle.state != _PENDING:
                 continue
-            handle.alive = False
+            handle.state = _FIRED
             if time > self.now:
                 self.now = time
             # Handlers observe the event's own time, which may trail
@@ -78,14 +96,18 @@ class ReferenceLoop:
 # ----------------------------------------------------------------------
 # Random op tapes, interpreted identically against both loops
 # ----------------------------------------------------------------------
-def build_tape(seed: int, n_initial: int = 200, n_max: int = 600):
+def build_tape(seed: int, n_initial: int = 200, n_max: int = 600,
+               quantum: float | None = None):
     """Pure data: pre-run ops plus per-event on-fire ops.
 
     Event ids number schedule ops in creation order (identical across
-    interpreters). Times span [0, 120) with occasional far-future
-    outliers so every bucket width exercises both the near buckets and
-    the far-heap fallback; on-fire deltas include small negative ones
-    (events trailing the loop clock are legal and must order the same).
+    interpreters). Times span [0, 120); on-fire deltas include small
+    negative ones (events trailing the loop clock are legal and must
+    order the same). A quarter of the schedules are source-marked, and
+    some on-fire op lists re-arm the event that just fired. With
+    ``quantum`` every time and delta is rounded to that grid (powers
+    of two keep the sums exact), so equal-time ties, between external
+    and source events alike, are common.
     """
     rng = RngStreams(seed).get("test", "kernel-queue")
     initial: list[tuple] = []
@@ -93,30 +115,36 @@ def build_tape(seed: int, n_initial: int = 200, n_max: int = 600):
     next_id = 0
     live_pool: list[int] = []
 
-    def new_schedule(t):
+    def snap(t):
+        return t if quantum is None else round(t / quantum) * quantum
+
+    def uniform(lo, hi):
+        return snap(float(rng.uniform(lo, hi)))
+
+    def new_id():
         nonlocal next_id
-        eid = next_id
         next_id += 1
-        live_pool.append(eid)
-        return ("schedule", float(t), eid)
+        live_pool.append(next_id - 1)
+        return next_id - 1
+
+    def source():
+        return _SOURCE if rng.random() < 0.25 else None
 
     for _ in range(n_initial):
-        t = float(rng.uniform(0.0, 120.0))
-        if rng.random() < 0.05:
-            t += 10_000.0  # far beyond any near-bucket span
-        initial.append(new_schedule(t))
+        initial.append(("schedule", uniform(0.0, 120.0), new_id(), source()))
         u = float(rng.random())
         if u < 0.15 and live_pool:
             initial.append(("cancel",
                             int(rng.choice(live_pool))))
         elif u < 0.30 and live_pool:
             initial.append(("resched", int(rng.choice(live_pool)),
-                            float(rng.uniform(0.0, 120.0))))
+                            uniform(0.0, 120.0)))
 
     # On-fire ops: half the events act when they dispatch. Cancel and
     # reschedule targets come from the pre-run pool only — those are
     # guaranteed to exist whenever any event fires (an already-fired
-    # or already-cancelled target exercises the no-op paths).
+    # or already-cancelled target exercises the no-op paths). At most
+    # one op per list re-arms the firing event itself.
     pre_run_ids = list(live_pool)
     for eid in range(next_id):
         if rng.random() >= 0.5:
@@ -124,33 +152,40 @@ def build_tape(seed: int, n_initial: int = 200, n_max: int = 600):
         ops = []
         for _ in range(int(rng.integers(1, 3))):
             u = float(rng.random())
-            if u < 0.5 and next_id < n_max:
+            if u < 0.4 and next_id < n_max:
                 # Time is relative to the firing instant, resolved by
-                # the interpreter; reuse new_schedule for id bookkeeping.
-                _, _, new_eid = new_schedule(0.0)
-                ops.append(("schedule_rel",
-                            float(rng.uniform(-0.05, 2.0)), new_eid))
-            elif u < 0.75:
+                # the interpreter.
+                ops.append(("schedule_rel", uniform(-0.05, 2.0), new_id(),
+                            source()))
+            elif u < 0.6:
                 ops.append(("cancel", int(rng.choice(pre_run_ids))))
-            else:
+            elif u < 0.8:
                 ops.append(("resched_rel", int(rng.choice(pre_run_ids)),
-                            float(rng.uniform(-0.05, 2.0))))
+                            uniform(-0.05, 2.0)))
+            elif not any(op[0] == "rearm_rel" for op in ops):
+                ops.append(("rearm_rel", eid, uniform(-0.05, 2.0)))
         on_fire[eid] = ops
     return initial, on_fire
 
 
 def interpret(loop, tape) -> list[tuple[int, float]]:
-    """Run one tape against ``loop``; return the dispatch sequence."""
+    """Run one tape against ``loop``; return the dispatch sequence.
+
+    An event's on-fire ops run on its first dispatch only, so a
+    re-armed event fires again without re-arming forever.
+    """
     initial, on_fire = tape
     handles: dict[int, object] = {}
     dispatched: list[tuple[int, float]] = []
+    acted: set[int] = set()
 
     def apply(op, now):
         kind = op[0]
         if kind == "schedule":
-            handles[op[2]] = loop.schedule(op[1], "ev", fire, op[2])
+            handles[op[2]] = loop.schedule(op[1], "ev", fire, op[2], op[3])
         elif kind == "schedule_rel":
-            handles[op[2]] = loop.schedule(now + op[1], "ev", fire, op[2])
+            handles[op[2]] = loop.schedule(now + op[1], "ev", fire, op[2],
+                                           op[3])
         elif kind == "cancel":
             loop.cancel(handles[op[1]])
         elif kind == "resched":
@@ -160,9 +195,14 @@ def interpret(loop, tape) -> list[tuple[int, float]]:
             if loop.is_pending(handles[op[1]]):
                 handles[op[1]] = loop.reschedule(handles[op[1]],
                                                  now + op[2])
+        elif kind == "rearm_rel":
+            loop.rearm(handles[op[1]], now + op[2])
 
     def fire(now, eid):
         dispatched.append((eid, now))
+        if eid in acted:
+            return
+        acted.add(eid)
         for op in on_fire.get(eid, ()):
             apply(op, now)
 
@@ -182,19 +222,35 @@ def test_dispatch_order_matches_reference_heapq(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("width", [1.0 / 1024, 1.0 / 64, 1.0, 16.0])
-def test_bucket_width_is_observationally_neutral(seed, width):
-    """Any bucket width — from one that scatters the tape across
-    thousands of buckets to one that funnels almost everything into
-    the far heap's span checks — dispatches identically."""
-    tape = build_tape(seed)
-    assert (interpret(EventLoop(bucket_width=width), tape)
-            == interpret(ReferenceLoop(), tape))
+@pytest.mark.parametrize("quantum", [1.0 / 16, 1.0 / 4, 1.0, 16.0])
+def test_ties_ranks_and_rearm_match_reference_heapq(seed, quantum):
+    """On a time grid — from one that leaves a few collisions to one
+    that piles the tape onto a handful of instants — source ranks,
+    FIFO ties and re-armed events dispatch exactly as the reference."""
+    tape = build_tape(seed, quantum=quantum)
+    got = interpret(EventLoop(), tape)
+    assert got == interpret(ReferenceLoop(), tape)
+    ops = [*tape[0], *(op for ops in tape[1].values() for op in ops)]
+    assert any(op[0].startswith("schedule") and op[3] == _SOURCE
+               for op in ops)
+    assert any(op[0] == "rearm_rel" for op in ops)
+    times = [t for _, t in got]
+    assert len(set(times)) < len(times)  # equal-time ties happened
 
 
-def test_invalid_bucket_width_rejected():
-    with pytest.raises(ValueError, match="bucket_width"):
-        EventLoop(bucket_width=0.0)
+@pytest.mark.parametrize("make_loop", [EventLoop, ReferenceLoop])
+def test_rearm_requires_fired_event(make_loop):
+    """Only a fired event may be re-armed: a pending or a cancelled
+    one raises and stays as it was."""
+    loop = make_loop()
+    event = loop.schedule(1.0, "ev", lambda t, _: None)
+    with pytest.raises(ValueError, match="fired"):
+        loop.rearm(event, 2.0)
+    assert loop.is_pending(event)
+    loop.cancel(event)
+    with pytest.raises(ValueError, match="fired"):
+        loop.rearm(event, 2.0)
+    assert not loop.is_pending(event)
 
 
 class TestCompaction:

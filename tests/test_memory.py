@@ -6,7 +6,8 @@ import pytest
 
 from repro.llm import A40, ClusterSpec, LLAMA3_70B_AWQ, MISTRAL_7B_AWQ
 from repro.llm.model import Quantization
-from repro.serving.memory import GPUMemoryModel
+from repro.serving.engine import EngineConfig, ServingEngine
+from repro.serving.memory import BLOCK_TOKENS, GPUMemoryModel
 from repro.util.units import GB
 
 
@@ -36,7 +37,8 @@ class TestGPUMemoryModel:
 
     def test_n_blocks(self):
         mem = GPUMemoryModel(MISTRAL_7B_AWQ, ClusterSpec(A40))
-        assert mem.n_blocks(16) == mem.kv_pool_tokens // 16
+        assert mem.n_blocks == mem.kv_pool_tokens // BLOCK_TOKENS
+        assert mem.n_blocks == 18_264  # 292,224 pool tokens / 16
 
     def test_tokens_to_bytes(self):
         mem = GPUMemoryModel(MISTRAL_7B_AWQ, ClusterSpec(A40))
@@ -60,6 +62,9 @@ class TestGPUMemoryModel:
                            kv_pool_cap_bytes=0)
 
     def test_bad_blocks_arg(self):
-        mem = GPUMemoryModel(MISTRAL_7B_AWQ, ClusterSpec(A40))
-        with pytest.raises(ValueError):
-            mem.n_blocks(0)
+        """The block size is a constant now: a positive int the engine
+        shares, so its block manager partitions exactly this pool."""
+        assert isinstance(BLOCK_TOKENS, int) and BLOCK_TOKENS > 0
+        engine = ServingEngine(EngineConfig(MISTRAL_7B_AWQ, ClusterSpec(A40)))
+        assert engine.blocks.n_blocks == engine.memory.n_blocks
+        assert engine.blocks.block_tokens == BLOCK_TOKENS

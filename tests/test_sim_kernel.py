@@ -2,23 +2,34 @@
 
 import pytest
 
-from repro.sim import Clock, EventLoop, StepDriver
+from repro.sim import EventLoop, StepDriver
 from repro.util.rng import RngStreams
 
 
 class TestClock:
+    """``EventLoop.now`` is the simulated clock."""
+
     def test_starts_at_zero(self):
-        assert Clock().now == 0.0
+        assert EventLoop().now == 0.0
 
     def test_advance_forward(self):
-        clock = Clock()
-        clock.advance_to(3.5)
-        assert clock.now == 3.5
+        """The clock follows dispatch: each handler sees ``now`` at its
+        own event time, and the drained loop rests at the last one."""
+        loop = EventLoop()
+        seen: list[float] = []
+        for t in (3.5, 1.0, 2.0):
+            loop.schedule(t, "e", lambda t, _: seen.append(loop.now))
+        loop.run()
+        assert seen == [1.0, 2.0, 3.5]
+        assert loop.now == 3.5
 
     def test_never_rewinds(self):
-        clock = Clock(start=2.0)
-        clock.advance_to(1.0)
-        assert clock.now == 2.0
+        loop = EventLoop()
+        loop.schedule(2.0, "a", lambda t, _: None)
+        loop.run()
+        loop.schedule(1.0, "late", lambda t, _: None)
+        loop.run()
+        assert loop.now == 2.0
 
 
 class TestEventOrdering:
@@ -74,9 +85,9 @@ class TestEventOrdering:
         seen: list[float] = []
         loop.schedule(1.0, "a", lambda t, _: None)
         loop.run()
-        assert loop.clock.now == 1.0
+        assert loop.now == 1.0
         loop.schedule(0.5, "late", lambda t, _: seen.append(
-            (t, loop.clock.now)))
+            (t, loop.now)))
         loop.run()
         assert seen == [(0.5, 1.0)]  # raw time passed, clock unmoved
 
@@ -91,7 +102,7 @@ class TestDeterminism:
 
         def handler(t, payload):
             depth = payload
-            trace.append((round(t, 9), depth, loop.clock.now))
+            trace.append((round(t, 9), depth, loop.now))
             if depth < 3:
                 for _ in range(int(rng.integers(0, 3))):
                     loop.schedule(t + float(rng.exponential(0.5)),

@@ -124,7 +124,7 @@ class TestQueueDelay:
             loop.schedule(0.0, "arrival", on_arrival, i)
         loop.run()
         assert order == list(range(10))
-        assert loop.clock.now == pytest.approx(5.0)
+        assert loop.now == pytest.approx(5.0)
         assert resource.stats.max_queue_delay == pytest.approx(4.5)
 
     def test_full_utilization_back_to_back(self):

@@ -19,6 +19,7 @@ from repro.util import (
 )
 from repro.util.validation import (
     check_count,
+    check_replica_speeds,
     check_shard_concurrency,
     check_speed,
 )
@@ -119,6 +120,18 @@ class TestValidation:
         for bad in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(ValueError, match="s must be finite and > 0"):
                 check_speed("s", bad)
+
+    def test_check_replica_speeds(self):
+        """One check for the runner and the cluster: ``None`` is a
+        homogeneous fleet, a wrong length names both counts, and every
+        entry is a valid speed."""
+        assert check_replica_speeds(None, 2) == (1.0, 1.0)
+        assert check_replica_speeds([1, 0.5], 2) == (1.0, 0.5)
+        with pytest.raises(ValueError,
+                           match="3 entries but n_replicas is 2"):
+            check_replica_speeds([1.0, 0.5, 0.25], 2)
+        with pytest.raises(ValueError, match=r"replica_speeds\[1\]"):
+            check_replica_speeds([1.0, 0.0], 2)
 
 
 class TestShardValidation:
