@@ -6,8 +6,9 @@
 * ``intermediate_length`` — per-chunk summary budget, meaningful only
   for ``map_reduce``.
 
-A :class:`RAGConfig` is an immutable value object; canonicalisation
-forces ``intermediate_length=0`` for non-``map_reduce`` methods so that
+A :class:`RAGConfig` is an immutable value object, slotted because a
+serve keeps thousands alive; canonicalisation forces
+``intermediate_length=0`` for non-``map_reduce`` methods so that
 configs compare and hash sensibly.
 """
 
@@ -53,7 +54,7 @@ _MAX_NUM_CHUNKS = 256
 _MAX_INTERMEDIATE_LENGTH = 2_048
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class RAGConfig:
     """One concrete assignment of the three knobs.
 

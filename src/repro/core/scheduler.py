@@ -13,20 +13,27 @@ optimises purely for the resource fit:
   range: ``map_rerank`` (no joint reasoning needed) or ``stuff`` (joint
   needed) with as many chunks as fit.
 
-**Fast path.** Sizing a candidate only ever reads aggregate token
-counts, so :meth:`JointScheduler.choose` scores the pruned grid against
-the candidates' memoized uniform-chunk
-:class:`~repro.synthesis.plans.SynthesisPlan`\\ s (one call group per
-stage), vectorized over the candidate axis with numpy. Grids are
-memoized per ``(pruned space, query shape)``; query shapes cluster
-heavily across a trace, so most decisions reduce to two array
-comparisons and an argmax. Decisions are byte-identical to the scalar
-reference chooser (``tests/decide_reference.py``,
-raced against this one by the equivalence suite and
-``benchmarks/bench_decide_micro.py``): the float expressions keep the
-exact same association order, token counts convert to float64 exactly
-(far below 2^53), and ``argmax``/``argmin`` return the *first* extremum
-just as the reference loops keep the earliest strict winner.
+**Fast path.** Sizing a candidate only ever reads two integers of its
+uniform-chunk :class:`~repro.synthesis.plans.SynthesisPlan`
+(``cost_tokens`` and ``fit_tokens``), so :meth:`JointScheduler.choose`
+scores the pruned grid as numpy arrays over the candidate axis. Grids
+are memoized per ``(pruned space, query shape)`` and hold the scores
+only: ``(configs, cost, fit, chunks)``. A grid miss builds each
+candidate's plan with :func:`~repro.synthesis.uniform_plan`, reads the
+two integers and drops it, so no memo keeps a plan per candidate.
+Query shapes cluster heavily across a trace, so most decisions reduce
+to two array comparisons and an argmax. A :class:`JointDecision`
+carries no plan either; the one reader of the chosen config's plan,
+deadline-risk hedge pricing, asks
+:meth:`~repro.core.policy.SchedulingView.footprint` for it.
+
+Decisions are byte-identical to the scalar reference chooser
+(``tests/decide_reference.py``, raced against this one by the
+equivalence suite and ``benchmarks/bench_decide_micro.py``): the float
+expressions keep the exact same association order, token counts
+convert to float64 exactly (far below 2^53), and ``argmax``/``argmin``
+return the *first* extremum just as the reference loops keep the
+earliest strict winner.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import numpy as np
 from repro.config.knobs import RAGConfig, SynthesisMethod
 from repro.config.space import PrunedSpace
 from repro.core.policy import SchedulingView
-from repro.synthesis import SynthesisPlan, estimate_footprint
+from repro.synthesis import uniform_plan
 
 __all__ = ["JointDecision", "JointScheduler", "MEMORY_BUFFER_FRAC"]
 
@@ -53,7 +60,6 @@ class JointDecision:
     """The scheduler's pick plus search diagnostics."""
 
     config: RAGConfig
-    footprint: SynthesisPlan
     fell_back: bool
     n_candidates: int
     n_fitting: int
@@ -63,25 +69,24 @@ class JointDecision:
 def _scored_grid(
     pruned: PrunedSpace, query_tokens: int, chunk_tokens: int,
     answer_tokens: int,
-) -> tuple[tuple[RAGConfig, ...], tuple[SynthesisPlan, ...],
-           np.ndarray, np.ndarray, np.ndarray]:
-    """Candidate configs, footprints and score arrays for one shape.
+) -> tuple[tuple[RAGConfig, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate configs and score arrays for one query shape.
 
     The arrays hold ``cost_tokens`` / ``fit_tokens`` / ``num_chunks``
     per candidate in enumeration order (float64 is exact for any
-    realistic token count). Hashable key: PrunedSpace is a frozen
-    dataclass of ints and method tuples.
+    realistic token count). Each plan is dropped once read. Hashable
+    key: PrunedSpace is a frozen dataclass of ints and method tuples.
     """
     configs = tuple(pruned.enumerate())
-    footprints = tuple(
-        estimate_footprint(config, query_tokens, chunk_tokens,
-                           answer_tokens)
-        for config in configs
-    )
-    cost = np.array([f.cost_tokens for f in footprints], dtype=np.float64)
-    fit = np.array([f.fit_tokens for f in footprints], dtype=np.float64)
+    cost = np.empty(len(configs), dtype=np.float64)
+    fit = np.empty(len(configs), dtype=np.float64)
+    for i, config in enumerate(configs):
+        plan = uniform_plan(config, query_tokens, chunk_tokens,
+                            answer_tokens)
+        cost[i] = plan.cost_tokens
+        fit[i] = plan.fit_tokens
     chunks = np.array([c.num_chunks for c in configs], dtype=np.int64)
-    return configs, footprints, cost, fit, chunks
+    return configs, cost, fit, chunks
 
 
 class JointScheduler:
@@ -128,7 +133,7 @@ class JointScheduler:
            too big, but ``map_reduce`` mappers are individually small
            and can stream through the batch one after another.
         """
-        configs, footprints, cost, fit, chunks = _scored_grid(
+        configs, cost, fit, chunks = _scored_grid(
             pruned, view.query_tokens, view.chunk_tokens,
             view.answer_tokens,
         )
@@ -156,7 +161,6 @@ class JointScheduler:
                 best = int(np.argmax(np.where(whole, cost, -1.0)))
             return JointDecision(
                 config=configs[best],
-                footprint=footprints[best],
                 fell_back=False,
                 n_candidates=n_candidates,
                 n_fitting=n_fitting,
@@ -172,16 +176,13 @@ class JointScheduler:
             best = int(np.argmin(np.where(unit, cost, np.inf)))
             return JointDecision(
                 config=configs[best],
-                footprint=footprints[best],
                 fell_back=False,
                 n_candidates=n_candidates,
                 n_fitting=n_fitting,
             )
 
-        config = self._fallback_config(pruned, view)
         return JointDecision(
-            config=config,
-            footprint=view.footprint(config),
+            config=self._fallback_config(pruned, view),
             fell_back=True,
             n_candidates=n_candidates,
             n_fitting=0,

@@ -41,9 +41,10 @@ class QueryTruth:
         return len(self.required_fact_ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Query:
-    """One RAG query as submitted by a client."""
+    """One RAG query as submitted by a client (slotted: one per
+    arrival)."""
 
     query_id: str
     text: str

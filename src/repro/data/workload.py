@@ -17,10 +17,11 @@ from repro.util.validation import check_positive
 __all__ = ["Arrival", "poisson_arrivals", "sequential_arrivals"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrival:
     """One query arrival; ``time`` is None for closed-loop workloads
-    (the runner submits it when the previous query completes)."""
+    (the runner submits it when the previous query completes).
+    Slotted: a trace materializes one per query."""
 
     query: Query
     time: float | None

@@ -127,9 +127,13 @@ def shard_resource_name(sid: int, n_shards: int) -> str:
     return f"{RETRIEVAL_RESOURCE}/shard{sid}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryRecord:
-    """Everything measured for one served query (the pipeline's output)."""
+    """Everything measured for one served query (the pipeline's output).
+
+    ``slots=True``: a serve keeps one record per arrival, and 45 fixed
+    fields need no per-instance ``__dict__``.
+    """
 
     query_id: str
     policy: str

@@ -436,9 +436,11 @@ class ServingEngine:
         """
         admitted: list[InferenceRequest] = []
         waiting = self._waiting
-        if not waiting:
-            return admitted
         running = self._running
+        # A full batch admits nothing, and the loop below would stop at
+        # its first request without counting a stall.
+        if not waiting or len(running) >= MAX_NUM_SEQS:
+            return admitted
         blocks = self.blocks
         prefill_phase = RequestPhase.PREFILL
         if self.policy.waiting_only:
@@ -451,6 +453,15 @@ class ServingEngine:
                 self._ordered_version = self._waiting_version
             ordered = self._ordered_cache
         else:
+            # Whatever comes first in the order needs at least as many
+            # blocks as the smallest waiting request: when that one
+            # does not fit, the loop below would count one stall at its
+            # first request, so skip the (running-set dependent) sort.
+            smallest = min(r.prompt_tokens + r.output_tokens for r in waiting)
+            if not blocks.can_allocate(
+                    smallest, self._watermark_blocks if running else 0):
+                self._admission_stalls += 1
+                return admitted
             key = None
             ordered = self.policy.order(waiting, running)
         for request in ordered:

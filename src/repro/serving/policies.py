@@ -73,8 +73,11 @@ class AppAwarePolicy(SchedulingPolicy):
         remaining: dict[str, int] = {}
         first_arrival: dict[str, float] = {}
         for req in requests:
-            remaining[req.app_id] = (
-                remaining.get(req.app_id, 0) + req.remaining_work_tokens
+            # ``remaining_work_tokens`` from the fields: this loop runs
+            # over the whole queue and batch at every admission.
+            remaining[req.app_id] = remaining.get(req.app_id, 0) + (
+                req.prompt_tokens - req.prefilled_tokens
+                + req.output_tokens - req.decoded_tokens
             )
             prev = first_arrival.get(req.app_id)
             if prev is None or req.arrival_time < prev:

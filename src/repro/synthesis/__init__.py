@@ -26,6 +26,7 @@ __all__ = [
     "SynthesisPlan",
     "estimate_footprint",
     "make_synthesizer",
+    "uniform_plan",
 ]
 
 _SYNTHESIZERS = {
@@ -46,24 +47,37 @@ def make_synthesizer(method: SynthesisMethod,
 
 @lru_cache(maxsize=None)
 def _default_synthesizer(method: SynthesisMethod) -> Synthesizer:
-    """Default-overhead planner singletons for the memoized estimator."""
+    """Default-overhead planner singletons for :func:`uniform_plan`."""
     return _SYNTHESIZERS[method]()
+
+
+def uniform_plan(config: RAGConfig, query_tokens: int, chunk_tokens: int,
+                 answer_tokens: int) -> SynthesisPlan:
+    """The plan for ``config.num_chunks`` chunks of uniform size
+    ``chunk_tokens``, at default prompt overheads.
+
+    Uniform chunks give one call group per stage. Not memoized: the
+    joint scheduler reads two integers from each candidate's plan and
+    drops it (its grid memo keeps the scores, not the plans).
+    """
+    synthesizer = _default_synthesizer(config.synthesis_method)
+    return synthesizer.build_plan(
+        query_tokens, (chunk_tokens,) * config.num_chunks, answer_tokens,
+        config)
 
 
 @lru_cache(maxsize=65536)
 def estimate_footprint(config: RAGConfig, query_tokens: int,
                        chunk_tokens: int,
                        answer_tokens: int) -> SynthesisPlan:
-    """Memoized plan for ``config.num_chunks`` chunks of uniform size
-    ``chunk_tokens``, at default prompt overheads.
+    """Memoized :func:`uniform_plan`.
 
-    The decision plane's workhorse: query shapes cluster heavily across
-    a trace, so the same ``(config, query_tokens, chunk_tokens,
+    Its one caller in a run is deadline-risk hedge pricing
+    (:meth:`repro.core.policy.SchedulingView.footprint`), which plans
+    the chosen config of every decision: query shapes cluster heavily
+    across a trace, so the same ``(config, query_tokens, chunk_tokens,
     answer_tokens)`` key recurs and each distinct shape is planned
-    once. Uniform chunks give one call group per stage. Pure function
-    of its arguments — memoization cannot change any decision.
+    once. Pure function of its arguments — memoization cannot change
+    any estimate.
     """
-    synthesizer = _default_synthesizer(config.synthesis_method)
-    return synthesizer.build_plan(
-        query_tokens, (chunk_tokens,) * config.num_chunks, answer_tokens,
-        config)
+    return uniform_plan(config, query_tokens, chunk_tokens, answer_tokens)

@@ -4,8 +4,8 @@ The oracle the fast path is raced against. Per candidate it builds the
 synthesis plan over uniform nominal-size chunks, expands it into one
 ``(prompt, output)`` pair per LLM call, and computes ``cost_tokens``
 and ``fit_tokens`` with its own scalar loops, where
-``JointScheduler.choose`` scores the plans' memoized scalar footprints
-with numpy. The two must agree decision for decision — pinned by
+``JointScheduler.choose`` scores the plans' scalar footprints, memoized
+per query shape, with numpy. The two must agree decision for decision — pinned by
 ``tests/test_decide_fastpath.py`` and ``tests/test_scheduler.py``, and
 raced for speed by ``benchmarks/bench_decide_micro.py``.
 
@@ -69,13 +69,11 @@ def choose_reference(scheduler: JointScheduler, pruned: PrunedSpace,
     """What ``scheduler.choose(pruned, view)`` must return, computed the
     slow way: whole-plan fit first (max cost, or the quality-SLO gated
     min cost), then unit fit (min cost), then the fallback config."""
-    candidates = []
-    for config in pruned.enumerate():
-        plan = estimate_plan(config, view)
-        candidates.append((config, plan, *_cost_and_fit(plan)))
+    candidates = [(config, *_cost_and_fit(estimate_plan(config, view)))
+                  for config in pruned.enumerate()]
     n_candidates = len(candidates)
 
-    best: tuple[int, RAGConfig, SynthesisPlan] | None = None
+    best: tuple[int, RAGConfig] | None = None
     n_fitting = 0
     if scheduler.quality_slo is not None:
         # Quality-SLO mode, mirroring ``choose``: min cost among
@@ -83,47 +81,43 @@ def choose_reference(scheduler: JointScheduler, pruned: PrunedSpace,
         # degrading to plain min cost when the gate is empty. Keep
         # the earliest strict winner, like argmin.
         floor = scheduler._chunk_floor(pruned)
-        gated_best: tuple[int, RAGConfig, SynthesisPlan] | None = None
-        for config, plan, cost, _fit in candidates:
+        gated_best: tuple[int, RAGConfig] | None = None
+        for config, cost, _fit in candidates:
             if not _fits(cost, view):
                 continue
             n_fitting += 1
             if best is None or cost < best[0]:
-                best = (cost, config, plan)
+                best = (cost, config)
             if config.num_chunks >= floor and (
                     gated_best is None or cost < gated_best[0]):
-                gated_best = (cost, config, plan)
+                gated_best = (cost, config)
         if gated_best is not None:
             best = gated_best
     else:
-        for config, plan, cost, _fit in candidates:
+        for config, cost, _fit in candidates:
             if not _fits(cost, view):
                 continue
             n_fitting += 1
             if best is None or cost > best[0]:
-                best = (cost, config, plan)
+                best = (cost, config)
 
     if best is None:
-        for config, plan, cost, fit in candidates:
+        for config, cost, fit in candidates:
             if not _fits(fit, view):
                 continue
             n_fitting += 1
             if best is None or cost < best[0]:
-                best = (cost, config, plan)
+                best = (cost, config)
 
     if best is not None:
-        _, config, plan = best
         return JointDecision(
-            config=config,
-            footprint=plan,
+            config=best[1],
             fell_back=False,
             n_candidates=n_candidates,
             n_fitting=n_fitting,
         )
-    config = scheduler._fallback_config(pruned, view)
     return JointDecision(
-        config=config,
-        footprint=estimate_plan(config, view),
+        config=scheduler._fallback_config(pruned, view),
         fell_back=True,
         n_candidates=n_candidates,
         n_fitting=0,

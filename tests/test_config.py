@@ -35,6 +35,7 @@ class TestRAGConfig:
         b = RAGConfig(SynthesisMethod.STUFF, 5)
         assert a == b
         assert hash(a) == hash(b)
+        assert b < RAGConfig(SynthesisMethod.STUFF, 6)
 
     def test_labels(self):
         assert RAGConfig(SynthesisMethod.STUFF, 5).label() == "stuff/k=5"

@@ -1,12 +1,14 @@
 """The decision-plane fast path changes no decision.
 
-``JointScheduler.choose`` scores memoized plan footprints with numpy;
+``JointScheduler.choose`` scores memoized cost/fit grids with numpy;
 ``decide_reference.choose_reference`` recomputes each candidate's cost
 and fit call by call with scalar loops. This suite races both on every
 decision of a real METIS run (the same ``(pruned, view)`` pairs, at the
 same instants, under load-driven memory pressure) and on synthetic
 corner cases, pinning that ``(config, fell_back, n_candidates,
-n_fitting)`` and the footprints agree everywhere.
+n_fitting)`` agree everywhere, and that the chosen config's memoized
+plan (``view.footprint``, what hedge pricing reads) equals the plan the
+reference builds for it.
 """
 
 import pytest
@@ -17,7 +19,7 @@ from repro.core.policy import SchedulingView
 from repro.core.scheduler import JointScheduler
 from repro.experiments.common import make_metis, run_policy
 
-from decide_reference import choose_reference
+from decide_reference import choose_reference, estimate_plan
 
 
 def _decision_key(decision):
@@ -36,7 +38,8 @@ class RecordingScheduler(JointScheduler):
         fast = super().choose(pruned, view)
         reference = choose_reference(self, pruned, view)
         self.tape.append((_decision_key(fast), _decision_key(reference),
-                          fast.footprint, reference.footprint))
+                          view.footprint(fast.config),
+                          estimate_plan(reference.config, view)))
         return fast
 
 
@@ -89,7 +92,8 @@ class TestSyntheticGridEquivalence:
             fast = scheduler.choose(pruned, view)
             reference = choose_reference(scheduler, pruned, view)
             assert _decision_key(fast) == _decision_key(reference), available
-            assert fast.footprint == reference.footprint
+            assert view.footprint(fast.config) == estimate_plan(
+                reference.config, view)
 
     def test_fallback_footprint_matches_reference(self):
         scheduler = JointScheduler()
@@ -98,4 +102,5 @@ class TestSyntheticGridEquivalence:
         fast = scheduler.choose(pruned, view)
         reference = choose_reference(scheduler, pruned, view)
         assert fast.fell_back and reference.fell_back
-        assert fast.footprint == reference.footprint
+        assert view.footprint(fast.config) == estimate_plan(
+            reference.config, view)

@@ -50,9 +50,11 @@ class TestBestFit:
         assert not decision.fell_back
 
     def test_picks_highest_cost_fitting(self):
-        ample = scheduler.choose(space(), make_view(1_000_000))
-        tight = scheduler.choose(space(), make_view(2_100))
-        assert tight.footprint.cost_tokens < ample.footprint.cost_tokens
+        ample_view, tight_view = make_view(1_000_000), make_view(2_100)
+        ample = scheduler.choose(space(), ample_view)
+        tight = scheduler.choose(space(), tight_view)
+        assert (tight_view.footprint(tight.config).cost_tokens
+                < ample_view.footprint(ample.config).cost_tokens)
 
     def test_fig8_unit_fit_prefers_map_reduce(self):
         """When no whole plan fits, map_reduce's small mappers still do."""
@@ -112,7 +114,8 @@ class TestFallbackDiagnostics:
         view = make_view(0)
         decision = scheduler.choose(space(), view)
         estimated = estimate_plan(decision.config, view)
-        assert decision.footprint.cost_tokens == estimated.cost_tokens
+        assert view.footprint(decision.config).cost_tokens \
+            == estimated.cost_tokens
 
     def test_unit_fit_counts_toward_fitting(self):
         """The Fig 8 pass is not a fallback and reports its fits."""
@@ -160,14 +163,15 @@ class TestBuffer:
         """A plan whose KV footprint fills available memory exactly
         fits only without the MEMORY_BUFFER_FRAC head-room: the
         scheduler takes the next cheaper one."""
-        richest = scheduler.choose(space(), make_view(1_000_000))
-        exact = make_view(richest.footprint.cost_tokens)
+        ample = make_view(1_000_000)
+        richest = scheduler.choose(space(), ample)
+        richest_cost = ample.footprint(richest.config).cost_tokens
+        exact = make_view(richest_cost)
         tight = scheduler.choose(space(), exact)
         assert MEMORY_BUFFER_FRAC == 0.02
         assert not tight.fell_back
         assert tight.config.num_chunks < richest.config.num_chunks
-        roomy = make_view(richest.footprint.cost_tokens
-                          * (1.0 + MEMORY_BUFFER_FRAC))
+        roomy = make_view(richest_cost * (1.0 + MEMORY_BUFFER_FRAC))
         assert scheduler.choose(space(), roomy).config == richest.config
 
     def test_invalid_buffer_rejected(self):
