@@ -54,7 +54,7 @@ _MAX_NUM_CHUNKS = 256
 _MAX_INTERMEDIATE_LENGTH = 2_048
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, slots=True)
 class RAGConfig:
     """One concrete assignment of the three knobs.
 

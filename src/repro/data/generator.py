@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.data.facts import Fact
 from repro.data.types import DatasetBundle, Query, QueryTruth
-from repro.data.vocab import make_entity_name, make_filler_sentence, make_value_phrase
+from repro.data.vocab import make_entity_name, make_filler, make_value_phrase
 from repro.llm.quality import QualityParams
 from repro.llm.tokenizer import SimTokenizer
 from repro.retrieval.chunker import Chunk, split_into_chunks
@@ -122,16 +122,15 @@ def _build_documents(
         )
         sentences: list[str] = [f.sentence for f in doc_facts]
         current = sum(tokenizer.count(s) for s in sentences)
-        while current < target:
-            filler = make_filler_sentence(
-                rng, topic_words, topic_rate=spec.filler_topic_rate
-            )
-            sentences.append(filler)
-            current += tokenizer.count(filler)
+        filler, filler_tokens = make_filler(
+            rng, topic_words, target - current, spec.filler_topic_rate
+        )
+        sentences += filler
         order = rng.permutation(len(sentences))
-        text = " ".join(sentences[int(i)] for i in order)
-        doc_texts[doc_id] = text
-        doc_tokens[doc_id] = tokenizer.count(text)
+        doc_texts[doc_id] = " ".join(sentences[int(i)] for i in order)
+        # Tokens never span the spaces that join sentences, so the
+        # document's count is the sum of its sentences' counts.
+        doc_tokens[doc_id] = current + filler_tokens
 
     return facts, doc_texts, doc_tokens, doc_entities
 
@@ -311,8 +310,8 @@ def generate_dataset(spec: DatasetSpec, seed: int = 0) -> DatasetBundle:
         fid: cid for cid, fids in chunk_facts.items() for fid in fids
     }
 
-    idf = IdfWeights().fit([c.text for c in chunks])
-    store = ShardedVectorStore(embedding=HashedEmbedding(idf=idf))
+    # Indexing fits the IDF weights on the chunks it embeds.
+    store = ShardedVectorStore(embedding=HashedEmbedding(idf=IdfWeights()))
     store.add_chunks(chunks)
 
     rng = rngs.get("queries")

@@ -19,6 +19,7 @@ import hashlib
 import math
 from abc import ABC, abstractmethod
 from collections import Counter
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 
@@ -33,24 +34,29 @@ class IdfWeights:
     Fitted over the corpus chunks at indexing time; rare, informative
     tokens (entity names, attribute words, values) then dominate the
     embedding over ubiquitous filler, as they do in trained embedding
-    models.
+    models. An unfitted instance is fitted by the first
+    :meth:`HashedEmbedding.embed_batch` that uses it, from the token
+    counts that batch embeds, so each chunk is tokenized once.
     """
 
     def __init__(self) -> None:
+        self.fitted = False
         self._n_docs = 0
         self._df: Counter[str] = Counter()
-        self._tokenizer = SimTokenizer()
         # weight() is called once per token of every embedded text;
         # the weight only changes when fit() recounts, so memoize.
         self._weight_cache: dict[str, float] = {}
 
-    def fit(self, texts: list[str]) -> "IdfWeights":
-        """Count document frequencies over ``texts`` (resets state)."""
-        self._n_docs = len(texts)
+    def fit(self, token_counts: Iterable[Mapping[str, int]]) -> "IdfWeights":
+        """Count document frequencies over each document's token counts
+        (resets state)."""
+        self._n_docs = 0
         self._df = Counter()
         self._weight_cache = {}
-        for text in texts:
-            self._df.update(set(self._tokenizer.tokenize(text)))
+        for counts in token_counts:
+            self._n_docs += 1
+            self._df.update(counts.keys())
+        self.fitted = True
         return self
 
     def weight(self, token: str) -> float:
@@ -112,8 +118,11 @@ class HashedEmbedding(EmbeddingModel):
         return result
 
     def embed(self, text: str) -> np.ndarray:
+        return self._embed_counts(Counter(self._tokenizer.tokenize(text)))
+
+    def _embed_counts(self, counts: Counter[str]) -> np.ndarray:
+        """Embed a text from its token counts (in first-seen order)."""
         vec = np.zeros(self.dim, dtype=np.float32)
-        counts = Counter(self._tokenizer.tokenize(text))
         if not counts:
             return vec
         for token, tf in counts.items():
@@ -130,12 +139,17 @@ class HashedEmbedding(EmbeddingModel):
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         """Embed many texts into one preallocated ``(n, dim)`` matrix.
 
-        Rows are byte-identical to per-text :meth:`embed` calls; the
-        instance's token-coordinate cache (and the IDF weight cache)
-        warm on the first texts and serve the rest of the batch, which
-        is where bulk chunk indexing spends its time.
+        Each text is tokenized once. An unfitted ``idf`` is fitted on
+        the batch's token counts first (the corpus at indexing time);
+        rows are then byte-identical to per-text :meth:`embed` calls.
+        The instance's token-coordinate cache (and the IDF weight
+        cache) warm on the first texts and serve the rest of the batch,
+        which is where bulk chunk indexing spends its time.
         """
+        counts = [Counter(self._tokenizer.tokenize(t)) for t in texts]
+        if self.idf is not None and not self.idf.fitted:
+            self.idf.fit(counts)
         out = np.zeros((len(texts), self.dim), dtype=np.float32)
-        for i, text in enumerate(texts):
-            out[i] = self.embed(text)
+        for i, text_counts in enumerate(counts):
+            out[i] = self._embed_counts(text_counts)
         return out

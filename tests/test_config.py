@@ -35,7 +35,11 @@ class TestRAGConfig:
         b = RAGConfig(SynthesisMethod.STUFF, 5)
         assert a == b
         assert hash(a) == hash(b)
-        assert b < RAGConfig(SynthesisMethod.STUFF, 6)
+        # Configs have no order: nothing ranks them by field values.
+        with pytest.raises(TypeError):
+            b < RAGConfig(SynthesisMethod.STUFF, 6)
+        with pytest.raises(TypeError):
+            b < RAGConfig(SynthesisMethod.MAP_REDUCE, 5, 100)
 
     def test_labels(self):
         assert RAGConfig(SynthesisMethod.STUFF, 5).label() == "stuff/k=5"

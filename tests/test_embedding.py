@@ -1,9 +1,18 @@
 """Unit tests for hashed embeddings and IDF weighting."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.llm.tokenizer import SimTokenizer
 from repro.retrieval.embedding import HashedEmbedding, IdfWeights
+
+
+def idf_over(texts):
+    """IDF weights fitted on ``texts``' token counts."""
+    tokenizer = SimTokenizer()
+    return IdfWeights().fit(Counter(tokenizer.tokenize(t)) for t in texts)
 
 
 class TestHashedEmbedding:
@@ -57,22 +66,22 @@ class TestHashedEmbedding:
 
 class TestIdfWeights:
     def test_rare_tokens_weigh_more(self):
-        idf = IdfWeights().fit(["the cat", "the dog", "the bird", "rare word"])
+        idf = idf_over(["the cat", "the dog", "the bird", "rare word"])
         assert idf.weight("rare") > idf.weight("the")
 
     def test_unseen_token_gets_max_weight(self):
-        idf = IdfWeights().fit(["a b", "a c"])
+        idf = idf_over(["a b", "a c"])
         assert idf.weight("zzz") >= idf.weight("b")
 
     def test_fit_resets_state(self):
-        idf = IdfWeights().fit(["x x x"])
+        idf = idf_over(["x x x"])
         first = idf.weight("x")
-        idf.fit(["y", "y", "y"])
+        idf.fit([Counter(["y"])] * 3)
         assert idf.weight("x") > first  # x now unseen → max weight
 
     def test_idf_changes_embedding(self):
         corpus = ["common filler words here"] * 10 + ["special entity fact"]
-        idf = IdfWeights().fit(corpus)
+        idf = idf_over(corpus)
         plain = HashedEmbedding()
         weighted = HashedEmbedding(idf=idf)
         text = "common special"
@@ -83,9 +92,29 @@ class TestIdfWeights:
             "report overview the quarterly entity alpha numbers",
             "report overview the quarterly entity beta numbers",
         ]
-        idf = IdfWeights().fit(corpus)
+        idf = idf_over(corpus)
         emb = HashedEmbedding(idf=idf)
         q = emb.embed("alpha")
         sim_match = float(q @ emb.embed(corpus[0]))
         sim_other = float(q @ emb.embed(corpus[1]))
         assert sim_match > sim_other
+
+    def test_batch_fits_an_unfitted_idf(self):
+        """Indexing fits the IDF on the batch it embeds: the same
+        weights and rows as fitting first and embedding after."""
+        corpus = ["report overview the entity alpha numbers",
+                  "report overview the entity beta", "alpha alpha gamma"]
+        lazy = HashedEmbedding(idf=IdfWeights())
+        rows = lazy.embed_batch(corpus)
+        assert lazy.idf.fitted
+        eager = HashedEmbedding(idf=idf_over(corpus))
+        for token in ("report", "alpha", "gamma", "unseen"):
+            assert lazy.idf.weight(token) == eager.idf.weight(token)
+        for row, text in zip(rows, corpus):
+            assert row.tobytes() == eager.embed(text).tobytes()
+
+    def test_later_batches_keep_the_fit(self):
+        idf = idf_over(["alpha beta", "alpha gamma"])
+        before = idf.weight("beta")
+        HashedEmbedding(idf=idf).embed_batch(["alpha"] * 5)
+        assert idf.weight("beta") == before

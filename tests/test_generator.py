@@ -2,9 +2,11 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from repro.data.datasets import get_spec
+from repro.data import vocab
+from repro.data.datasets import build_dataset, get_spec
 from repro.data.generator import DatasetSpec, generate_dataset
 from repro.data.vocab import (
     _ENTITY_SUFFIXES,
@@ -12,9 +14,11 @@ from repro.data.vocab import (
     FILLER_WORDS,
     VALUE_WORDS,
     make_entity_name,
+    make_filler,
     make_filler_sentence,
     make_value_phrase,
 )
+from repro.llm.tokenizer import SimTokenizer
 from repro.util.rng import RngStreams, stream
 
 
@@ -122,6 +126,136 @@ class TestChoiceStreamEquivalence:
             assert type(name) is str
             assert name == reference_entity_name(ref, kind)
         assert fast.bit_generator.state == ref.bit_generator.state
+
+
+def reference_filler(rng, topic_words, need, topic_rate):
+    """``make_filler`` as the loop the corpus builder ran before it drew
+    a block per document: one ``make_filler_sentence`` at a time until
+    the running token count reaches ``need``."""
+    tokenizer = SimTokenizer()
+    sentences, tokens = [], 0
+    while tokens < need:
+        sentence = make_filler_sentence(rng, topic_words,
+                                        topic_rate=topic_rate)
+        sentences.append(sentence)
+        tokens += tokenizer.count(sentence)
+    return sentences, tokens
+
+
+class TestFillerBlockStream:
+    """``make_filler`` draws a document's filler from one block of raw
+    PCG64 outputs; the scalar loop is the oracle. Equal sentences, equal
+    token totals and an equal ``bit_generator.state`` after every call,
+    so every later draw of the corpus stream sees the same bits."""
+
+    SEEDS = (0, 1, 7, 2024)
+    NEEDS = (1, 12, 13, 14, 27, 150, 999, 3000, 0, 2, 400)
+    POOLS = {
+        "one": ("zzztopic",),
+        "two": ("acme", "quarterly"),
+        "six": ("acme", "revenue", "growth", "margin", "debt", "outlook"),
+    }
+
+    def race(self, seed, pool, topic_rate, buffered):
+        block, ref = stream(seed, "filler"), stream(seed, "filler")
+        if buffered:
+            # One integers draw leaves the high half of a raw output in
+            # PCG64's 32-bit buffer.
+            assert block.integers(5) == ref.integers(5)
+            assert block.bit_generator.state["has_uint32"] == 1
+        for need in self.NEEDS:
+            got = make_filler(block, pool, need, topic_rate)
+            want = reference_filler(ref, pool, need, topic_rate)
+            assert got == want, f"need={need}"
+            assert block.bit_generator.state == ref.bit_generator.state, \
+                f"need={need}"
+        # The stream goes on identically, buffer included.
+        assert block.integers(1000, size=5).tolist() \
+            == ref.integers(1000, size=5).tolist()
+        assert block.random() == ref.random()
+
+    @pytest.mark.parametrize("buffered", (False, True),
+                             ids=("unbuffered", "buffered"))
+    @pytest.mark.parametrize("topic_rate", (0.0, 0.05, 0.18, 1.0))
+    @pytest.mark.parametrize("pool", sorted(POOLS))
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_block_matches_scalar_loop(self, seed, pool, topic_rate,
+                                       buffered):
+        self.race(seed, self.POOLS[pool], topic_rate, buffered)
+
+    @pytest.mark.parametrize("buffered", (False, True),
+                             ids=("unbuffered", "buffered"))
+    def test_possible_rejection_takes_the_scalar_loop(self, monkeypatch,
+                                                      buffered):
+        """Where Lemire could reject a draw, the block is discarded and
+        the scalar loop runs from the saved state."""
+        calls = []
+        scalar = vocab._filler_scalar
+
+        def counted(*args):
+            calls.append(args[2])
+            return scalar(*args)
+
+        def never_exact(halves, sizes):
+            product = halves * sizes
+            return product >> np.uint64(32), np.zeros(len(halves), bool)
+
+        monkeypatch.setattr(vocab, "_filler_scalar", counted)
+        monkeypatch.setattr(vocab, "_lemire", never_exact)
+        self.race(7, self.POOLS["six"], 0.18, buffered)
+        assert calls == [n for n in self.NEEDS if n > 0]
+
+    def test_lemire_flags_only_possible_rejections(self):
+        halves = np.array([0, 1, 2**32 - 1, 3, 2**31], dtype=np.uint64)
+        sizes = np.array([6, 42, 42, 6, 6], dtype=np.uint64)
+        index, exact = vocab._lemire(halves, sizes)
+        assert index.tolist() == [(int(u) * int(n)) >> 32
+                                  for u, n in zip(halves, sizes)]
+        # Low 32 bits of u*n: 0, 42, 2**32-42, 18, 0.
+        assert exact.tolist() == [False, True, True, True, False]
+
+
+#: ``SimTokenizer.tokenize`` calls in one seed-0 build of each dataset
+#: (upper bounds): one per document's entity name, one per chunk at
+#: indexing, one per query-side template. A second pass over the chunks
+#: would add one call per chunk.
+BUILD_TOKENIZE_CALLS = {
+    "finsec": 568,
+    "musique": 714,
+    "qmsum": 948,
+    "squad": 457,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_TOKENIZE_CALLS))
+def test_build_work_counts(monkeypatch, name):
+    """One-sided gate on a build's deterministic work: a count above its
+    pin fails by name; a count below passes and is printed, and the
+    change that lowers it updates the pin. No document of the four
+    seed-0 corpora takes the scalar filler loop."""
+    counts = {"tokenize": 0, "scalar filler": 0}
+    tokenize = SimTokenizer.tokenize
+    scalar = vocab._filler_scalar
+
+    def counted_tokenize(self, text):
+        counts["tokenize"] += 1
+        return tokenize(self, text)
+
+    def counted_scalar(*args):
+        counts["scalar filler"] += 1
+        return scalar(*args)
+
+    monkeypatch.setattr(SimTokenizer, "tokenize", counted_tokenize)
+    monkeypatch.setattr(vocab, "_filler_scalar", counted_scalar)
+    build_dataset(name, seed=0, cache=False)
+    pins = {"tokenize": BUILD_TOKENIZE_CALLS[name], "scalar filler": 0}
+    above = [f"{what} = {counts[what]:,} > pin {pin:,}"
+             for what, pin in pins.items() if counts[what] > pin]
+    assert not above, f"{name}: " + "; ".join(above)
+    for what, pin in pins.items():
+        if counts[what] < pin:
+            print(f"{name}: {what} = {counts[what]:,} is below its pin "
+                  f"{pin:,}; lower the pin")
 
 
 class TestDatasetSpecValidation:
