@@ -15,8 +15,7 @@ Quickstart::
                         poisson_arrivals(bundle.queries, rate_qps=1.4))
     print(result.summary())
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+See docs/README.md for the design documents, one per subsystem.
 """
 
 from repro.baselines import (

@@ -29,7 +29,6 @@ class MedianConfigPolicy(MetisPolicy):
         config = MetisConfig(
             profiler_spec=profiler_spec,
             selection_mode="median",
-            memory_aware=False,
         )
         if name is None:
             name = "median+batching" if app_aware_batching else "median"

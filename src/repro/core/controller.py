@@ -46,7 +46,6 @@ class MetisConfig:
     adapt_num_chunks: bool = True
     adapt_synthesis: bool = True
     adapt_intermediate_length: bool = True
-    memory_aware: bool = True
     #: "best_fit" (METIS), "median" (strawman of §4.3) or "max"
     #: (quality-maximising, what AdaptiveRAG*-style tuners do).
     selection_mode: str = "best_fit"
@@ -180,9 +179,8 @@ class MetisPolicy(RAGPolicy):
     def _select(self, pruned: PrunedSpace, view: SchedulingView) -> Decision:
         if self.config.selection_mode == "median":
             return Decision(config=pruned.median_config(), pruned_space=pruned)
-        if self.config.selection_mode == "max" or not self.config.memory_aware:
-            # Quality-maximising pick; best_fit without memory awareness
-            # degenerates to the same thing.
+        if self.config.selection_mode == "max":
+            # Quality-maximising pick, blind to free memory.
             return Decision(
                 config=pruned.most_expensive_config(), pruned_space=pruned
             )
@@ -225,5 +223,4 @@ class MetisPolicy(RAGPolicy):
 
     def describe(self) -> str:
         mode = self.config.selection_mode
-        mem = "mem-aware" if self.config.memory_aware else "mem-oblivious"
-        return f"{self.name} ({self.config.profiler_spec.name}, {mode}, {mem})"
+        return f"{self.name} ({self.config.profiler_spec.name}, {mode})"

@@ -10,8 +10,8 @@ prompts are retained (prompt budget).
 The simulator models the *effect* of the retained prompts as an
 accuracy bonus on the profiler, and accounts the golden run's token
 cost so the cost analysis (Fig 13/14) stays honest. The golden run is
-executed off the serving path (batch lane), a simplification recorded
-in DESIGN.md.
+executed off the serving path (batch lane), a simplification: it is
+charged GPU time but never occupies the serving engine.
 """
 
 from __future__ import annotations

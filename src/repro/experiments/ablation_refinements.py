@@ -1,9 +1,9 @@
 """Ablation: METIS' §5 refinements, toggled individually.
 
-DESIGN.md §5 calls out the design choices worth ablating beyond the
-paper's own Fig 12/16: the confidence-threshold fallback and the
-best-fit-vs-median selection. Each row serves the same workload with
-exactly one switch changed from the full system.
+Beyond the paper's own Fig 12/16, two design choices are worth
+ablating: the confidence-threshold fallback and the best-fit-vs-median
+selection. Each row serves the same workload with exactly one switch
+changed from the full system.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ _VARIANTS: tuple[tuple[str, MetisConfig], ...] = (
     ("METIS (full)", MetisConfig()),
     ("no confidence fallback",
      MetisConfig(enable_confidence_fallback=False)),
-    ("median selection", MetisConfig(selection_mode="median",
-                                     memory_aware=False)),
+    ("median selection", MetisConfig(selection_mode="median")),
     ("max selection (resource-oblivious)",
-     MetisConfig(selection_mode="max", memory_aware=False)),
+     MetisConfig(selection_mode="max")),
     ("narrow retrieval slack (2x)", MetisConfig(chunk_slack=2.0)),
     ("coarse ilen grid (2 steps)", MetisConfig(ilen_steps=2)),
 )

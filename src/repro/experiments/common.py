@@ -1,6 +1,6 @@
 """Shared experiment infrastructure: calibrated defaults and helpers.
 
-Calibration note (recorded per DESIGN.md §6): the simulator's absolute
+Calibration note: the simulator's absolute
 serving capacity differs from the paper's physical A40 testbed, so
 arrival rates are chosen per dataset to land each system in the same
 *operating regime* the paper reports — quality-maximising baselines
@@ -96,7 +96,7 @@ class ExperimentReport:
 def default_engine_config(model: ModelSpec = MISTRAL_7B_AWQ,
                           n_gpus: int = 1) -> EngineConfig:
     """The experiments' serving deployment: Mistral-7B AWQ on one A40,
-    KV pool capped at 8 GiB (multi-tenant headroom; DESIGN.md §6)."""
+    KV pool capped at 8 GiB (multi-tenant headroom)."""
     return EngineConfig(
         model=model,
         cluster=ClusterSpec(A40, n_gpus=n_gpus),

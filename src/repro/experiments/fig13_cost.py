@@ -9,7 +9,6 @@ configs on bigger models cost 2.38–6.8× more and still lose F1.
 from __future__ import annotations
 
 from repro.baselines import FixedConfigPolicy
-from repro.evaluation.costs import DollarCostModel
 from repro.experiments.common import (
     ExperimentReport,
     engine_config_70b,
@@ -34,7 +33,6 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentReport:
     from repro.experiments.common import DEFAULT_RATES
 
     report = ExperimentReport("Fig 13: cost vs quality across model sizes")
-    cost_model = DollarCostModel()
     for dataset in _DATASETS:
         bundle = load_bundle(dataset, fast, seed)
         metis = run_policy(bundle, make_metis(bundle, seed=seed), seed=seed)
@@ -76,7 +74,6 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentReport:
             f"(paper ~2.38x); GPT-4o fixed costs "
             f"{gpt4o_dollars / max(metis_cost, 1e-9):.2f}x (paper ~6.8x)"
         )
-    _ = cost_model  # cost model reserved for future per-GPU price knobs
     return report
 
 

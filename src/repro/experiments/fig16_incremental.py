@@ -24,13 +24,12 @@ _FIXED = RAGConfig(SynthesisMethod.STUFF, 20)
 
 
 def _metis_step(adapt_chunks: bool, adapt_synthesis: bool,
-                adapt_ilen: bool, memory_aware: bool) -> MetisConfig:
+                adapt_ilen: bool, schedule: bool) -> MetisConfig:
     return MetisConfig(
         adapt_num_chunks=adapt_chunks,
         adapt_synthesis=adapt_synthesis,
         adapt_intermediate_length=adapt_ilen,
-        memory_aware=memory_aware,
-        selection_mode="best_fit" if memory_aware else "median",
+        selection_mode="best_fit" if schedule else "median",
     )
 
 

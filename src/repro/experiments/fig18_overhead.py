@@ -44,8 +44,7 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentReport:
         )
     report.add_note(
         "paper: average fraction 0.03-0.06, max ~0.1 (squad's short "
-        "service times inflate the fraction in the simulator; see "
-        "EXPERIMENTS.md)"
+        "service times inflate the fraction in the simulator)"
     )
     return report
 

@@ -53,27 +53,6 @@ class SimTokenizer:
         """Number of tokens in ``text`` (cached)."""
         return _cached_count(text)
 
-    def truncate(self, text: str, max_tokens: int) -> str:
-        """Return a prefix of ``text`` containing at most ``max_tokens``.
-
-        Used by the synthesis planners to clip over-long chunk text to a
-        model's context window.
-        """
-        if max_tokens <= 0:
-            return ""
-        if self.count(text) <= max_tokens:
-            return text
-        words = text.split()
-        # Binary search the longest word-prefix within budget.
-        lo, hi = 0, len(words)
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.count(" ".join(words[:mid])) <= max_tokens:
-                lo = mid
-            else:
-                hi = mid - 1
-        return " ".join(words[:lo])
-
 
 @lru_cache(maxsize=65536)
 def _cached_count(text: str) -> int:

@@ -1,8 +1,8 @@
 """Document chunking (the paper splits documents into fixed-token chunks).
 
-Mirrors Langchain's fixed-size splitter with optional token overlap:
-sentences are packed greedily into chunks of ``chunk_tokens`` tokens;
-a sentence longer than the budget is hard-split.
+Mirrors Langchain's fixed-size splitter: sentences are packed greedily
+into chunks of ``chunk_tokens`` tokens; a sentence longer than the
+budget is hard-split.
 """
 
 from __future__ import annotations
@@ -32,21 +32,16 @@ def split_into_chunks(
     doc_id: str,
     text: str,
     chunk_tokens: int,
-    overlap_tokens: int = 0,
     tokenizer: SimTokenizer | None = None,
 ) -> list[Chunk]:
     """Split ``text`` into chunks of at most ``chunk_tokens`` tokens.
 
-    Sentence boundaries are respected where possible; ``overlap_tokens``
-    of trailing text are repeated at the start of the next chunk (a
-    common RAG practice to avoid cutting facts in half).
+    Sentence boundaries are respected where possible. A chunk's
+    ``n_tokens`` is the sum of its pieces' counts: the pieces are joined
+    with spaces, and no token spans a space.
     """
     if chunk_tokens <= 0:
         raise ValueError(f"chunk_tokens must be positive, got {chunk_tokens}")
-    if not 0 <= overlap_tokens < chunk_tokens:
-        raise ValueError(
-            f"overlap_tokens must be in [0, chunk_tokens), got {overlap_tokens}"
-        )
     tok = tokenizer or SimTokenizer()
     sentences = [s.strip() for s in _SENTENCE_RE.findall(text) if s.strip()]
 
@@ -77,23 +72,17 @@ def split_into_chunks(
         nonlocal buffer, buffer_tokens
         if not buffer:
             return
-        chunk_text = " ".join(buffer)
         chunks.append(
             Chunk(
                 chunk_id=f"{doc_id}#{len(chunks)}",
                 doc_id=doc_id,
-                text=chunk_text,
-                n_tokens=tok.count(chunk_text),
+                text=" ".join(buffer),
+                n_tokens=buffer_tokens,
                 position=len(chunks),
             )
         )
-        if overlap_tokens > 0:
-            tail = tok.truncate(chunk_text[::-1], overlap_tokens)[::-1]
-            buffer = [tail] if tail else []
-            buffer_tokens = tok.count(tail) if tail else 0
-        else:
-            buffer = []
-            buffer_tokens = 0
+        buffer = []
+        buffer_tokens = 0
 
     for sentence, n in pieces:
         if buffer and buffer_tokens + n > chunk_tokens:

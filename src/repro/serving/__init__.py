@@ -10,7 +10,6 @@ multi-instance serving experiments.
 
 from repro.serving.cluster import (
     ClusterEngine,
-    ClusterStepInfo,
     LeastKVLoadRouter,
     LeastOutstandingRouter,
     PowerOfTwoRouter,
@@ -20,7 +19,7 @@ from repro.serving.cluster import (
     ROUTER_NAMES,
     make_router,
 )
-from repro.serving.engine import EngineConfig, ServingEngine, StepInfo
+from repro.serving.engine import EngineConfig, ServingEngine
 from repro.serving.kv_cache import BlockManager
 from repro.serving.memory import GPUMemoryModel
 from repro.serving.policies import (
@@ -44,7 +43,6 @@ __all__ = [
     "AppAwarePolicy",
     "BlockManager",
     "ClusterEngine",
-    "ClusterStepInfo",
     "DeadlineRisk",
     "EngineConfig",
     "FCFSPolicy",
@@ -65,7 +63,6 @@ __all__ = [
     "SchedulingPolicy",
     "ServingEngine",
     "SpeculationPolicy",
-    "StepInfo",
     "make_policy",
     "make_router",
     "make_speculation",

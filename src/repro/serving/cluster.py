@@ -14,11 +14,11 @@ and a submission routed to an idle replica of a busy cluster
 *regresses* the frontier, which the driver tracks by rescheduling the
 armed event.
 
-:meth:`ClusterEngine.step` exposes the same advance-the-lagging-replica
-rule as a manual driving surface, so hand-rolled loops (tests, the
-golden-trace pins) and the event-driven path produce byte-identical
-traces. A one-replica cluster steps exactly like the engine it wraps,
-which ``tests/test_cluster_golden.py`` pins down.
+:meth:`ClusterEngine.step_and_frontier` is that one step, so a
+hand-rolled loop that calls it (the tests' lockstep and golden-trace
+pins) and the event-driven path produce byte-identical traces. A
+one-replica cluster steps exactly like the engine it wraps, which
+``tests/test_cluster_golden.py`` pins down.
 
 Replicas may run at heterogeneous speeds (``replica_speeds``: per-
 replica hardware-throughput multipliers, e.g. ``(1.0, 0.5)`` for a
@@ -51,7 +51,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.serving.engine import EngineConfig, EngineStats, ServingEngine, StepInfo
+from repro.serving.engine import EngineConfig, EngineStats, ServingEngine
 from repro.serving.request import InferenceRequest
 from repro.util.rng import stream
 from repro.util.validation import (
@@ -67,7 +67,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim -> serving)
 
 __all__ = [
     "ClusterEngine",
-    "ClusterStepInfo",
     "LeastKVLoadRouter",
     "LeastOutstandingRouter",
     "PowerOfTwoRouter",
@@ -184,21 +183,6 @@ def make_router(name: str, seed: int = 0) -> Router:
 # ----------------------------------------------------------------------
 # Cluster
 # ----------------------------------------------------------------------
-@dataclass
-class ClusterStepInfo:
-    """One cluster iteration: which replica stepped and what it did.
-
-    Non-frozen for the same hot-path reason as :class:`StepInfo`;
-    treat instances as immutable."""
-
-    replica_id: int
-    info: StepInfo
-
-    @property
-    def end(self) -> float:
-        return self.info.end
-
-
 @dataclass(frozen=True)
 class ReplicaSnapshot:
     """Instantaneous per-replica load figures (for reports/routers)."""
@@ -221,7 +205,7 @@ class ClusterEngine:
 
     The one engine shape the experiment runner and the query pipeline
     drive: a :class:`~repro.sim.kernel.Steppable` (``now`` /
-    ``has_work`` / ``advance_and_observe`` / ``frontier`` / ``step`` /
+    ``has_work`` / ``advance_and_observe`` / ``frontier`` /
     ``step_and_frontier``) plus routing, placement and the elastic-fleet
     lifecycle. :meth:`attach` puts it on an event loop.
 
@@ -256,7 +240,7 @@ class ClusterEngine:
         self._pins: dict[str, int] = {}
         self._assignments: dict[int, int] = {}  # request_id -> replica
         #: Bumped whenever a replica's busy set / clock can change
-        #: outside :meth:`step` itself (submit, cancel, add_replica) —
+        #: other than by a step (submit, cancel, add_replica) —
         #: lets ``step_and_frontier`` reuse its pre-step scan when the
         #: stepped replica was provably the only thing that moved.
         self._busy_version = 0
@@ -572,18 +556,13 @@ class ClusterEngine:
             self.wake_hook()
         return submitted
 
-    def advance_to(self, t: float) -> None:
-        """Move every replica's clock forward to ``t`` (never backward)."""
-        for r in self.replicas:
-            if t > r.now:
-                r.now = t
-
     def advance_and_observe(self, t: float) -> float:
-        """:meth:`advance_to` fused with the post-advance :attr:`now`.
+        """Move every replica's clock forward to ``t`` (never backward)
+        and return the post-advance :attr:`now`.
 
         The event loop reads a source's clock right after advancing it
         (the external-event clamp); doing both in one replica scan
-        halves the per-arrival scan cost. Equivalent because
+        halves the per-arrival scan cost. Correct because
         ``min_i max(r_i, t) == max(min_i r_i, t)`` — the busy-minimum
         after the advance is exactly the clamped busy-minimum before.
         """
@@ -617,38 +596,16 @@ class ClusterEngine:
         self._busy_version += 1
         return True
 
-    def step(self) -> ClusterStepInfo:
-        """Advance the lagging busy replica by one engine iteration.
-
-        This is the single stepping rule for both driving modes: the
-        event-driven :class:`~repro.sim.driver.StepDriver` calls it
-        once per fired step event, and manual loops call it directly —
-        the min-clock / min-index order makes the two byte-identical.
-        """
-        rid = -1
-        best = _INF
-        for i, r in enumerate(self.replicas):
-            if (r._waiting or r._running) and r.now < best:
-                best = r.now
-                rid = i
-        if rid < 0:
-            raise RuntimeError("step() called on an idle cluster")
-        info = self.replicas[rid].step()
-        if info.finished:
-            assignments = self._assignments
-            for finished in info.finished:
-                assignments.pop(finished.request_id, None)
-        return ClusterStepInfo(rid, info)
-
     def step_and_frontier(self) -> float | None:
-        """Quiet step fused with the post-step frontier probe.
+        """Advance the lagging busy replica by one engine iteration,
+        then return :meth:`frontier`.
 
-        One call for the StepDriver's no-observer hot path: advances
-        the lagging busy replica like :meth:`step`, on its quiet path
-        (no StepInfo), then returns :meth:`frontier` — saving a second
-        full replica scan and two method dispatches per step event.
-        Same min-clock / min-index rule, so dispatch order is
-        byte-identical.
+        The one cluster step: the StepDriver calls it once per fired
+        step event, and manual loops call it directly. The lagging
+        replica is the busy one with the earliest clock, ties to the
+        lowest index. Returning the frontier from the same replica scan
+        saves a second scan and a method dispatch per step event.
+        Raises ``RuntimeError`` on an idle cluster.
         """
         replicas = self.replicas
         rid = -1
@@ -664,10 +621,11 @@ class ClusterEngine:
                 elif rn < second:
                     second = rn
         if rid < 0:
-            raise RuntimeError("step() called on an idle cluster")
+            raise RuntimeError(
+                "step_and_frontier() called on an idle cluster")
         version = self._busy_version
         stepped = replicas[rid]
-        finished = stepped.step(False)
+        finished = stepped.step()
         if finished:
             assignments = self._assignments
             for req in finished:
@@ -698,18 +656,6 @@ class ClusterEngine:
         """
         from repro.sim.driver import StepDriver
 
-        driver = StepDriver(loop, self, kind="cluster-step")
+        driver = StepDriver(loop, self)
         self.wake_hook = driver.notify
         return driver
-
-    def run_until_idle(self, max_iterations: int = 1_000_000) -> int:
-        """Step until every replica drains; returns total iterations."""
-        n = 0
-        while self.has_work():
-            self.step()
-            n += 1
-            if n >= max_iterations:
-                raise RuntimeError(
-                    f"cluster did not drain within {max_iterations} iterations"
-                )
-        return n

@@ -8,7 +8,7 @@ for every running sequence, then advance the clock by the iteration's
 duration from the roofline cost model.
 
 Deliberate deviations from vLLM, chosen to keep the simulator honest
-but tractable (documented in DESIGN.md):
+but tractable (docs/CLUSTER.md repeats the multi-replica ones):
 
 * A sequence's full KV footprint (prompt + output) is reserved at
   admission, so preemption/swap-out never triggers. Admission is
@@ -40,7 +40,7 @@ from repro.serving.policies import make_policy
 from repro.serving.request import InferenceRequest, RequestPhase
 from repro.util.validation import check_speed
 
-__all__ = ["EngineConfig", "ServingEngine", "StepInfo", "EngineStats"]
+__all__ = ["EngineConfig", "ServingEngine", "EngineStats"]
 
 # Engine constants (vLLM's defaults).
 #: Most sequences in one running batch.
@@ -60,28 +60,6 @@ class EngineConfig:
     cluster: ClusterSpec
     kv_pool_cap_bytes: float | None = None
     policy: str = "fcfs"
-
-
-@dataclass
-class StepInfo:
-    """What one engine iteration did.
-
-    Plain (non-frozen) dataclass: one is built per engine iteration on
-    the hot path, and frozen-dataclass ``__init__`` pays an
-    ``object.__setattr__`` per field. Treat instances as immutable."""
-
-    start: float
-    duration: float
-    prefill_tokens: int
-    n_prefill_seqs: int
-    n_decode_seqs: int
-    kv_tokens_in_batch: int
-    admitted: tuple[InferenceRequest, ...]
-    finished: tuple[InferenceRequest, ...]
-
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
 
 
 @dataclass
@@ -324,64 +302,67 @@ class ServingEngine:
     # ------------------------------------------------------------------
     # The iteration
     # ------------------------------------------------------------------
-    def step(self, build_info: bool = True) -> StepInfo | list:
-        """Run one engine iteration; returns what happened.
+    def step(self) -> list[InferenceRequest]:
+        """Run one engine iteration; returns the requests it finished.
 
         Raises ``RuntimeError`` when there is no work (callers should
         check :meth:`has_work`).
-
-        ``build_info=False`` is the quiet fast path for drivers with no
-        step observer: the iteration is identical, but the return value
-        is the raw finished-request list instead of a :class:`StepInfo`
-        (which would be built only to be discarded).
         """
         if not (self._waiting or self._running):
             raise RuntimeError("step() called on an idle engine")
-        if (not build_info and not self._waiting
-                and self._n_prefill_phase == 0):
-            # Saturated steady state (decode-only batch, empty queue):
-            # _admit is an empty-queue no-op and _build_iteration would
-            # take its decode fast path, so both calls are skipped and
-            # the decode iteration runs inline. Same float op order as
-            # the general path below (prefill busy is exactly 0.0, and
-            # ``0.0 + x == x``), so durations are bit-identical.
-            kv_tokens = self._decode_kv_tokens
-            decode_seqs = self._running[:]
-            n_decode = len(decode_seqs)
-            busy = ((self._weight_bytes
-                     + kv_tokens * self._kv_bytes_per_token)
-                    / self._mem_bandwidth
-                    + n_decode * self._per_seq_overhead_s)
-            duration = (0.0 if busy == 0.0
-                        else busy + self._step_overhead_s) / self.speed
-            self.now += duration
-            # _apply_iteration's decode loop, inlined (empty prefill
-            # plan). The phase check guards against an on_finish
-            # callback cancelling a hedge sibling on this same engine
-            # mid-loop — only possible once something has finished, so
-            # it is skipped while ``finished`` is empty.
-            finished: list[InferenceRequest] = []
-            decode_phase = RequestPhase.DECODE
-            n_decoded = 0
-            finish = self._finish
-            for request in decode_seqs:
-                if finished and request.phase is not decode_phase:
-                    continue
-                n_decoded += 1
-                tokens = request.decoded_tokens + 1
-                request.decoded_tokens = tokens
-                if tokens >= request.output_tokens:
-                    finish(request, finished)
-            self._decode_kv_tokens += n_decoded
-            self._iterations += 1
-            self._busy_seconds += duration
-            self._decode_tokens += n_decode
-            self._requests_finished += len(finished)
-            # No allocations since the last peak sample (admission is
-            # the only place used_blocks grows), so used <= peak holds
-            # and the general path's peak update would be a no-op.
-            return finished
-        admitted = self._admit()
+        if self._waiting or self._n_prefill_phase:
+            return self._step_general()
+        # Saturated steady state (decode-only batch, empty queue):
+        # _admit is an empty-queue no-op and _build_iteration would
+        # take its decode fast path, so both calls are skipped and the
+        # decode iteration runs inline. Same float op order as
+        # _step_general (prefill busy is exactly 0.0, and
+        # ``0.0 + x == x``), so durations are bit-identical.
+        kv_tokens = self._decode_kv_tokens
+        decode_seqs = self._running[:]
+        n_decode = len(decode_seqs)
+        busy = ((self._weight_bytes
+                 + kv_tokens * self._kv_bytes_per_token)
+                / self._mem_bandwidth
+                + n_decode * self._per_seq_overhead_s)
+        duration = (0.0 if busy == 0.0
+                    else busy + self._step_overhead_s) / self.speed
+        self.now += duration
+        # _apply_iteration's decode loop, inlined (empty prefill plan).
+        # The phase check guards against an on_finish callback
+        # cancelling a hedge sibling on this same engine mid-loop —
+        # only possible once something has finished, so it is skipped
+        # while ``finished`` is empty.
+        finished: list[InferenceRequest] = []
+        decode_phase = RequestPhase.DECODE
+        n_decoded = 0
+        finish = self._finish
+        for request in decode_seqs:
+            if finished and request.phase is not decode_phase:
+                continue
+            n_decoded += 1
+            tokens = request.decoded_tokens + 1
+            request.decoded_tokens = tokens
+            if tokens >= request.output_tokens:
+                finish(request, finished)
+        self._decode_kv_tokens += n_decoded
+        self._iterations += 1
+        self._busy_seconds += duration
+        self._decode_tokens += n_decode
+        self._requests_finished += len(finished)
+        # No allocations since the last peak sample (admission is the
+        # only place used_blocks grows), so used <= peak holds and the
+        # general path's peak update would be a no-op.
+        return finished
+
+    def _step_general(self) -> list[InferenceRequest]:
+        """One iteration through admission and batch building.
+
+        :meth:`step` takes this path unless the batch is decode-only
+        with an empty queue; its inline shortcut must produce exactly
+        what this path would.
+        """
+        self._admit()
         prefill_plan, decode_seqs, prefill_tokens, kv_tokens = \
             self._build_iteration()
         n_decode = len(decode_seqs)
@@ -400,7 +381,6 @@ class ServingEngine:
                            + n_decode * self._per_seq_overhead_s)
         duration = (0.0 if busy == 0.0
                     else busy + self._step_overhead_s) / self.speed
-        start = self.now
         self.now += duration
 
         finished = self._apply_iteration(prefill_plan, decode_seqs)
@@ -413,18 +393,7 @@ class ServingEngine:
         used = self.blocks.used_blocks
         if used > self._peak_used_blocks:
             self._peak_used_blocks = used
-        if not build_info:
-            return finished
-        return StepInfo(
-            start=start,
-            duration=duration,
-            prefill_tokens=prefill_tokens,
-            n_prefill_seqs=len(prefill_plan),
-            n_decode_seqs=n_decode,
-            kv_tokens_in_batch=kv_tokens,
-            admitted=tuple(admitted),
-            finished=tuple(finished),
-        )
+        return finished
 
     def _admit(self) -> list[InferenceRequest]:
         """Admit waiting requests in policy order until one doesn't fit.
@@ -576,16 +545,3 @@ class ServingEngine:
         finished.append(request)
         if request.on_finish is not None:
             request.on_finish(request, self.now)
-
-    # ------------------------------------------------------------------
-    def run_until_idle(self, max_iterations: int = 1_000_000) -> int:
-        """Step until all submitted work completes; returns iterations."""
-        n = 0
-        while self.has_work():
-            self.step()
-            n += 1
-            if n >= max_iterations:
-                raise RuntimeError(
-                    f"engine did not drain within {max_iterations} iterations"
-                )
-        return n

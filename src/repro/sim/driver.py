@@ -4,9 +4,10 @@ as first-class events on a shared :class:`~repro.sim.kernel.EventLoop`.
 A :class:`StepDriver` keeps an *armed step event*: while the substrate
 has work, exactly one source event sits on the loop at the substrate's
 frontier (``substrate.now``); each firing performs one
-:meth:`~repro.sim.kernel.Steppable.step` and re-arms at the new
-frontier. When the substrate drains, the driver simply stops
-scheduling — an idle substrate costs zero events and zero polling.
+:meth:`~repro.sim.kernel.Steppable.step_and_frontier` and re-arms at
+the frontier it returns. When the substrate drains, the driver simply
+stops scheduling — an idle substrate costs zero events and zero
+polling.
 
 Idle-wakeup protocol
 --------------------
@@ -49,24 +50,22 @@ With homogeneous replicas, the iterations this driver produces are
 while its clock trails the next arrival (strict ``<``) and otherwise
 advances it and submits: step events rank after equal-time external
 events, each firing advances the lagging busy replica (the min-clock /
-min-index rule of ``ClusterEngine.step`` and ``step_and_frontier``),
-and external events observe ``max(event.time, substrate.now)`` via
+min-index rule of ``ClusterEngine.step_and_frontier``), and external
+events observe ``max(event.time, substrate.now)`` via
 ``EventLoop.attach``. ``tests/test_cluster_events.py`` pins this
-against such a loop for one- and multi-replica clusters, with and
-without an ``on_step`` observer; ``tests/test_cluster_golden.py`` and
-the pipeline golden fingerprint pin it end to end.
+against such a loop for one- and multi-replica clusters;
+``tests/test_cluster_golden.py`` and the pipeline golden fingerprint
+pin it end to end.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from repro.sim.kernel import Event, EventLoop, Steppable
 
 __all__ = ["StepDriver"]
 
-#: ``on_step(step_result)`` — observe each substrate iteration.
-StepObserver = Callable[[object], None]
+#: ``Event.kind`` of every step event.
+STEP_KIND = "cluster-step"
 
 
 class StepDriver:
@@ -78,18 +77,12 @@ class StepDriver:
     admission notifications to :meth:`notify` — ``ClusterEngine.attach``
     wires this automatically.
 
-    With no ``on_step`` observer each firing is one fused
-    ``step_and_frontier()`` call; an observer gets the ``step()``
-    result, and the driver then probes ``frontier()``.
+    Each firing is one fused ``step_and_frontier()`` call.
     """
 
-    def __init__(self, loop: EventLoop, substrate: Steppable,
-                 kind: str = "engine-step",
-                 on_step: StepObserver | None = None) -> None:
+    def __init__(self, loop: EventLoop, substrate: Steppable) -> None:
         self.loop = loop
         self.substrate = substrate
-        self.kind = kind
-        self.on_step = on_step
         self._armed: Event | None = None
         self._in_step = False
         self._rearm_deferred = False
@@ -100,7 +93,7 @@ class StepDriver:
         #: steps dispatched through the loop
         self.n_steps = 0
         self._frontier = substrate.frontier
-        self._step_quiet = substrate.step_and_frontier
+        self._step = substrate.step_and_frontier
         loop.attach(substrate)
         self._arm(wake=True)
 
@@ -139,7 +132,7 @@ class StepDriver:
             if wake:
                 self.n_wakes += 1
             self._armed = self.loop.schedule(
-                frontier, self.kind, self._on_step, source=self.substrate
+                frontier, STEP_KIND, self._fire_step, source=self.substrate
             )
         elif frontier < self._armed.time:
             # A submission to an idle replica regressed the cluster
@@ -148,29 +141,17 @@ class StepDriver:
             # between (the lockstep order).
             self._armed = self.loop.reschedule(self._armed, frontier)
 
-    def _on_step(self, t: float, _payload: object) -> None:
+    def _fire_step(self, t: float, _payload: object) -> None:
         fired = self._armed
         self._armed = None
         if not self.substrate.has_work():  # pragma: no cover - defensive
             return
-        observer = self.on_step
-        if observer is None:
-            self._in_step = True
-            try:
-                frontier = self._step_quiet()
-            finally:
-                self._in_step = False
-            self.n_steps += 1
-        else:
-            self._in_step = True
-            try:
-                result = self.substrate.step()
-            finally:
-                self._in_step = False
-            self.n_steps += 1
-            if observer is not None:
-                observer(result)
-            frontier = self._frontier()
+        self._in_step = True
+        try:
+            frontier = self._step()
+        finally:
+            self._in_step = False
+        self.n_steps += 1
         if frontier is not None:
             # _arm inlined: the event popped above cleared self._armed,
             # and any notify() during the step was a no-op, so this is

@@ -78,8 +78,6 @@ class Steppable(Protocol):
 
     def has_work(self) -> bool: ...
 
-    def step(self) -> object: ...
-
     def advance_and_observe(self, t: float) -> float:
         """Move the clock forward to ``t`` (never back); return ``now``."""
 
@@ -87,8 +85,7 @@ class Steppable(Protocol):
         """``now`` while the substrate has work, ``None`` when idle."""
 
     def step_and_frontier(self) -> float | None:
-        """One iteration whose result nobody observes, then
-        :meth:`frontier`."""
+        """One iteration, then :meth:`frontier`."""
 
 
 class Event:

@@ -7,8 +7,9 @@ policy, when the smallest waiting request cannot be allocated (one
 stall). ``admit_reference.admit_reference`` is the loop without those
 shortcuts. Each schedule below drives two engines through the same
 submits, cancels and steps, one admitting with ``_admit`` and one with
-the reference, and compares every step's admitted and finished
-requests, the clock and ``admission_stalls``.
+the reference, and compares after every step the running batch in
+admission order, the finished requests, every request's admitted,
+prefill-done and finish instants, the clock and ``admission_stalls``.
 """
 
 import random
@@ -22,6 +23,7 @@ from repro.serving.request import InferenceRequest
 from repro.util.units import GB
 
 from admit_reference import admit_reference
+from stepping import request_times
 
 N_SCHEDULES = 12
 N_ROUNDS = 160
@@ -96,10 +98,12 @@ def race(policy: str, seed: int) -> dict[str, int]:
                 due["smallest_misfit"] += not fast.blocks.can_allocate(
                     smallest, watermark)
         got, want = fast.step(), slow.step()
-        assert [index[r.request_id] for r in got.admitted] \
-            == [index[r.request_id] for r in want.admitted]
-        assert [index[r.request_id] for r in got.finished] \
-            == [index[r.request_id] for r in want.finished]
+        assert [index[r.request_id] for r in fast._running] \
+            == [index[r.request_id] for r in slow._running]
+        assert [index[r.request_id] for r in got] \
+            == [index[r.request_id] for r in want]
+        assert request_times(p[0] for p in pairs) \
+            == request_times(p[1] for p in pairs)
         assert fast.now == slow.now
         assert fast.stats.admission_stalls == slow.stats.admission_stalls
     assert fast.stats == slow.stats

@@ -28,6 +28,8 @@ from repro.workload import (
     make_scaling_policy,
 )
 
+from stepping import drain
+
 
 def build_config(pool_gb: float = 1.0) -> EngineConfig:
     return EngineConfig(
@@ -102,7 +104,7 @@ class TestClusterLifecycle:
         engine.replicas[1].submit(request())
         engine.begin_drain(1)
         assert not engine.can_retire(1)  # still holds a request
-        engine.replicas[1].run_until_idle()
+        drain(engine.replicas[1])
         assert engine.can_retire(1)
         engine.retire(1, at=9.0)
         assert engine.retired_at[1] == 9.0

@@ -26,6 +26,8 @@ from repro.serving.cluster import (
 )
 from repro.util.units import GB
 
+from stepping import drain, record_steps
+
 KV_BYTES = 131_072  # Mistral-7B per token
 
 
@@ -50,11 +52,11 @@ def drive_arrivals(engine, specs):
     while i < len(specs) or engine.has_work():
         next_t = specs[i][2] if i < len(specs) else float("inf")
         if engine.has_work() and engine.now < next_t:
-            engine.step()
+            engine.step_and_frontier()
             continue
         if i >= len(specs):
             break
-        engine.advance_to(next_t)
+        engine.advance_and_observe(next_t)
         prompt, out, t = specs[i]
         requests.append(engine.submit(request(prompt, out, t)))
         i += 1
@@ -136,41 +138,45 @@ class TestClusterEngine:
             ClusterEngine(build_config(), 0)
 
     def test_step_on_idle_cluster_raises(self):
-        with pytest.raises(RuntimeError):
-            ClusterEngine(build_config(), 2).step()
+        with pytest.raises(RuntimeError, match="idle cluster"):
+            ClusterEngine(build_config(), 2).step_and_frontier()
 
     def test_lockstep_steps_the_lagging_replica(self):
         engine = ClusterEngine(build_config(), 2, router="round-robin")
-        engine.submit(request(prompt=2_000, out=16))   # -> replica 0
-        engine.submit(request(prompt=200, out=2))      # -> replica 1
-        seen = set()
+        requests = [engine.submit(request(prompt=2_000, out=16)),  # -> 0
+                    engine.submit(request(prompt=200, out=2))]     # -> 1
+        trace = record_steps(
+            engine, {r.request_id: i for i, r in enumerate(requests)})
         last_now = 0.0
         while engine.has_work():
-            info = engine.step()
-            seen.add(info.replica_id)
+            lagging = min((r.now, i) for i, r in enumerate(engine.replicas)
+                          if r.has_work())[1]
+            frontier = engine.step_and_frontier()
+            assert trace[-1].replica == lagging
+            assert frontier == (engine.now if engine.has_work() else None)
             assert engine.now >= last_now or not engine.has_work()
             last_now = engine.now
-        assert seen == {0, 1}
+        assert {step.replica for step in trace} == {0, 1}
 
     def test_now_is_min_busy_clock_then_max_idle_clock(self):
         engine = ClusterEngine(build_config(), 2, router="round-robin")
         engine.submit(request(prompt=3_000, out=24))   # replica 0: long
         engine.submit(request(prompt=100, out=1))      # replica 1: short
-        engine.run_until_idle()
+        drain(engine)
         assert engine.now == max(r.now for r in engine.replicas)
 
-    def test_advance_to_moves_every_replica_forward_only(self):
+    def test_advance_and_observe_moves_every_replica_forward_only(self):
         engine = ClusterEngine(build_config(), 2, router="round-robin")
-        engine.advance_to(5.0)
+        assert engine.advance_and_observe(5.0) == 5.0
         assert all(r.now == 5.0 for r in engine.replicas)
-        engine.advance_to(1.0)
+        assert engine.advance_and_observe(1.0) == 5.0
         assert all(r.now == 5.0 for r in engine.replicas)
 
     def test_stats_aggregate_across_replicas(self):
         engine = ClusterEngine(build_config(), 2, router="round-robin")
         for i in range(6):
             engine.submit(request(app=f"q{i}"))
-        engine.run_until_idle()
+        drain(engine)
         agg = engine.stats
         assert agg.requests_finished == 6
         assert agg.iterations == sum(r.stats.iterations
@@ -214,7 +220,7 @@ class TestScaling:
         engine = ClusterEngine(build_config(), n_replicas, router=router)
         for _ in range(60):
             engine.submit(request(prompt=1_000, out=8))
-        engine.run_until_idle()
+        drain(engine)
         return engine.now
 
     def test_two_replicas_scale_throughput_at_least_1_8x(self):

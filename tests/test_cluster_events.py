@@ -1,16 +1,21 @@
 """Event-driven cluster stepping: the lockstep-equivalence guarantee,
-the idle-wakeup protocol, and heterogeneous replica speeds.
+the decode-only shortcut, the idle-wakeup protocol, and heterogeneous
+replica speeds.
 
 The tentpole invariant: driving a cluster through ``EventLoop`` +
 ``StepDriver`` (step events, wake on admission, sleep when idle)
 produces a **byte-identical** iteration trace to the manual lockstep
-loop (`engine.step()` while the clock trails the next arrival) that
-`tests/test_cluster_golden.py` and the pre-refactor runner used. It
-must hold both with an ``on_step`` observer attached (the driver steps
-through ``step()`` + ``frontier()``) and without one (the quiet
-``step_and_frontier()`` path every pipeline run takes).
-Homogeneous fleets must be provably behavior-preserving before
-heterogeneous speeds are allowed to diverge.
+loop (``step_and_frontier()`` while the clock trails the next arrival)
+that ``tests/test_cluster_golden.py`` and the pre-refactor runner used.
+The lockstep reference runs on ``stepping.GeneralStepEngine`` replicas,
+which never take ``ServingEngine.step``'s decode-only shortcut, so each
+comparison also races the shortcut against ``_step_general``. It must
+hold both with the step recorder attached (``observed``: every step's
+replica, clock, running batch and finished requests must match) and
+without it (``unobserved``: the production path untouched; each
+request's admitted, prefill-done and finish instants and the final
+``EngineStats`` must match). Homogeneous fleets must be provably
+behavior-preserving before heterogeneous speeds are allowed to diverge.
 """
 
 from __future__ import annotations
@@ -31,6 +36,14 @@ from repro.serving.cluster import (
 from repro.sim import EventLoop
 from repro.util.rng import RngStreams
 from repro.util.units import GB
+
+from stepping import (
+    drain,
+    drive_lockstep,
+    general_cluster,
+    record_steps,
+    request_times,
+)
 
 ROOT_SEED = 4242
 
@@ -62,80 +75,27 @@ def request_specs(seed: int, n_requests: int = 40,
     return specs
 
 
-def normalize(step_result, idx: dict[int, int]) -> tuple:
-    """A (Cluster)StepInfo as comparable values (ids -> submit order)."""
-    replica_id = 0
-    info = step_result
-    if hasattr(info, "info"):  # ClusterStepInfo
-        replica_id = info.replica_id
-        info = info.info
-    return (
-        replica_id,
-        info.start,
-        info.duration,
-        info.prefill_tokens,
-        info.n_prefill_seqs,
-        info.n_decode_seqs,
-        info.kv_tokens_in_batch,
-        tuple(idx[r.request_id] for r in info.admitted),
-        tuple(idx[r.request_id] for r in info.finished),
-    )
-
-
-def request_times(requests: list[InferenceRequest]) -> list[tuple]:
-    """Each request's ``(admitted, prefill done, finished)`` instants."""
-    return [(r.admitted_time, r.prefill_done_time, r.finish_time)
-            for r in requests]
-
-
-def drive_lockstep(engine, specs: list[dict]
-                   ) -> tuple[list[tuple], list[tuple]]:
-    """The manual interleave: step while the clock trails the next
-    arrival (strict ``<``), else advance + submit. Returns the step
-    trace and the :func:`request_times` in spec order."""
-    idx: dict[int, int] = {}
-    trace: list[tuple] = []
-    requests: list[InferenceRequest] = []
-    i = 0
-    while i < len(specs) or engine.has_work():
-        next_t = specs[i]["arrival_time"] if i < len(specs) else float("inf")
-        if engine.has_work() and engine.now < next_t:
-            trace.append(normalize(engine.step(), idx))
-            continue
-        if i >= len(specs):
-            break
-        engine.advance_to(next_t)
-        request = InferenceRequest(**specs[i])
-        engine.submit(request)
-        idx[request.request_id] = i
-        requests.append(request)
-        i += 1
-    return trace, request_times(requests)
-
-
 def drive_events(engine, specs: list[dict], observed: bool = True
-                 ) -> tuple[list[tuple], list[tuple], object, EventLoop]:
+                 ) -> tuple[list, list[tuple], object, EventLoop]:
     """The event-driven interleave: arrivals are external events, engine
     iterations are StepDriver step events on the same loop.
 
-    ``observed`` attaches an ``on_step`` observer that records the step
-    trace; without it the trace stays empty and the driver runs the
-    quiet ``step_and_frontier()`` path. Returns the trace, the
+    ``observed`` records the step trace through
+    :func:`stepping.record_steps`; without it the trace stays empty and
+    no replica method is wrapped. Returns the trace, the
     :func:`request_times` in spec order, the driver and the loop.
     """
     loop = EventLoop()
-    idx: dict[int, int] = {}
-    trace: list[tuple] = []
+    index: dict[int, int] = {}
+    trace = record_steps(engine, index) if observed else []
     requests: list[InferenceRequest | None] = [None] * len(specs)
     driver = engine.attach(loop)
-    if observed:
-        driver.on_step = lambda result: trace.append(normalize(result, idx))
 
     def arrive(t, payload):
         i, spec = payload
         request = InferenceRequest(**spec)
+        index[request.request_id] = i
         engine.submit(request)
-        idx[request.request_id] = i
         requests[i] = request
 
     for i, spec in enumerate(specs):
@@ -149,32 +109,39 @@ OBSERVED = pytest.mark.parametrize("observed", [True, False],
                                    ids=["observed", "unobserved"])
 
 
-def assert_lockstep_equivalent(golden, trace, times,
+def assert_lockstep_equivalent(golden, reference: ClusterEngine,
+                               engine: ClusterEngine, trace, times,
                                observed: bool) -> None:
-    """An event-driven run matches the lockstep ``golden``: the same
-    request instants always, and the same step trace when observed."""
+    """An event-driven run matches the lockstep ``golden`` run on
+    ``reference``: the same request instants and final per-replica
+    ``EngineStats`` always, and the same step trace when observed."""
     golden_trace, golden_times = golden
     assert repr(times) == repr(golden_times)
+    assert [r.stats for r in engine.replicas] \
+        == [r.stats for r in reference.replicas]
     if observed:
         assert repr(trace) == repr(golden_trace)
 
 
 class TestLockstepEquivalence:
-    """Homogeneous speeds: event-driven == manual lockstep, byte for byte."""
+    """Homogeneous speeds: event-driven == manual lockstep, byte for
+    byte, with the lockstep side on the general-path reference."""
 
     @OBSERVED
     def test_bare_engine_trace_identical(self, observed):
         """A lone engine goes on the event loop as a one-replica
         cluster; its trace must match the lockstep loop."""
         specs = request_specs(ROOT_SEED)
-        golden = drive_lockstep(
-            ClusterEngine(build_config(), n_replicas=1), specs)
-        trace, times, driver, loop = drive_events(
-            ClusterEngine(build_config(), n_replicas=1), specs, observed)
+        reference = general_cluster(build_config(), n_replicas=1)
+        golden = drive_lockstep(reference, specs)
+        engine = ClusterEngine(build_config(), n_replicas=1)
+        trace, times, driver, loop = drive_events(engine, specs, observed)
         steps = golden[0]
         assert len(steps) > len(specs) // 2  # real multi-iteration run
-        assert {step[0] for step in steps} == {0}  # one replica steps alone
-        assert_lockstep_equivalent(golden, trace, times, observed)
+        assert {step.replica for step in steps} == {0}  # one replica alone
+        assert any(step.decode_only for step in steps)  # shortcut reached
+        assert_lockstep_equivalent(golden, reference, engine, trace, times,
+                                   observed)
         assert driver.n_steps == len(steps)
         assert not loop  # fully drained, no stranded step events
 
@@ -182,15 +149,16 @@ class TestLockstepEquivalence:
     @pytest.mark.parametrize("router", ROUTER_NAMES)
     def test_three_replica_cluster_trace_identical(self, router, observed):
         specs = request_specs(ROOT_SEED + 1, n_requests=50, mean_gap=0.02)
-        golden = drive_lockstep(
-            ClusterEngine(build_config(), n_replicas=3, router=router,
-                          seed=ROOT_SEED), specs)
-        trace, times, driver, _ = drive_events(
-            ClusterEngine(build_config(), n_replicas=3, router=router,
-                          seed=ROOT_SEED), specs, observed)
-        replicas_used = {step[0] for step in golden[0]}
+        reference = general_cluster(build_config(), n_replicas=3,
+                                    router=router, seed=ROOT_SEED)
+        golden = drive_lockstep(reference, specs)
+        engine = ClusterEngine(build_config(), n_replicas=3, router=router,
+                               seed=ROOT_SEED)
+        trace, times, driver, _ = drive_events(engine, specs, observed)
+        replicas_used = {step.replica for step in golden[0]}
         assert len(replicas_used) > 1  # genuinely multi-replica
-        assert_lockstep_equivalent(golden, trace, times, observed)
+        assert_lockstep_equivalent(golden, reference, engine, trace, times,
+                                   observed)
         assert driver.n_steps == len(golden[0])
 
     @OBSERVED
@@ -200,13 +168,14 @@ class TestLockstepEquivalence:
         must reschedule its armed event (n_cancelled > 0) and the
         trace must still match the lockstep loop."""
         specs = request_specs(ROOT_SEED + 2, n_requests=30, mean_gap=0.15)
-        golden = drive_lockstep(
-            ClusterEngine(build_config(0.5), n_replicas=2,
-                          router="round-robin", seed=0), specs)
-        trace, times, _, loop = drive_events(
-            ClusterEngine(build_config(0.5), n_replicas=2,
-                          router="round-robin", seed=0), specs, observed)
-        assert_lockstep_equivalent(golden, trace, times, observed)
+        reference = general_cluster(build_config(0.5), n_replicas=2,
+                                    router="round-robin", seed=0)
+        golden = drive_lockstep(reference, specs)
+        engine = ClusterEngine(build_config(0.5), n_replicas=2,
+                               router="round-robin", seed=0)
+        trace, times, _, loop = drive_events(engine, specs, observed)
+        assert_lockstep_equivalent(golden, reference, engine, trace, times,
+                                   observed)
         assert loop.n_cancelled > 0  # reschedule path genuinely taken
 
     @pytest.mark.tier2
@@ -221,15 +190,46 @@ class TestLockstepEquivalence:
             specs = request_specs(1000 + index,
                                   n_requests=int(rng.integers(5, 25)),
                                   mean_gap=float(rng.uniform(0.01, 0.2)))
-            golden = drive_lockstep(
-                ClusterEngine(build_config(0.75), n_replicas=n_replicas,
-                              router=router, seed=index), specs)
-            trace, _, _, _ = drive_events(
-                ClusterEngine(build_config(0.75), n_replicas=n_replicas,
-                              router=router, seed=index), specs)
+            reference = general_cluster(
+                build_config(0.75), n_replicas=n_replicas, router=router,
+                seed=index)
+            golden = drive_lockstep(reference, specs)
+            engine = ClusterEngine(build_config(0.75), n_replicas=n_replicas,
+                                   router=router, seed=index)
+            trace, times, _, _ = drive_events(engine, specs)
             assert repr(trace) == repr(golden[0]), (
                 f"schedule {index} ({n_replicas} replicas, {router}) drifted"
             )
+            assert repr(times) == repr(golden[1])
+
+
+class TestDecodeShortcut:
+    """``ServingEngine.step``'s decode-only shortcut against the
+    ``_step_general`` reference on the lockstep schedules, under both
+    admission policies, event-driven on one side and lockstep on the
+    other."""
+
+    @pytest.mark.parametrize("policy", ["fcfs", "app-aware"])
+    @pytest.mark.parametrize("n_replicas", [1, 3])
+    def test_shortcut_matches_general_path(self, n_replicas, policy):
+        if n_replicas == 1:
+            specs = request_specs(ROOT_SEED)
+        else:
+            specs = request_specs(ROOT_SEED + 1, n_requests=50,
+                                  mean_gap=0.02)
+        config = build_config(policy=policy)
+        reference = general_cluster(config, n_replicas=n_replicas,
+                                    seed=ROOT_SEED)
+        golden = drive_lockstep(reference, specs)
+        engine = ClusterEngine(config, n_replicas=n_replicas,
+                               seed=ROOT_SEED)
+        trace, times, _, _ = drive_events(engine, specs)
+        shortcuts = sum(step.decode_only for step in trace)
+        assert 0 < shortcuts < len(trace)  # both paths genuinely taken
+        assert repr(trace) == repr(golden[0])
+        assert repr(times) == repr(golden[1])
+        assert [r.stats for r in engine.replicas] \
+            == [r.stats for r in reference.replicas]
 
 
 class TestIdleWakeup:
@@ -268,7 +268,7 @@ class TestIdleWakeup:
         for k in range(4):
             engine.submit(InferenceRequest(
                 prompt_tokens=200, output_tokens=2, arrival_time=0.0))
-        engine.run_until_idle()
+        drain(engine)
         # Round-robin: two requests per replica, each replica woke once
         # (the second submission found it already busy).
         assert [r.stats.wakeups for r in engine.replicas] == [1, 1]
@@ -282,25 +282,26 @@ class TestHeterogeneousSpeeds:
     def test_speed_halves_throughput_exactly(self):
         """A 0.5x engine takes exactly 2x as long: iteration durations
         scale by a power of two, so the comparison is float-exact."""
-        def drain(speed: float) -> ServingEngine:
+        def serve(speed: float) -> ServingEngine:
             engine = ServingEngine(build_config(), speed=speed)
             for i in range(10):
                 engine.submit(InferenceRequest(
                     prompt_tokens=800, output_tokens=8, arrival_time=0.0))
-            engine.run_until_idle()
+            drain(engine)
             return engine
 
-        fast, slow = drain(1.0), drain(0.5)
+        fast, slow = serve(1.0), serve(0.5)
         assert slow.stats.iterations == fast.stats.iterations
         assert slow.now == 2.0 * fast.now
         assert slow.stats.busy_seconds == 2.0 * fast.stats.busy_seconds
 
     def test_default_speed_is_exactly_pre_speed_behavior(self):
         specs = request_specs(ROOT_SEED + 4)
-        base = drive_lockstep(ServingEngine(build_config()), specs)
-        explicit = drive_lockstep(ServingEngine(build_config(), speed=1.0),
-                                  specs)
-        assert repr(base) == repr(explicit)
+        base = ServingEngine(build_config())
+        explicit = ServingEngine(build_config(), speed=1.0)
+        assert repr(drive_lockstep(base, specs)) \
+            == repr(drive_lockstep(explicit, specs))
+        assert base.stats == explicit.stats
 
     def test_cluster_speed_validation(self):
         with pytest.raises(ValueError, match="2 entries"):
@@ -463,7 +464,7 @@ class TestRunnerIntegration:
         # Desynchronize the replica clocks: work on replica 0 only.
         engine.replicas[0].submit(InferenceRequest(
             prompt_tokens=400, output_tokens=6, arrival_time=0.0))
-        engine.run_until_idle()
+        drain(engine)
         assert engine.replicas[0].now > engine.replicas[1].now
 
         pipeline = QueryPipeline(

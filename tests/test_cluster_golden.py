@@ -3,9 +3,10 @@
 A fixed-seed 50-request workload is driven through a bare
 :class:`ServingEngine` and through a 1-replica :class:`ClusterEngine`
 (every router), interleaving arrivals with engine iterations exactly
-like the experiment runner. The two :class:`StepInfo` sequences must be
-identical step for step — same clock values, same batch compositions,
-same admission/finish order.
+like the experiment runner. The two step traces must be identical step
+for step — same clock after each step, same running batch in admission
+order, same finished requests — and so must every request's admitted,
+prefill-done and finish instants and the final ``EngineStats``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from repro.serving import (
 from repro.serving.cluster import ROUTER_NAMES
 from repro.util.rng import RngStreams
 from repro.util.units import GB
+
+from stepping import drive_lockstep
 
 N_REQUESTS = 50
 GOLDEN_SEED = 1234
@@ -51,61 +54,26 @@ def request_specs(seed: int = GOLDEN_SEED) -> list[dict]:
     return specs
 
 
-def normalize(info, idx: dict[int, int]) -> tuple:
-    """A StepInfo as comparable values (request ids -> submit order)."""
-    return (
-        info.start,
-        info.duration,
-        info.prefill_tokens,
-        info.n_prefill_seqs,
-        info.n_decode_seqs,
-        info.kv_tokens_in_batch,
-        tuple(idx[r.request_id] for r in info.admitted),
-        tuple(idx[r.request_id] for r in info.finished),
-    )
-
-
-def drive(engine, specs: list[dict]) -> list[tuple]:
-    """Runner-style loop: step while the clock trails the next arrival."""
-    idx: dict[int, int] = {}
-    trace: list[tuple] = []
-    i = 0
-    while i < len(specs) or engine.has_work():
-        next_t = specs[i]["arrival_time"] if i < len(specs) else float("inf")
-        if engine.has_work() and engine.now < next_t:
-            info = engine.step()
-            if hasattr(info, "info"):  # ClusterStepInfo
-                assert info.replica_id == 0
-                info = info.info
-            trace.append(normalize(info, idx))
-            continue
-        if i >= len(specs):
-            break
-        engine.advance_to(next_t)
-        request = InferenceRequest(**specs[i])
-        engine.submit(request)
-        idx[request.request_id] = i
-        i += 1
-    return trace
-
-
 @pytest.mark.parametrize("policy", ["fcfs", "app-aware"])
 def test_one_replica_cluster_is_trace_identical(policy):
     specs = request_specs()
-    golden = drive(ServingEngine(build_config(policy)), specs)
-    assert len(golden) > N_REQUESTS  # sanity: real multi-iteration run
+    engine = ServingEngine(build_config(policy))
+    golden = drive_lockstep(engine, specs)
+    assert len(golden[0]) > N_REQUESTS  # sanity: real multi-iteration run
 
     for router in ROUTER_NAMES:
         cluster = ClusterEngine(build_config(policy), n_replicas=1,
                                 router=router, seed=GOLDEN_SEED)
-        trace = drive(cluster, specs)
+        run = drive_lockstep(cluster, specs)
         # Byte-for-byte: same floats, same batches, same orderings.
-        assert repr(trace) == repr(golden), f"router {router} drifted"
+        assert repr(run) == repr(golden), f"router {router} drifted"
+        assert cluster.stats == engine.stats
 
 
 def test_golden_trace_is_seed_stable():
     """The same seed replays the same trace across engine instances."""
     specs = request_specs()
-    a = drive(ServingEngine(build_config("fcfs")), specs)
-    b = drive(ServingEngine(build_config("fcfs")), specs)
-    assert a == b
+    a = ServingEngine(build_config("fcfs"))
+    b = ServingEngine(build_config("fcfs"))
+    assert drive_lockstep(a, specs) == drive_lockstep(b, specs)
+    assert a.stats == b.stats

@@ -21,6 +21,8 @@ from repro.serving.cluster import ROUTER_NAMES
 from repro.util.rng import RngStreams
 from repro.util.units import GB
 
+from stepping import drain
+
 SCHEDULES_PER_ROUTER = 50
 ROOT_SEED = 99
 
@@ -83,12 +85,12 @@ def run_schedule(n_replicas: int, specs: list[dict], router: str,
     while i < len(specs) or engine.has_work():
         next_t = specs[i]["arrival_time"] if i < len(specs) else float("inf")
         if engine.has_work() and engine.now < next_t:
-            engine.step()
+            engine.step_and_frontier()
             check_invariants(engine)
             continue
         if i >= len(specs):
             break
-        engine.advance_to(next_t)
+        engine.advance_and_observe(next_t)
         requests.append(engine.submit(InferenceRequest(**specs[i])))
         check_invariants(engine)
         i += 1
@@ -132,6 +134,6 @@ def test_app_calls_never_split_across_replicas():
             assert rid is not None and 0 <= rid < n_replicas
             if spec["app_id"]:
                 placements.setdefault(spec["app_id"], set()).add(rid)
-        engine.run_until_idle()
+        drain(engine)
         for app, replicas in placements.items():
             assert len(replicas) == 1, f"{app} split across {replicas}"

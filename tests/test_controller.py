@@ -123,14 +123,14 @@ class TestKnobSwitches:
 
 class TestSelectionModes:
     def test_median_mode(self, finsec_bundle):
-        policy = make_policy(selection_mode="median", memory_aware=False)
+        policy = make_policy(selection_mode="median")
         q = finsec_bundle.queries[0]
         decision = policy.choose(q, prep_with(profile(pieces=4)),
                                  make_view(1e6))
         assert decision.config.num_chunks == 8  # median of [4, 12]
 
     def test_max_mode(self, finsec_bundle):
-        policy = make_policy(selection_mode="max", memory_aware=False)
+        policy = make_policy(selection_mode="max")
         q = finsec_bundle.queries[0]
         decision = policy.choose(q, prep_with(profile(pieces=4)),
                                  make_view(1e6))

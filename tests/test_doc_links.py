@@ -72,6 +72,18 @@ class TestCheckerCatchesBreakage:
         doc.write_text("[x](https://example.com/a.md)\n")
         assert checker.check_file(doc) == []
 
+    def test_source_citing_missing_doc_is_reported(self, checker,
+                                                   tmp_path):
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "REAL.md").write_text("# Real\n")
+        (tmp_path / "TOP.md").write_text("# Top\n")
+        source = tmp_path / "mod.py"
+        source.write_text('"""See docs/REAL.md and TOP.md."""\n'
+                          "# details in DESIGN.md\n")
+        errors = checker.check_source(source, root=tmp_path)
+        assert len(errors) == 1
+        assert ":2:" in errors[0] and "DESIGN.md" in errors[0]
+
     def test_slugify_matches_github_style(self, checker):
         assert checker.slugify("The `EventLoop` hot path") \
             == "the-eventloop-hot-path"

@@ -13,6 +13,8 @@ from repro.serving.engine import (
 from repro.serving.request import InferenceRequest, RequestPhase
 from repro.util.units import GB
 
+from stepping import drain
+
 
 def make_engine(**overrides) -> ServingEngine:
     config = EngineConfig(model=MISTRAL_7B_AWQ, cluster=ClusterSpec(A40),
@@ -46,7 +48,7 @@ class TestSubmission:
     def test_rejects_resubmission(self):
         eng = make_engine()
         r = eng.submit(req())
-        eng.run_until_idle()
+        drain(eng)
         with pytest.raises(ValueError, match="already"):
             eng.submit(r)
 
@@ -56,7 +58,7 @@ class TestExecution:
         done = []
         eng = make_engine()
         eng.submit(req(prompt=3000, out=5, cb=lambda r, t: done.append(t)))
-        n = eng.run_until_idle()
+        n = drain(eng)
         assert n >= 2  # chunked prefill (2048 budget) + decode steps
         assert len(done) == 1
         assert done[0] == eng.now
@@ -68,21 +70,21 @@ class TestExecution:
             eng.submit(req(prompt=2000, out=8, app=f"q{i}"))
         last = 0.0
         while eng.has_work():
-            info = eng.step()
-            assert info.start >= 0
-            assert info.end >= last
-            last = info.end
+            eng.step()
+            assert eng.now >= last
+            last = eng.now
+        assert last > 0.0
 
     def test_decode_takes_one_step_per_token(self):
         eng = make_engine()
         eng.submit(req(prompt=100, out=5))
         # Prefill (1 step, also yields token 1) + 4 decode steps.
-        assert eng.run_until_idle() == 5
+        assert drain(eng) == 5
 
     def test_request_timestamps_recorded(self):
         eng = make_engine()
         r = eng.submit(req(prompt=3000, out=3))
-        eng.run_until_idle()
+        drain(eng)
         assert r.phase is RequestPhase.FINISHED
         assert r.admitted_time is not None
         assert r.prefill_done_time is not None
@@ -92,7 +94,7 @@ class TestExecution:
     def test_blocks_freed_after_completion(self):
         eng = make_engine()
         eng.submit(req())
-        eng.run_until_idle()
+        drain(eng)
         assert eng.blocks.free_blocks == eng.blocks.n_blocks
 
     def test_step_on_idle_engine_raises(self):
@@ -113,9 +115,11 @@ class TestContinuousBatching:
         eng = make_engine()
         eng.submit(req(prompt=8000, out=30, app="big"))
         eng.step()  # big request admitted, prefilling
-        eng.submit(req(prompt=500, out=3, app="small"))
-        info = eng.step()
-        assert any(r.app_id == "small" for r in info.admitted)
+        joined_at = eng.now
+        small = eng.submit(req(prompt=500, out=3, app="small"))
+        eng.step()
+        assert [r.app_id for r in eng.running] == ["big", "small"]
+        assert small.admitted_time == joined_at
 
     def test_memory_admission_blocks_head_of_line(self):
         # Pool is ~16k tokens; first request takes most of it, second
@@ -127,7 +131,7 @@ class TestContinuousBatching:
         eng.step()
         assert blocked.phase is RequestPhase.WAITING
         assert eng.stats.admission_stalls > 0
-        eng.run_until_idle()
+        drain(eng)
         assert blocked.phase is RequestPhase.FINISHED
 
     def test_available_kv_accounts_for_waiting(self):
@@ -140,22 +144,23 @@ class TestContinuousBatching:
 class TestChunkedPrefill:
     def test_chunked_splits_long_prompt(self):
         eng = make_engine()
-        eng.submit(req(prompt=8192, out=1))
-        info = eng.step()
-        assert info.prefill_tokens == MAX_BATCHED_PREFILL_TOKENS == 2048
+        r = eng.submit(req(prompt=8192, out=1))
+        eng.step()
+        assert r.prefilled_tokens == MAX_BATCHED_PREFILL_TOKENS == 2048
+        assert eng.stats.prefill_tokens == 2048
 
 
 class TestStats:
     def test_busy_time_equals_now_when_saturated(self):
         eng = make_engine()
         eng.submit(req(prompt=5000, out=10))
-        eng.run_until_idle()
+        drain(eng)
         assert eng.stats.busy_seconds == pytest.approx(eng.now)
 
     def test_token_counters(self):
         eng = make_engine()
         eng.submit(req(prompt=1000, out=10))
-        eng.run_until_idle()
+        drain(eng)
         assert eng.stats.prefill_tokens == 1000
         assert eng.stats.decode_tokens == 9  # first token from prefill step
         assert eng.stats.requests_finished == 1

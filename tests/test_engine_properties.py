@@ -10,6 +10,8 @@ from repro.serving.engine import EngineConfig, ServingEngine
 from repro.serving.request import InferenceRequest, RequestPhase
 from repro.util.units import GB
 
+from stepping import GeneralStepEngine, drain, record_steps, request_times
+
 request_specs = st.lists(
     st.tuples(
         st.integers(min_value=1, max_value=6_000),   # prompt tokens
@@ -21,8 +23,8 @@ request_specs = st.lists(
 )
 
 
-def build_engine(policy: str) -> ServingEngine:
-    return ServingEngine(
+def build_engine(policy: str, cls=ServingEngine) -> ServingEngine:
+    return cls(
         EngineConfig(
             model=MISTRAL_7B_AWQ,
             cluster=ClusterSpec(A40),
@@ -48,7 +50,7 @@ def test_every_request_completes_exactly_once(specs, policy):
             on_finish=lambda req, t: finished.append(req.request_id),
         )
         requests.append(engine.submit(r))
-    engine.run_until_idle()
+    drain(engine)
     assert sorted(finished) == sorted(r.request_id for r in requests)
     assert all(r.phase is RequestPhase.FINISHED for r in requests)
 
@@ -65,8 +67,7 @@ def test_blocks_conserved_and_clock_monotone(specs, policy):
         ))
     last_t = 0.0
     while engine.has_work():
-        info = engine.step()
-        assert info.duration >= 0.0
+        engine.step()
         assert engine.now >= last_t
         last_t = engine.now
         used = engine.blocks.used_blocks + engine.blocks.free_blocks
@@ -88,7 +89,7 @@ def test_exact_token_accounting(specs):
         ))
         total_prompt += prompt
         total_out += out
-    engine.run_until_idle()
+    drain(engine)
     assert engine.stats.prefill_tokens == total_prompt
     # One output token per request is produced by its final prefill chunk.
     n = len(specs)
@@ -108,7 +109,31 @@ def test_fcfs_and_app_aware_complete_same_work(specs):
                 prompt_tokens=prompt, output_tokens=out,
                 arrival_time=0.0, app_id=app,
             ))
-        engine.run_until_idle()
+        drain(engine)
         results[policy] = (engine.stats.prefill_tokens,
                            engine.stats.requests_finished)
     assert results["fcfs"] == results["app-aware"]
+
+
+@settings(deadline=None, max_examples=30)
+@given(request_specs, st.sampled_from(["fcfs", "app-aware"]))
+def test_decode_shortcut_matches_general_path(specs, policy):
+    """``step()``'s decode-only shortcut against ``_step_general``: the
+    same clock, running batch and finished requests after every step,
+    the same request instants, the same final stats."""
+    runs = []
+    for cls in (ServingEngine, GeneralStepEngine):
+        engine = build_engine(policy, cls)
+        index: dict[int, int] = {}
+        trace = record_steps(engine, index)
+        requests = []
+        for prompt, out, app in specs:
+            prompt = max(1, min(prompt, engine.memory.kv_pool_tokens - out - 1))
+            request = InferenceRequest(prompt_tokens=prompt,
+                                       output_tokens=out, arrival_time=0.0,
+                                       app_id=app)
+            index[request.request_id] = len(requests)
+            requests.append(engine.submit(request))
+        drain(engine)
+        runs.append((repr(trace), request_times(requests), engine.stats))
+    assert runs[0] == runs[1]

@@ -372,11 +372,6 @@ class _FakeSubstrate:
     def has_work(self) -> bool:
         return self._work > 0
 
-    def step(self):
-        self.step_times.append(self.now)
-        self.now += self.step_seconds
-        self._work -= 1
-
     def advance_and_observe(self, t: float) -> float:
         if t > self.now:
             self.now = t
@@ -386,5 +381,7 @@ class _FakeSubstrate:
         return self.now if self.has_work() else None
 
     def step_and_frontier(self) -> float | None:
-        self.step()
+        self.step_times.append(self.now)
+        self.now += self.step_seconds
+        self._work -= 1
         return self.frontier()

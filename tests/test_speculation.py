@@ -29,6 +29,8 @@ from repro.serving.speculation import (
 from repro.sim import EventLoop, Lease, Resource
 from repro.util.units import GB
 
+from stepping import drain
+
 STUFF6 = RAGConfig(SynthesisMethod.STUFF, 6)
 STUFF8 = RAGConfig(SynthesisMethod.STUFF, 8)
 
@@ -289,7 +291,7 @@ class TestEngineCancel:
         engine = ServingEngine(tight_config())
         req = engine.submit(InferenceRequest(
             prompt_tokens=100, output_tokens=2, arrival_time=0.0))
-        engine.run_until_idle()
+        drain(engine)
         assert req.phase is RequestPhase.FINISHED
         assert engine.cancel(req) is False
         other = InferenceRequest(

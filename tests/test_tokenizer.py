@@ -51,25 +51,6 @@ class TestCount:
         assert tok.count(text) == tok.count(text)
 
 
-class TestTruncate:
-    def test_no_truncation_needed(self):
-        assert tok.truncate("one two three", 10) == "one two three"
-
-    def test_truncates_to_budget(self):
-        text = "alpha beta gamma delta epsilon"
-        out = tok.truncate(text, 3)
-        assert tok.count(out) <= 3
-        assert text.startswith(out)
-
-    def test_zero_budget_gives_empty(self):
-        assert tok.truncate("anything here", 0) == ""
-
-    @given(st.text(alphabet="abcdef ghij", max_size=200),
-           st.integers(min_value=1, max_value=30))
-    def test_truncate_respects_budget(self, text, budget):
-        assert tok.count(tok.truncate(text, budget)) <= budget
-
-
 @pytest.mark.parametrize("text,expected_min", [
     ("a b c", 3),
     ("punctuation, everywhere!", 3),

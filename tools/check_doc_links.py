@@ -15,10 +15,16 @@ Scans ``docs/*.md`` plus the top-level markdown files for:
 
 External links (``http(s)://``, ``mailto:``) are ignored; fenced code
 blocks and inline code spans are stripped before scanning so examples
-can't produce false positives. Exits non-zero listing every broken
-link. Run from anywhere: paths resolve relative to the repo root
-(this file's grandparent). CI runs this in the fast job;
-``tests/test_doc_links.py`` wraps it for the local suite.
+can't produce false positives.
+
+It also scans ``src/**/*.py`` for ``NAME.md`` mentions (docstrings,
+comments, report notes): each must name an existing ``docs/NAME.md``
+or repo-root ``NAME.md``.
+
+Exits non-zero listing every broken link. Run from anywhere: paths
+resolve relative to the repo root (this file's grandparent). CI runs
+this in the fast job; ``tests/test_doc_links.py`` wraps it for the
+local suite.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ _FENCE = re.compile(r"^(```|~~~)")
 _INLINE_CODE = re.compile(r"`[^`]*`")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$")
 _EXTERNAL = ("http://", "https://", "mailto:")
+#: A ``NAME.md`` mention in source, with any directory prefix dropped.
+_SOURCE_MD = re.compile(r"([\w-]+)\.md\b")
 
 
 def strip_code(text: str) -> str:
@@ -115,18 +123,37 @@ def check_file(path: Path) -> list[str]:
     return errors
 
 
+def check_source(path: Path, root: Path = REPO_ROOT) -> list[str]:
+    """``NAME.md`` mentions in a source file that name no document:
+    neither ``root/docs/NAME.md`` nor ``root/NAME.md`` exists."""
+    errors: list[str] = []
+    text = path.read_text(encoding="utf-8")
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for match in _SOURCE_MD.finditer(line):
+            name = f"{match.group(1)}.md"
+            if not ((root / "docs" / name).is_file()
+                    or (root / name).is_file()):
+                errors.append(f"{display(path)}:{lineno}: cites "
+                              f"{name}: no docs/{name} or {name}")
+    return errors
+
+
 def main() -> int:
     files = sorted((REPO_ROOT / "docs").glob("*.md"))
     files += sorted(p for p in REPO_ROOT.glob("*.md"))
+    sources = sorted((REPO_ROOT / "src").rglob("*.py"))
     errors: list[str] = []
     for path in files:
         errors.extend(check_file(path))
+    for path in sources:
+        errors.extend(check_source(path))
     if errors:
         print(f"{len(errors)} broken doc link(s):", file=sys.stderr)
         for error in errors:
             print(f"  {error}", file=sys.stderr)
         return 1
-    print(f"doc links ok ({len(files)} files checked)")
+    print(f"doc links ok ({len(files)} docs and {len(sources)} source "
+          f"files checked)")
     return 0
 
 
