@@ -40,7 +40,10 @@ __all__ = [
     "DEFAULT_RATES",
     "DEFAULT_N_QUERIES",
     "FAST_N_QUERIES",
+    "RATE_SCALE_70B",
+    "BaselineComparison",
     "ExperimentReport",
+    "compare_baselines",
     "default_engine_config",
     "engine_config_70b",
     "fixed_config_grid",
@@ -102,6 +105,11 @@ def default_engine_config(model: ModelSpec = MISTRAL_7B_AWQ,
         cluster=ClusterSpec(A40, n_gpus=n_gpus),
         kv_pool_cap_bytes=8 * GB,
     )
+
+
+#: 70B on 2 GPUs is ~10x slower per token: :data:`DEFAULT_RATES` times
+#: this keeps a 70B-served comparison in the same operating regime.
+RATE_SCALE_70B = 0.12
 
 
 def engine_config_70b() -> EngineConfig:
@@ -236,24 +244,49 @@ def run_policy(
     return runner.run(policy, arrivals, closed_loop_clients=closed_loop_clients)
 
 
-def run_fixed_grid(
-    bundle: DatasetBundle,
-    parrot: bool = False,
-    rate_qps: float | None = None,
-    n_queries: int | None = None,
-    seed: int = 0,
-    engine_config: EngineConfig | None = None,
-) -> list[RunResult]:
-    """Run every grid config as a fixed-configuration baseline."""
-    results = []
-    for config in fixed_config_grid(bundle.name):
-        policy = (ParrotPolicy if parrot else FixedConfigPolicy)(config)
-        results.append(
-            run_policy(bundle, policy, rate_qps=rate_qps,
-                       n_queries=n_queries, seed=seed,
-                       engine_config=engine_config)
-        )
-    return results
+def run_fixed_grid(bundle: DatasetBundle, parrot: bool = False,
+                   **run) -> list[RunResult]:
+    """Run every grid config as a fixed-configuration baseline; ``run``
+    is forwarded to :func:`run_policy` for every config."""
+    policy_type = ParrotPolicy if parrot else FixedConfigPolicy
+    return [run_policy(bundle, policy_type(config), **run)
+            for config in fixed_config_grid(bundle.name)]
+
+
+@dataclass(frozen=True)
+class BaselineComparison:
+    """METIS against AdaptiveRAG* and the fixed grid (Figs 10, 15, 17)."""
+
+    metis: RunResult
+    adaptive: RunResult
+    grid: list[RunResult]
+    #: The grid run whose mean delay is closest to METIS'.
+    similar: RunResult
+
+    @property
+    def delay_ratio(self) -> float:
+        """AdaptiveRAG*'s mean delay over METIS'."""
+        return self.adaptive.mean_delay / max(self.metis.mean_delay, 1e-9)
+
+    @property
+    def f1_gap(self) -> float:
+        """METIS' relative F1 gain over the similar-delay fixed config."""
+        return (self.metis.mean_f1 - self.similar.mean_f1) / max(
+            self.similar.mean_f1, 1e-9)
+
+
+def compare_baselines(bundle: DatasetBundle, metis: MetisPolicy,
+                      adaptive: AdaptiveRAGPolicy,
+                      **run) -> BaselineComparison:
+    """Serve METIS, AdaptiveRAG* and the fixed grid, each with the same
+    :func:`run_policy` keywords ``run`` (rate, engine, quality
+    parameters, ...), and pick the fixed config of most similar delay."""
+    metis_result = run_policy(bundle, metis, **run)
+    adaptive_result = run_policy(bundle, adaptive, **run)
+    grid = run_fixed_grid(bundle, **run)
+    return BaselineComparison(
+        metis=metis_result, adaptive=adaptive_result, grid=grid,
+        similar=select_similar_delay(grid, metis_result.mean_delay))
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +360,9 @@ def quality_with_model_bonus(bundle: DatasetBundle,
     )
 
 
-def load_bundle(dataset: str, fast: bool, seed: int = 0) -> DatasetBundle:
-    """Dataset with the standard (or fast) query count."""
-    n = FAST_N_QUERIES if fast else DEFAULT_N_QUERIES
+def load_bundle(dataset: str, fast: bool, seed: int = 0,
+                fast_n_queries: int = FAST_N_QUERIES) -> DatasetBundle:
+    """Dataset with the standard query count, or ``fast_n_queries``
+    when ``fast``."""
+    n = fast_n_queries if fast else DEFAULT_N_QUERIES
     return build_dataset(dataset, seed=seed, n_queries=n)

@@ -11,35 +11,16 @@ from __future__ import annotations
 from repro.data import DATASET_NAMES
 from repro.experiments.common import (
     ExperimentReport,
+    compare_baselines,
     load_bundle,
     make_adaptive_rag,
     make_metis,
     run_fixed_grid,
-    run_policy,
     select_best_quality,
     select_similar_delay,
 )
 
-__all__ = ["run", "run_dataset"]
-
-
-def run_dataset(dataset: str, fast: bool = False, seed: int = 0) -> dict:
-    """All Fig 10 measurements for one dataset."""
-    bundle = load_bundle(dataset, fast, seed)
-    n = None  # full bundle
-    metis = run_policy(bundle, make_metis(bundle, seed=seed),
-                       n_queries=n, seed=seed)
-    adaptive = run_policy(bundle, make_adaptive_rag(bundle, seed=seed),
-                          n_queries=n, seed=seed)
-    vllm_grid = run_fixed_grid(bundle, parrot=False, n_queries=n, seed=seed)
-    parrot_grid = run_fixed_grid(bundle, parrot=True, n_queries=n, seed=seed)
-    return {
-        "bundle": bundle,
-        "metis": metis,
-        "adaptive": adaptive,
-        "vllm_grid": vllm_grid,
-        "parrot_grid": parrot_grid,
-    }
+__all__ = ["run"]
 
 
 def run(fast: bool = False, seed: int = 0) -> ExperimentReport:
@@ -47,18 +28,19 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentReport:
         "Fig 10: delay reduction at equal-or-better quality"
     )
     for dataset in DATASET_NAMES:
-        data = run_dataset(dataset, fast, seed)
-        metis, adaptive = data["metis"], data["adaptive"]
-        vllm_best = select_best_quality(data["vllm_grid"])
-        vllm_similar = select_similar_delay(data["vllm_grid"],
-                                            metis.mean_delay)
-        parrot_similar = select_similar_delay(data["parrot_grid"],
-                                              metis.mean_delay)
+        bundle = load_bundle(dataset, fast, seed)
+        cmp = compare_baselines(bundle, make_metis(bundle, seed=seed),
+                                make_adaptive_rag(bundle, seed=seed),
+                                seed=seed)
+        metis, adaptive = cmp.metis, cmp.adaptive
+        vllm_best = select_best_quality(cmp.grid)
+        parrot_similar = select_similar_delay(
+            run_fixed_grid(bundle, parrot=True, seed=seed), metis.mean_delay)
         for result, system in (
             (metis, "METIS"),
             (adaptive, "AdaptiveRAG*"),
             (vllm_best, f"vLLM best-quality ({vllm_best.policy})"),
-            (vllm_similar, f"vLLM similar-delay ({vllm_similar.policy})"),
+            (cmp.similar, f"vLLM similar-delay ({cmp.similar.policy})"),
             (parrot_similar, f"Parrot* similar-delay ({parrot_similar.policy})"),
         ):
             report.add_row(
@@ -68,14 +50,11 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentReport:
                 p90_delay_s=result.delay_percentile(90),
                 mean_f1=result.mean_f1,
             )
-        ratio = adaptive.mean_delay / max(metis.mean_delay, 1e-9)
-        f1_gap = (metis.mean_f1 - vllm_similar.mean_f1) / max(
-            vllm_similar.mean_f1, 1e-9
-        )
         report.add_note(
-            f"{dataset}: METIS {ratio:.2f}x faster than AdaptiveRAG* "
-            f"(paper band 1.64-2.54x) at F1 {metis.mean_f1:.3f} vs "
-            f"{adaptive.mean_f1:.3f}; +{f1_gap:.0%} F1 over similar-delay "
-            f"fixed config (paper: 12-18%)"
+            f"{dataset}: METIS {cmp.delay_ratio:.2f}x faster than "
+            f"AdaptiveRAG* (paper band 1.64-2.54x) at F1 "
+            f"{metis.mean_f1:.3f} vs {adaptive.mean_f1:.3f}; "
+            f"+{cmp.f1_gap:.0%} F1 over similar-delay fixed config "
+            f"(paper: 12-18%)"
         )
     return report

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from repro.baselines import FixedConfigPolicy
 from repro.config.knobs import RAGConfig, SynthesisMethod
-from repro.data import build_dataset
 from repro.evaluation.reports import per_replica_rows
 from repro.experiments.common import (
     DEFAULT_RATES,
@@ -33,11 +32,12 @@ from repro.experiments.common import (
     run_policy,
 )
 
-__all__ = ["run", "fast_share"]
+__all__ = ["run", "fast_share", "SPEEDS"]
 
 _DATASET = "finsec"
-#: 1.0x and 0.5x replicas: the canonical fast/slow pair.
-_SPEEDS = (1.0, 0.5)
+#: 1.0x and 0.5x replicas: the canonical fast/slow pair (fig_speculation
+#: serves the same fleet).
+SPEEDS = (1.0, 0.5)
 _ROUTERS = ("round-robin", "least-outstanding", "least-kv-load")
 #: Saturate even the fast replica so routing decisions matter.
 _SATURATION_MULTIPLIER = 4.0
@@ -55,11 +55,8 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentReport:
     report = ExperimentReport(
         "Fig 11 (hetero): 1.0x/0.5x fleet, load-aware vs load-blind routing"
     )
-    if fast:
-        bundle = build_dataset(_DATASET, seed=seed,
-                               n_queries=_FAST_N_QUERIES)
-    else:
-        bundle = load_bundle(_DATASET, fast, seed)
+    bundle = load_bundle(_DATASET, fast, seed,
+                         fast_n_queries=_FAST_N_QUERIES)
     rate = DEFAULT_RATES[_DATASET] * _SATURATION_MULTIPLIER
     fixed_config = RAGConfig(SynthesisMethod.STUFF, 8)
 
@@ -71,8 +68,8 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentReport:
         for router in _ROUTERS:
             result = run_policy(
                 bundle, make(), rate_qps=rate, seed=seed,
-                n_replicas=len(_SPEEDS), router=router,
-                replica_speeds=list(_SPEEDS),
+                n_replicas=len(SPEEDS), router=router,
+                replica_speeds=list(SPEEDS),
             )
             share = fast_share(result)
             shares[(system, router)] = share
@@ -81,7 +78,7 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentReport:
                 dataset=_DATASET,
                 system=system,
                 router=router,
-                speeds="/".join(f"{s:g}x" for s in _SPEEDS),
+                speeds="/".join(f"{s:g}x" for s in SPEEDS),
                 throughput_qps=result.throughput_qps,
                 mean_delay_s=result.mean_delay,
                 p90_delay_s=result.delay_percentile(90),

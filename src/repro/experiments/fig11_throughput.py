@@ -72,6 +72,8 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentReport:
         curves: dict[str, list[tuple[float, float]]] = {
             "METIS": [], "vLLM(fixed)": [], "Parrot*(fixed)": []
         }
+        # The 1.0x point of two curves is a run already served above.
+        at_base_rate = {"METIS": metis_base, "vLLM(fixed)": fixed}
         for mult in multipliers:
             rate = base_rate * mult
             for system, policy in (
@@ -79,7 +81,11 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentReport:
                 ("vLLM(fixed)", FixedConfigPolicy(fixed_config)),
                 ("Parrot*(fixed)", ParrotPolicy(fixed_config)),
             ):
-                result = run_policy(bundle, policy, rate_qps=rate, seed=seed)
+                if mult == 1.0 and system in at_base_rate:
+                    result = at_base_rate[system]
+                else:
+                    result = run_policy(bundle, policy, rate_qps=rate,
+                                        seed=seed)
                 curves[system].append((rate, result.mean_delay))
                 report.add_row(
                     dataset=dataset, system=system, rate_qps=rate,
@@ -123,13 +129,8 @@ def run_replica_sweep(
     report = ExperimentReport("Fig 11 (cluster): replica sweep under "
                               "saturating load")
     dataset = _SWEEP_DATASET
-    if fast:
-        from repro.data import build_dataset
-
-        bundle = build_dataset(dataset, seed=seed,
-                               n_queries=_SWEEP_FAST_N_QUERIES)
-    else:
-        bundle = load_bundle(dataset, fast, seed)
+    bundle = load_bundle(dataset, fast, seed,
+                         fast_n_queries=_SWEEP_FAST_N_QUERIES)
     rate = DEFAULT_RATES[dataset] * _SATURATION_MULTIPLIER
     fixed_config = RAGConfig(SynthesisMethod.STUFF, 8)
 

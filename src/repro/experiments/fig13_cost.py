@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from repro.baselines import FixedConfigPolicy
 from repro.experiments.common import (
+    DEFAULT_RATES,
+    RATE_SCALE_70B,
     ExperimentReport,
     engine_config_70b,
     load_bundle,
@@ -24,14 +26,9 @@ from repro.llm.model import GPT_4O
 __all__ = ["run"]
 
 _DATASETS = ("musique", "qmsum")
-#: 70B on 2 GPUs is ~10x slower per token; scale arrivals to keep the
-#: comparison in the same operating regime.
-_70B_RATE_SCALE = 0.12
 
 
 def run(fast: bool = False, seed: int = 0) -> ExperimentReport:
-    from repro.experiments.common import DEFAULT_RATES
-
     report = ExperimentReport("Fig 13: cost vs quality across model sizes")
     for dataset in _DATASETS:
         bundle = load_bundle(dataset, fast, seed)
@@ -40,7 +37,7 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentReport:
         # Best-quality fixed config, served by Llama-70B on 2x A40.
         grid = run_fixed_grid(bundle, seed=seed)
         best_config = select_best_quality(grid).records[0].config
-        rate70 = DEFAULT_RATES[dataset] * _70B_RATE_SCALE
+        rate70 = DEFAULT_RATES[dataset] * RATE_SCALE_70B
         fixed70 = run_policy(
             bundle,
             FixedConfigPolicy(best_config, name=f"llama70b[{best_config.label()}]"),

@@ -9,54 +9,43 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     DEFAULT_RATES,
+    RATE_SCALE_70B,
     ExperimentReport,
+    compare_baselines,
     engine_config_70b,
     load_bundle,
     make_adaptive_rag,
     make_metis,
     quality_with_model_bonus,
-    run_fixed_grid,
-    run_policy,
-    select_similar_delay,
 )
 
 __all__ = ["run"]
 
 _DATASETS = ("musique", "qmsum")
-_70B_RATE_SCALE = 0.12
 
 
 def run(fast: bool = False, seed: int = 0) -> ExperimentReport:
     report = ExperimentReport("Fig 15: larger inference LLM (Llama-70B)")
     for dataset in _DATASETS:
         bundle = load_bundle(dataset, fast, seed)
-        rate = DEFAULT_RATES[dataset] * _70B_RATE_SCALE
-        engine = engine_config_70b()
-        quality = quality_with_model_bonus(bundle, 0.02)
-
-        metis = run_policy(bundle, make_metis(bundle, seed=seed),
-                           rate_qps=rate, seed=seed, engine_config=engine,
-                           quality_params=quality)
-        adaptive = run_policy(bundle, make_adaptive_rag(bundle, seed=seed),
-                              rate_qps=rate, seed=seed, engine_config=engine,
-                              quality_params=quality)
-        grid = run_fixed_grid(bundle, rate_qps=rate, seed=seed,
-                              engine_config=engine)
-        fixed = select_similar_delay(grid, metis.mean_delay)
-
+        cmp = compare_baselines(
+            bundle, make_metis(bundle, seed=seed),
+            make_adaptive_rag(bundle, seed=seed),
+            rate_qps=DEFAULT_RATES[dataset] * RATE_SCALE_70B, seed=seed,
+            engine_config=engine_config_70b(),
+            quality_params=quality_with_model_bonus(bundle, 0.02),
+        )
         for system, result in (
-            ("METIS", metis),
-            ("AdaptiveRAG*", adaptive),
-            (f"vLLM fixed [{fixed.policy}]", fixed),
+            ("METIS", cmp.metis),
+            ("AdaptiveRAG*", cmp.adaptive),
+            (f"vLLM fixed [{cmp.similar.policy}]", cmp.similar),
         ):
             report.add_row(dataset=dataset, system=system,
                            mean_delay_s=result.mean_delay,
                            mean_f1=result.mean_f1)
-        ratio = adaptive.mean_delay / max(metis.mean_delay, 1e-9)
-        gap = (metis.mean_f1 - fixed.mean_f1) / max(fixed.mean_f1, 1e-9)
         report.add_note(
-            f"{dataset}: METIS {ratio:.2f}x faster than AdaptiveRAG* "
-            f"(paper 2.1-2.4x); similar-delay fixed config loses "
-            f"{gap:.0%} F1 (paper 7-10%)"
+            f"{dataset}: METIS {cmp.delay_ratio:.2f}x faster than "
+            f"AdaptiveRAG* (paper 2.1-2.4x); similar-delay fixed config "
+            f"loses {cmp.f1_gap:.0%} F1 (paper 7-10%)"
         )
     return report

@@ -11,12 +11,10 @@ from repro.core import MetisConfig
 from repro.core.profiler import LLAMA70B_PROFILER
 from repro.experiments.common import (
     ExperimentReport,
+    compare_baselines,
     load_bundle,
     make_adaptive_rag,
     make_metis,
-    run_fixed_grid,
-    run_policy,
-    select_similar_delay,
 )
 
 __all__ = ["run"]
@@ -28,33 +26,25 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentReport:
     report = ExperimentReport("Fig 17: Llama-70B as the profiler LLM")
     for dataset in _DATASETS:
         bundle = load_bundle(dataset, fast, seed)
-        metis = run_policy(
+        cmp = compare_baselines(
             bundle,
             make_metis(bundle, MetisConfig(profiler_spec=LLAMA70B_PROFILER),
                        seed=seed, name="metis[llama-profiler]"),
-            seed=seed,
-        )
-        adaptive = run_policy(
-            bundle,
             make_adaptive_rag(bundle, profiler_spec=LLAMA70B_PROFILER,
                               seed=seed),
             seed=seed,
         )
-        fixed = select_similar_delay(run_fixed_grid(bundle, seed=seed),
-                                     metis.mean_delay)
         for system, result in (
-            ("METIS (llama profiler)", metis),
-            ("AdaptiveRAG* (llama profiler)", adaptive),
-            (f"vLLM fixed [{fixed.policy}]", fixed),
+            ("METIS (llama profiler)", cmp.metis),
+            ("AdaptiveRAG* (llama profiler)", cmp.adaptive),
+            (f"vLLM fixed [{cmp.similar.policy}]", cmp.similar),
         ):
             report.add_row(dataset=dataset, system=system,
                            mean_delay_s=result.mean_delay,
                            mean_f1=result.mean_f1)
-        ratio = adaptive.mean_delay / max(metis.mean_delay, 1e-9)
-        gap = (metis.mean_f1 - fixed.mean_f1) / max(fixed.mean_f1, 1e-9)
         report.add_note(
-            f"{dataset}: METIS {ratio:.2f}x faster than AdaptiveRAG* "
-            f"(paper 1.4-2.1x); +{gap:.0%} F1 over similar-delay fixed "
-            f"(paper 10-14%)"
+            f"{dataset}: METIS {cmp.delay_ratio:.2f}x faster than "
+            f"AdaptiveRAG* (paper 1.4-2.1x); +{cmp.f1_gap:.0%} F1 over "
+            f"similar-delay fixed (paper 10-14%)"
         )
     return report

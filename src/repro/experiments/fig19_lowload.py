@@ -8,6 +8,7 @@ than the best-quality fixed configuration (QMSUM and Musique shown).
 
 from __future__ import annotations
 
+from repro.baselines import FixedConfigPolicy
 from repro.experiments.common import (
     ExperimentReport,
     load_bundle,
@@ -32,8 +33,6 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentReport:
         # Best-quality fixed config, also served sequentially.
         grid = run_fixed_grid(bundle, n_queries=n, seed=seed)
         best_config = select_best_quality(grid).records[0].config
-        from repro.baselines import FixedConfigPolicy
-
         fixed = run_policy(bundle, FixedConfigPolicy(best_config),
                            n_queries=n, seed=seed, sequential=True)
         report.add_row(dataset=dataset, system="METIS",

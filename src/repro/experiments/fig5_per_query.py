@@ -16,7 +16,6 @@ from repro.experiments.common import (
     load_bundle,
 )
 from repro.experiments.fig4_knobs import evaluate_config
-from repro.experiments.service_time import isolated_plan_seconds
 from repro.llm.costs import RooflineCostModel
 from repro.llm.quality import QualityModel
 

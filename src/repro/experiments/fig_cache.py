@@ -40,7 +40,7 @@ from repro.data import build_dataset
 from repro.experiments.common import ExperimentReport, run_policy
 from repro.workload import zipfian_workload
 
-__all__ = ["run"]
+__all__ = ["CAPACITY", "run", "zipf_pool"]
 
 _DATASET = "finsec"
 #: Query pool behind the Zipf mix (arrival count is ~4x this, so the
@@ -51,7 +51,7 @@ _FAST_POOL = 20
 _TRACE = dict(n_periods=20, period_s=30.0, rate_qps=1.5, zipf_s=1.1)
 _TRACE_FAST = dict(n_periods=8, period_s=30.0, rate_qps=1.5, zipf_s=1.1)
 #: Roomy capacity (above the pool) vs a squeezed one (eviction bites).
-_CAPACITY = 256
+CAPACITY = 256
 _SMALL_CAPACITY = 8
 
 
@@ -75,14 +75,21 @@ def _row(report: ExperimentReport, label: str, result,
     )
 
 
-def run(fast: bool = False, seed: int = 0) -> ExperimentReport:
-    report = ExperimentReport(
-        "Caching: hit rate vs latency/$ on a Zipf repeat-heavy trace"
-    )
+def zipf_pool(fast: bool, seed: int):
+    """The query pool bundle and the Zipf trace over it (fig_quality's
+    cache axis serves the same pair)."""
     pool = _FAST_POOL if fast else _POOL
     bundle = build_dataset(_DATASET, seed=seed, n_queries=pool)
     trace = zipfian_workload(
         seed=seed, pool_size=pool, **(_TRACE_FAST if fast else _TRACE))
+    return bundle, trace
+
+
+def run(fast: bool = False, seed: int = 0) -> ExperimentReport:
+    report = ExperimentReport(
+        "Caching: hit rate vs latency/$ on a Zipf repeat-heavy trace"
+    )
+    bundle, trace = zipf_pool(fast, seed)
     config = RAGConfig(SynthesisMethod.STUFF, 8)
 
     def serve(**cache_kwargs):
@@ -95,16 +102,16 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentReport:
     arms = {}
     for eviction in ("lru", "lfu", "gdsf"):
         arms[eviction] = serve(result_cache="exact",
-                               cache_capacity=_CAPACITY,
+                               cache_capacity=CAPACITY,
                                cache_eviction=eviction)
         _row(report, f"exact/{eviction}", arms[eviction], baseline)
     small = serve(result_cache="exact", cache_capacity=_SMALL_CAPACITY,
                   cache_eviction="gdsf")
     _row(report, f"exact/gdsf cap={_SMALL_CAPACITY}", small, baseline)
-    semantic = serve(result_cache="semantic", cache_capacity=_CAPACITY,
+    semantic = serve(result_cache="semantic", cache_capacity=CAPACITY,
                      semantic_threshold=0.9)
     _row(report, "semantic", semantic, baseline)
-    retrieval = serve(retrieval_cache=True, cache_capacity=_CAPACITY)
+    retrieval = serve(retrieval_cache=True, cache_capacity=CAPACITY)
     _row(report, "retrieval-only", retrieval, baseline)
 
     exact = arms["lru"]

@@ -40,20 +40,15 @@ from repro.experiments.common import (
     make_metis,
     run_policy,
 )
-from repro.workload import zipfian_workload
+from repro.experiments.fig_cache import CAPACITY, zipf_pool
 
 __all__ = ["run"]
 
 _DATASET = "finsec"
 #: One-shot bundle for the retrieval and SLO axes (each query served
-#: once); the cache axis reuses fig_cache's Zipf pool/trace shape.
+#: once); the cache axis reuses fig_cache's Zipf pool and trace.
 _N_QUERIES = 120
 _FAST_N_QUERIES = 40
-_POOL = 30
-_FAST_POOL = 20
-_TRACE = dict(n_periods=20, period_s=30.0, rate_qps=1.5, zipf_s=1.1)
-_TRACE_FAST = dict(n_periods=8, period_s=30.0, rate_qps=1.5, zipf_s=1.1)
-_CAPACITY = 256
 #: The quality SLO the scheduler targets (threshold-gated min cost).
 _SLO = "context_recall>=0.7"
 
@@ -102,10 +97,7 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentReport:
     _row(report, "retrieval", "ivf+rerank", rerank, flat)
 
     # Cache axis: Zipf repeat-heavy trace, small hot pool.
-    pool = _FAST_POOL if fast else _POOL
-    pool_bundle = build_dataset(_DATASET, seed=seed, n_queries=pool)
-    trace = zipfian_workload(
-        seed=seed, pool_size=pool, **(_TRACE_FAST if fast else _TRACE))
+    pool_bundle, trace = zipf_pool(fast, seed)
 
     def serve_trace(**cache_kwargs):
         return run_policy(
@@ -114,10 +106,10 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentReport:
 
     no_cache = serve_trace()
     _row(report, "cache", "no-cache", no_cache, no_cache)
-    exact = serve_trace(result_cache="exact", cache_capacity=_CAPACITY)
+    exact = serve_trace(result_cache="exact", cache_capacity=CAPACITY)
     _row(report, "cache", "exact", exact, no_cache)
     semantic = serve_trace(result_cache="semantic",
-                           cache_capacity=_CAPACITY,
+                           cache_capacity=CAPACITY,
                            semantic_threshold=0.9)
     _row(report, "cache", "semantic", semantic, no_cache)
 

@@ -29,14 +29,12 @@ from __future__ import annotations
 
 from repro.baselines import FixedConfigPolicy
 from repro.config.knobs import RAGConfig, SynthesisMethod
-from repro.data import build_dataset
 from repro.experiments.common import ExperimentReport, load_bundle, run_policy
+from repro.experiments.fig11_hetero import SPEEDS
 
 __all__ = ["run"]
 
 _DATASET = "finsec"
-#: 1.0x and 0.5x replicas: the canonical fast/slow pair.
-_SPEEDS = (1.0, 0.5)
 _ROUTER = "round-robin"  # load-blind: the slow replica owns the tail
 _RATE_QPS = 2.0
 _SLO_SECONDS = 6.0
@@ -66,18 +64,15 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentReport:
     report = ExperimentReport(
         "Speculation: tail latency vs duplicate cost on a 1.0x/0.5x fleet"
     )
-    if fast:
-        bundle = build_dataset(_DATASET, seed=seed,
-                               n_queries=_FAST_N_QUERIES)
-    else:
-        bundle = load_bundle(_DATASET, fast, seed)
+    bundle = load_bundle(_DATASET, fast, seed,
+                         fast_n_queries=_FAST_N_QUERIES)
     config = RAGConfig(SynthesisMethod.STUFF, 8)
 
     def serve(speculation: str | None = None, **kwargs):
         return run_policy(
             bundle, FixedConfigPolicy(config), rate_qps=_RATE_QPS,
-            seed=seed, n_replicas=len(_SPEEDS), router=_ROUTER,
-            replica_speeds=list(_SPEEDS), slo_seconds=_SLO_SECONDS,
+            seed=seed, n_replicas=len(SPEEDS), router=_ROUTER,
+            replica_speeds=list(SPEEDS), slo_seconds=_SLO_SECONDS,
             speculation=speculation, **kwargs,
         )
 

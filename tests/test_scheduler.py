@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.config.knobs import SynthesisMethod
+from repro.config.knobs import RAGConfig, SynthesisMethod
 from repro.config.space import PrunedSpace
 from repro.core.policy import SchedulingView
 from repro.core.scheduler import MEMORY_BUFFER_FRAC, JointScheduler
@@ -178,6 +178,42 @@ class TestBuffer:
         """The constant stays in the range the constructor once
         enforced: head-room, never more than half the memory."""
         assert 0.0 <= MEMORY_BUFFER_FRAC <= 0.5
+
+
+class TestIlenSteps:
+    """``ilen_steps`` reaches the best-fit pick only under memory
+    pressure: every grid holds both ends of the ``intermediate_length``
+    range, and best-fit takes the top end whenever it fits."""
+
+    @staticmethod
+    def mapreduce(steps: int) -> PrunedSpace:
+        return PrunedSpace(methods=(SynthesisMethod.MAP_REDUCE,),
+                           num_chunks_range=(4, 4),
+                           intermediate_length_range=(50, 200),
+                           ilen_steps=steps)
+
+    def test_ample_memory_picks_the_top_at_any_granularity(self):
+        for steps in (2, 4):
+            decision = scheduler.choose(self.mapreduce(steps),
+                                        make_view(1_000_000))
+            assert decision.config.intermediate_length == 200
+
+    def test_tight_memory_separates_the_grids(self):
+        """With room for ilen 150 but not 200, the 4-step grid
+        (50/100/150/200) takes 150; the 2-step grid (50/200) has
+        nothing between its ends and drops to 50."""
+        ample = make_view(1_000_000)
+        cost = {ilen: ample.footprint(
+                    RAGConfig(SynthesisMethod.MAP_REDUCE, 4, ilen)
+                ).cost_tokens for ilen in (150, 200)}
+        assert cost[150] < cost[200]
+        tight = make_view((cost[150] + cost[200]) / 2
+                          * (1.0 + MEMORY_BUFFER_FRAC))
+        coarse = scheduler.choose(self.mapreduce(2), tight)
+        fine = scheduler.choose(self.mapreduce(4), tight)
+        assert not coarse.fell_back and not fine.fell_back
+        assert fine.config.intermediate_length == 150
+        assert coarse.config.intermediate_length == 50
 
 
 class TestQualitySLOGate:
