@@ -19,6 +19,9 @@ def test_fig18_load_sweep(bench_fast):
     # Queueing must grow across the sweep (saturation is the point).
     delays = [row["mean_queue_delay_s"] for row in report.rows]
     assert delays[-1] > delays[0]
+    # ...and with it the profiler's share of delay (the driver's claim).
+    overhead = [row["mean_overhead_fraction"] for row in report.rows]
+    assert overhead[-1] > overhead[0]
 
     artifact = write_artifact(
         "fig18_load_sweep.json",

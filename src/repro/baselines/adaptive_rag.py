@@ -41,8 +41,6 @@ class AdaptiveRAGPolicy(RAGPolicy):
             profile=result.profile,
             api_seconds=result.api_seconds,
             dollars=result.dollars,
-            input_tokens=result.input_tokens,
-            output_tokens=result.output_tokens,
         )
 
     #: Quality-maximising intermediate length (no summary-range knob in

@@ -100,7 +100,6 @@ class MetisPolicy(RAGPolicy):
         self._recent_spaces: deque[PrunedSpace] = deque(
             maxlen=RECENT_SPACES
         )
-        self._queries_by_id: dict[str, Query] = {}
 
     # ------------------------------------------------------------------
     def prepare(self, query: Query) -> PrepResult:
@@ -110,8 +109,6 @@ class MetisPolicy(RAGPolicy):
             profile=result.profile,
             api_seconds=result.api_seconds,
             dollars=result.dollars,
-            input_tokens=result.input_tokens,
-            output_tokens=result.output_tokens,
         )
 
     # ------------------------------------------------------------------
@@ -141,7 +138,6 @@ class MetisPolicy(RAGPolicy):
 
         pruned = self._apply_knob_switches(pruned)
         decision = self._select(pruned, view)
-        self._queries_by_id[query.query_id] = query
         return replace(decision, used_recent_spaces=used_recent)
 
     # ------------------------------------------------------------------

@@ -36,8 +36,6 @@ class PrepResult:
     profile: QueryProfile | None = None
     api_seconds: float = 0.0
     dollars: float = 0.0
-    input_tokens: int = 0
-    output_tokens: int = 0
 
 
 @dataclass(frozen=True)

@@ -354,21 +354,10 @@ class _Stage:
 class ProfileStage(_Stage):
     """Arrival-time policy work, contended on the profiler resource.
 
-    The profiler is a *coalescing* resource: queries that queue behind
-    a busy slot are dispatched together as one amortized API call the
-    moment the slot frees (batched profiler endpoints take one
-    round-trip for many queries), charged to the ledger **once** at the
-    largest member's price. Queries granted a slot on arrival keep the
-    historical one-call-per-query path, so the default (unbounded)
-    schedule and ledger are untouched.
+    Every query makes its own profiler call, charged to the ledger on
+    arrival; a query that queues behind a busy slot waits for its own
+    call, so profiler overhead grows with load once the slots saturate.
     """
-
-    def __init__(self, pipeline: "QueryPipeline") -> None:
-        super().__init__(pipeline)
-        #: Prep results of queued (not yet dispatched) profile
-        #: requests, keyed by lease; drained by :meth:`_charge_batch`.
-        self._queued_prep: dict[Lease, PrepResult] = {}
-        pipeline.profiler.on_batch = self._charge_batch
 
     def enter(self, t: float, query: Query) -> None:
         ex = QueryExecution(query=query, arrival_time=t)
@@ -376,25 +365,11 @@ class ProfileStage(_Stage):
             ex.deadline = t + self.p.slo_seconds
         prep = self.p.policy.prepare(query)
         ex.prep = prep
-        lease = self.p.profiler.request(
+        self.p.profiler.request(
             t, prep.api_seconds,
             lambda now, waited: self._done(now, waited, ex))
-        if lease.state == Lease.HELD:
-            # Uncontended: a dedicated API call, charged on arrival.
-            if prep.dollars:
-                self.p.ledger.api_dollars += prep.dollars
-                self.p.ledger.n_api_calls += 1
-        else:
-            self._queued_prep[lease] = prep
-
-    def _charge_batch(self, batch: list[Lease]) -> None:
-        """One ledger charge per merged profiler call (its price is the
-        largest member's — the batched call must cover it)."""
-        preps = [self._queued_prep.pop(lease)
-                 for lease in batch if lease in self._queued_prep]
-        dollars = max((prep.dollars for prep in preps), default=0.0)
-        if dollars:
-            self.p.ledger.api_dollars += dollars
+        if prep.dollars:
+            self.p.ledger.api_dollars += prep.dollars
             self.p.ledger.n_api_calls += 1
 
     def _done(self, now: float, waited: float, ex: QueryExecution) -> None:
@@ -778,11 +753,8 @@ class QueryPipeline:
         self.store = store if store is not None else bundle.store
         self.reranker = reranker
         self.loop = EventLoop()
-        # coalesce: queued profile requests dispatch as one amortized
-        # batched API call per freed slot (see ProfileStage). Never
-        # engages at the unbounded default, keeping goldens identical.
         self.profiler = Resource(PROFILER_RESOURCE, self.loop,
-                                 profiler_concurrency, coalesce=True)
+                                 profiler_concurrency)
         n_shards = self.store.n_shards
         per_shard = shard_concurrency or [None] * n_shards
         self.shard_resources = [

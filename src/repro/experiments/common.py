@@ -269,6 +269,15 @@ class BaselineComparison:
         return self.adaptive.mean_delay / max(self.metis.mean_delay, 1e-9)
 
     @property
+    def speed_vs_adaptive(self) -> str:
+        """``"r.rrx faster"`` when METIS' delay is lower, else
+        ``"(1/r)x slower"``, so a note never calls a loss a speedup."""
+        ratio = self.delay_ratio
+        if ratio >= 1:
+            return f"{ratio:.2f}x faster"
+        return f"{1 / ratio:.2f}x slower"
+
+    @property
     def f1_gap(self) -> float:
         """METIS' relative F1 gain over the similar-delay fixed config."""
         return (self.metis.mean_f1 - self.similar.mean_f1) / max(

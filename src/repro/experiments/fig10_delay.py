@@ -51,10 +51,10 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentReport:
                 mean_f1=result.mean_f1,
             )
         report.add_note(
-            f"{dataset}: METIS {cmp.delay_ratio:.2f}x faster than "
+            f"{dataset}: METIS {cmp.speed_vs_adaptive} than "
             f"AdaptiveRAG* (paper band 1.64-2.54x) at F1 "
             f"{metis.mean_f1:.3f} vs {adaptive.mean_f1:.3f}; "
-            f"+{cmp.f1_gap:.0%} F1 over similar-delay fixed config "
+            f"{cmp.f1_gap:+.0%} F1 over similar-delay fixed config "
             f"(paper: 12-18%)"
         )
     return report

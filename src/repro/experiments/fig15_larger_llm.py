@@ -44,8 +44,8 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentReport:
                            mean_delay_s=result.mean_delay,
                            mean_f1=result.mean_f1)
         report.add_note(
-            f"{dataset}: METIS {cmp.delay_ratio:.2f}x faster than "
-            f"AdaptiveRAG* (paper 2.1-2.4x); similar-delay fixed config "
-            f"loses {cmp.f1_gap:.0%} F1 (paper 7-10%)"
+            f"{dataset}: METIS {cmp.speed_vs_adaptive} than "
+            f"AdaptiveRAG* (paper 2.1-2.4x); {cmp.f1_gap:+.0%} F1 over "
+            f"similar-delay fixed config (paper 7-10%)"
         )
     return report

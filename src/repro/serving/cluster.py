@@ -511,17 +511,6 @@ class ClusterEngine:
         return self._assignments.get(request_id)
 
     def _checked_select(self) -> int:
-        # Fast path: a fully active fleet routes over ``self.replicas``
-        # exactly as before elasticity existed — byte-identical
-        # schedules for every run without an autoscaler.
-        if self.n_active == self.n_replicas:
-            rid = self.router.select(self.replicas)
-            if not 0 <= rid < self.n_replicas:
-                raise RuntimeError(
-                    f"router {self.router.name!r} returned replica {rid}; "
-                    f"cluster has {self.n_replicas}"
-                )
-            return rid
         active = self.active_replica_ids()
         if not active:
             raise RuntimeError(

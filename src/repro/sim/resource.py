@@ -24,14 +24,6 @@ cancellation instant, reclaims the unused tail of its ``busy_seconds``
 charge, and hands the freed slot to the longest-waiting queued request
 — so a finite pool never strands capacity behind a dead query (pinned
 by ``tests/test_speculation_properties.py``).
-
-``coalesce=True`` opt-in (the profiler uses it): whenever a slot
-frees with requests waiting, the **entire queue dispatches as one
-merged grant** — a single amortized call holding one slot for the
-*max* member hold, after which every member's callback fires (FIFO) at
-the shared completion. Requests granted immediately on arrival are
-untouched, so an uncontended coalescing resource is indistinguishable
-from a plain one — default (unbounded) golden schedules hold.
 """
 
 from __future__ import annotations
@@ -113,7 +105,7 @@ class Lease:
     CANCELLED = "cancelled"
 
     __slots__ = ("resource", "state", "request_time", "hold_seconds",
-                 "callback", "grant_time", "event", "batched")
+                 "callback", "grant_time", "event")
 
     def __init__(self, resource: "Resource", request_time: float,
                  hold_seconds: float, callback: ResourceCallback) -> None:
@@ -125,8 +117,6 @@ class Lease:
         self.grant_time: float | None = None
         #: the scheduled ``<name>:done`` completion event while HELD
         self.event: "Event | None" = None
-        #: True while HELD as a member of a coalesced (merged) grant.
-        self.batched = False
 
     @property
     def end_time(self) -> float:
@@ -158,22 +148,12 @@ class Resource:
     """
 
     def __init__(self, name: str, loop: EventLoop,
-                 concurrency: int | None = None,
-                 coalesce: bool = False) -> None:
+                 concurrency: int | None = None) -> None:
         if concurrency is not None:
             check_positive("concurrency", concurrency)
         self.name = name
         self.loop = loop
         self.concurrency = float("inf") if concurrency is None else int(concurrency)
-        #: Merge the whole wait queue into one amortized grant whenever
-        #: a slot frees (see the module docstring). Never engages while
-        #: the resource is uncontended.
-        self.coalesce = bool(coalesce)
-        #: Optional observer for coalescing resources: called with the
-        #: member leases of every merged grant at dispatch time — the
-        #: pipeline uses it to charge one ledger entry per batched
-        #: profiler call instead of one per query.
-        self.on_batch: Callable[[list["Lease"]], None] | None = None
         self.in_service = 0
         #: queued leases in arrival order
         self._queue: deque[Lease] = deque()
@@ -254,14 +234,6 @@ class Resource:
             raise ValueError(
                 f"cancel at t={t} precedes lease grant at {lease.grant_time}"
             )
-        if lease.batched:
-            # A member of an in-flight merged call cannot be unsent:
-            # the shared call keeps its slot and its (amortized) cost;
-            # only this member's callback is dropped at completion.
-            lease.event = None
-            lease.state = Lease.CANCELLED
-            self._n_cancelled += 1
-            return True
         self.loop.cancel(lease.event)
         lease.event = None
         lease.state = Lease.CANCELLED
@@ -274,13 +246,8 @@ class Resource:
 
     # ------------------------------------------------------------------
     def _drain(self, t: float) -> None:
-        """Hand a freed slot to the queue: the longest-waiting request
-        (plain), or the whole queue as one merged grant (coalescing)."""
-        if not self._queue or self.in_service >= self.concurrency:
-            return
-        if self.coalesce:
-            self._grant_batch(t)
-        else:
+        """Hand a freed slot to the longest-waiting queued request."""
+        if self._queue and self.in_service < self.concurrency:
             self._grant(self._queue.popleft(), t)
 
     def _grant(self, lease: Lease, start_t: float) -> None:
@@ -301,43 +268,6 @@ class Resource:
             payload=(lease, delay),
         )
 
-    def _grant_batch(self, start_t: float) -> None:
-        """Dispatch the entire wait queue as one amortized call.
-
-        The merged call occupies a single slot for the *max* member
-        hold and charges ``busy_seconds`` once — the amortization a
-        batched API endpoint provides. Member callbacks all fire at the
-        shared completion, in FIFO order, each with its own queue
-        delay.
-        """
-        batch = list(self._queue)
-        self._queue.clear()
-        hold = 0.0
-        for lease in batch:
-            lease.state = Lease.HELD
-            lease.batched = True
-            lease.grant_time = start_t
-            delay = start_t - lease.request_time
-            self._total_queue_delay += delay
-            if delay > self._max_queue_delay:
-                self._max_queue_delay = delay
-            if lease.hold_seconds > hold:
-                hold = lease.hold_seconds
-        self.in_service += 1
-        if self.in_service > self._peak_in_service:
-            self._peak_in_service = self.in_service
-        self._busy_seconds += hold
-        event = self.loop.schedule(
-            start_t + hold,
-            kind=f"{self.name}:done",
-            handler=self._on_batch_done,
-            payload=batch,
-        )
-        for lease in batch:
-            lease.event = event
-        if self.on_batch is not None:
-            self.on_batch(batch)
-
     def _on_done(self, t: float, payload) -> None:
         lease, delay = payload
         lease.state = Lease.DONE
@@ -345,13 +275,3 @@ class Resource:
         self.in_service -= 1
         self._drain(t)
         lease.callback(t, delay)
-
-    def _on_batch_done(self, t: float, batch: list[Lease]) -> None:
-        self.in_service -= 1
-        self._drain(t)
-        for lease in batch:
-            if lease.state != Lease.HELD:
-                continue  # cancelled member of the merged call
-            lease.state = Lease.DONE
-            lease.event = None
-            lease.callback(t, lease.grant_time - lease.request_time)

@@ -298,8 +298,6 @@ class Autoscaler:
         self.workload = workload
         #: Chronological fleet changes (see :class:`ScalingEvent`).
         self.events: list[ScalingEvent] = []
-        #: Most replicas simultaneously active at any point in the run.
-        self.peak_active = 0
         self._engine: "ClusterEngine | None" = None
         self._loop: "EventLoop | None" = None
         self._records = None
@@ -328,7 +326,6 @@ class Autoscaler:
         self._records = records
         self._window_start = 0
         self._horizon = float(horizon)
-        self.peak_active = n_active
         self._schedule_tick(self.interval_s)
 
     # ------------------------------------------------------------------
@@ -339,10 +336,9 @@ class Autoscaler:
         self._loop.schedule(t, "autoscale:tick", self._tick, source=self)
 
     def _record(self, time: float, action: str, replica: int) -> None:
-        n_active = len(self._engine.active_replica_ids())
-        self.peak_active = max(self.peak_active, n_active)
         self.events.append(ScalingEvent(
-            time=time, action=action, replica=replica, n_active=n_active))
+            time=time, action=action, replica=replica,
+            n_active=len(self._engine.active_replica_ids())))
 
     # ------------------------------------------------------------------
     def signals(self, t: float) -> ScalingSignals:

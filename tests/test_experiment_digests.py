@@ -39,11 +39,11 @@ DIGESTS = {
     "fig12_breakdown": "9fccb35a2046ab1a61b6acdd418f3d342961c0b145665431b3de080a615d1d8c",
     "fig13_cost": "f3e3a76e8df639565aee2dd87b13fa39ad1fe4a7706312f577632fbf0516c41a",
     "fig14_feedback": "0885fa4ea5bfbd1e9a581ff8fd0d6919c2a93f9324ca32239f0f3e22e8965080",
-    "fig15_larger_llm": "bd79c68dacbb9c4595eb6c30f1308e845f681390261a37402fe31cd0eecb9ba9",
+    "fig15_larger_llm": "0147d40e7c15ec8ce70ea2912d9c4b3ebcf1caf927a443c095db6f57724b12dc",
     "fig16_incremental": "46cc0fe9848026a25261d8462dee3996bc7275258804499a749b12f485aec6a0",
     "fig17_profiler_llm": "4be54c6b22405fad74ab40c30e4fba8640edd80338a0187f66f0fc383866a2d9",
     "fig18_overhead": "f9361ba1af20dee1eb83744b26aa06092a43511fa0e658da03bcef434c3b09f3",
-    "fig18_saturation": "c2b0546f021ded911abf2f9b7a040fe1360e2025c24b2d7a3f3f430c209acc10",
+    "fig18_saturation": "26a18acfad565b0be5ce008cc578e3293bdcec6e3d4d34f0404cf18741c24c13",
     "fig19_lowload": "1d4c5305e8e6943f309697fdbcb55f2647c17bce8c7cb023fe953ab1cfb80a8c",
     "fig_retrieval_scaling": "9df07b96f1d1fb85c8471467c82d60e721f14aca9e8f5a00f8fd3cc25f80696b",
     "fig_speculation": "c3daecb312b30089f09180248362625b42314ae07e9fbd74bfe2c930e5aea34c",

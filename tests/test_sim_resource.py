@@ -135,69 +135,6 @@ class TestQueueDelay:
         assert resource.stats.utilization(3.0) == pytest.approx(1.0)
 
 
-class TestCoalesce:
-    def test_queue_dispatches_as_one_merged_call(self):
-        """cap=1: requests queued behind a busy slot all complete
-        together when it frees, after one max-member hold."""
-        loop = EventLoop()
-        resource = Resource("r", loop, concurrency=1, coalesce=True)
-        done = offered(loop, resource,
-                       [(0.0, 1.0), (0.1, 0.5), (0.2, 0.8), (0.3, 0.2)])
-        # Opener finishes at 1.0; the other three merge into one grant
-        # at t=1.0 holding max(0.5, 0.8, 0.2) = 0.8 -> all done at 1.8.
-        finishes = [now for now, _ in done]
-        assert finishes == pytest.approx([1.0, 1.8, 1.8, 1.8])
-        waits = [w for _, w in done]
-        assert waits == pytest.approx([0.0, 0.9, 0.8, 0.7])
-        # One slot, one amortized busy charge for the merged call.
-        assert resource.stats.peak_in_service == 1
-        assert resource.stats.busy_seconds == pytest.approx(1.0 + 0.8)
-        assert resource.stats.n_queued == 3
-
-    def test_uncontended_coalescing_matches_plain(self):
-        """Coalescing must not engage without a queue: spaced arrivals
-        behave identically on plain and coalescing resources."""
-        arrivals = [(i * 2.0, 1.0) for i in range(5)]
-        results = []
-        for coalesce in (False, True):
-            loop = EventLoop()
-            resource = Resource("r", loop, concurrency=1,
-                                coalesce=coalesce)
-            results.append((offered(loop, resource, arrivals),
-                            resource.stats.busy_seconds))
-        assert results[0] == results[1]
-
-    def test_on_batch_hook_sees_members_in_fifo_order(self):
-        loop = EventLoop()
-        resource = Resource("r", loop, concurrency=1, coalesce=True)
-        batches: list[list[float]] = []
-        resource.on_batch = lambda leases: batches.append(
-            [lease.request_time for lease in leases])
-        offered(loop, resource, [(0.0, 1.0), (0.2, 0.3), (0.4, 0.3)])
-        assert batches == [[0.2, 0.4]]
-
-    def test_cancel_batched_member_keeps_call_running(self):
-        loop = EventLoop()
-        resource = Resource("r", loop, concurrency=1, coalesce=True)
-        done: list[int] = []
-        leases = {}
-
-        def arrive(t, i):
-            leases[i] = resource.request(
-                t, 0.5, lambda now, waited, i=i: done.append(i))
-
-        for i in range(3):
-            loop.schedule(0.1 * i, "arrival", arrive, i)
-        # Cancel one merged member mid-call: its callback is dropped
-        # but the shared call (and the survivor's) completes.
-        loop.schedule(0.6, "cancel", lambda t, _: leases[1].cancel(t))
-        loop.run()
-        assert done == [0, 2]
-        assert resource.stats.n_cancelled == 1
-        # The amortized call's cost is unchanged by the member cancel.
-        assert resource.stats.busy_seconds == pytest.approx(1.0)
-
-
 class TestValidation:
     def test_zero_concurrency_rejected(self):
         with pytest.raises(ValueError):
