@@ -1,8 +1,9 @@
-"""The two cooperating cache tiers and their shared cost-aware core.
+"""The cooperating cache tiers and their shared cost-aware core.
 
-Both tiers run as deterministic contended objects on the sim loop (the
-pipeline charges every lookup/insert as a hold on a shared ``cache``
-:class:`~repro.sim.resource.Resource`, so hit-path latency is honest):
+The result and retrieval tiers run as deterministic contended objects
+on the sim loop (the pipeline charges every lookup/insert as a hold on
+a shared ``cache`` :class:`~repro.sim.resource.Resource`, so hit-path
+latency is honest):
 
 * :class:`ResultCache` — the query-result tier. Exact key on
   normalized query text + the effective config label; the optional
@@ -17,6 +18,14 @@ pipeline charges every lookup/insert as a hold on a shared ``cache``
   (canonical query id, shard config, fetch-k). A hit skips the
   scatter-gather shard resources (and the reranker) but still
   synthesizes — fresh answers over cached context.
+
+The third tier sits in front of the profiler instead, off the
+``cache`` resource:
+
+* :class:`ProfileCache` — the profile one profiler call returned, per
+  normalized query text. A hit skips the profiler call and its
+  dollars; the decision still runs. An entry made against an older
+  corpus version, or at another profiler accuracy, is a miss.
 
 Eviction is pluggable (:mod:`repro.caching.eviction`): LRU, LFU, and
 the cost-aware GDSF policy whose benefit score is the actual
@@ -43,7 +52,9 @@ __all__ = [
     "CacheEntry",
     "CacheStats",
     "CachedAnswer",
+    "CachedProfile",
     "CostAwareCache",
+    "ProfileCache",
     "ResultCache",
     "RetrievalCache",
     "normalize_query_text",
@@ -93,6 +104,17 @@ class CachedAnswer:
     coverage: float
     chunk_ids: tuple[str, ...]
     chunks_clipped: bool
+
+
+@dataclass(frozen=True)
+class CachedProfile:
+    """The profile-tier payload: a profiler call's
+    :class:`~repro.core.profiles.QueryProfile` and the profiler
+    accuracy it was made at (feedback prompts raise the accuracy, and
+    a profile made before them must not outlive them)."""
+
+    profile: object
+    accuracy: float
 
 
 @dataclass
@@ -367,4 +389,27 @@ class RetrievalCache(CostAwareCache):
         self._hit(entry)
         if entry.corpus_version < corpus_version:
             self.stats.stale_hits += 1
+        return entry
+
+
+class ProfileCache(CostAwareCache):
+    """Profile tier: the profile a profiler call returned, per
+    normalized query text. GDSF prices an entry by the call's seconds
+    and dollars, which is what a hit saves."""
+
+    @staticmethod
+    def key_for(query_text: str) -> str:
+        return normalize_query_text(query_text)
+
+    def lookup(self, key, now: float, corpus_version: int,
+               accuracy: float) -> CacheEntry | None:
+        """Probe the tier. An entry made against an older corpus
+        version or at another profiler accuracy is a miss; the fresh
+        call's insert then overwrites it."""
+        self.stats.lookups += 1
+        entry = self._find(key, now)
+        if (entry is None or entry.corpus_version < corpus_version
+                or entry.value.accuracy != accuracy):
+            return None
+        self._hit(entry)
         return entry

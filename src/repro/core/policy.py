@@ -19,12 +19,16 @@ from __future__ import annotations
 import dataclasses
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.config.knobs import RAGConfig
 from repro.config.space import PrunedSpace
 from repro.core.profiles import QueryProfile
 from repro.data.types import Query
 from repro.synthesis import SynthesisPlan, estimate_footprint
+
+if TYPE_CHECKING:
+    from repro.core.profiler import LLMProfiler
 
 __all__ = ["PrepResult", "SchedulingView", "Decision", "RAGPolicy"]
 
@@ -129,6 +133,10 @@ class RAGPolicy(ABC):
     #: Engine scheduling policy this system runs with
     #: ("fcfs" = vLLM-style, "app-aware" = Parrot-style).
     engine_policy: str = "fcfs"
+    #: The profiler :meth:`prepare` calls, or ``None`` for policies
+    #: that make no call. A profiling policy's profiles are what the
+    #: pipeline's profile cache reuses for repeat queries.
+    profiler: LLMProfiler | None = None
 
     def prepare(self, query: Query) -> PrepResult:
         """Arrival-time phase; default: no profiler, zero latency."""

@@ -10,7 +10,8 @@ Each query traverses five explicit stages on the shared
   :class:`~repro.sim.resource.Resource` with configurable concurrency
   modeling API rate limits: under load, queries *queue* for a profiler
   slot, which makes Fig 18's overhead load-dependent instead of a
-  constant.
+  constant. With caching on, a repeat query whose profile is in the
+  profile tier makes no call at all.
 * :class:`DecideStage` — configuration choice against a scheduling
   view of the routed replica, including cluster-aware re-placement.
   With a :class:`~repro.serving.speculation.SpeculationPolicy`
@@ -73,7 +74,9 @@ from repro.caching import (
     CACHE_INSERT_SECONDS,
     CacheConfig,
     CachedAnswer,
+    CachedProfile,
     CacheStats,
+    ProfileCache,
     ResultCache,
     RetrievalCache,
 )
@@ -354,26 +357,53 @@ class _Stage:
 class ProfileStage(_Stage):
     """Arrival-time policy work, contended on the profiler resource.
 
-    Every query makes its own profiler call, charged to the ledger on
-    arrival; a query that queues behind a busy slot waits for its own
-    call, so profiler overhead grows with load once the slots saturate.
+    Every query that is not a profile-cache hit makes its own profiler
+    call, charged to the ledger on arrival; a query that queues behind
+    a busy slot waits for its own call, so profiler overhead grows with
+    load once the slots saturate. With caching on, a profiling policy's
+    repeat query reuses the profile its text was last given (same
+    corpus version, same profiler accuracy): no hold, no charge, and
+    straight on to the decision.
     """
 
     def enter(self, t: float, query: Query) -> None:
+        p = self.p
         ex = QueryExecution(query=query, arrival_time=t)
-        if self.p.slo_seconds is not None:
-            ex.deadline = t + self.p.slo_seconds
-        prep = self.p.policy.prepare(query)
+        if p.slo_seconds is not None:
+            ex.deadline = t + p.slo_seconds
+        memo = None
+        if p.profile_cache is not None:
+            key = ProfileCache.key_for(query.text)
+            accuracy = p.policy.profiler.accuracy
+            version = p.store.corpus_version
+            entry = p.profile_cache.lookup(key, t, version, accuracy)
+            if entry is not None:
+                ex.prep = PrepResult(profile=entry.value.profile)
+                p.decide.enter(t, ex)
+                return
+            memo = (key, accuracy, version)
+        prep = p.policy.prepare(query)
         ex.prep = prep
-        self.p.profiler.request(
+        p.profiler.request(
             t, prep.api_seconds,
-            lambda now, waited: self._done(now, waited, ex))
+            lambda now, waited: self._done(now, waited, ex, memo))
         if prep.dollars:
-            self.p.ledger.api_dollars += prep.dollars
-            self.p.ledger.n_api_calls += 1
+            p.ledger.api_dollars += prep.dollars
+            p.ledger.n_api_calls += 1
 
-    def _done(self, now: float, waited: float, ex: QueryExecution) -> None:
+    def _done(self, now: float, waited: float, ex: QueryExecution,
+              memo: tuple[str, float, int] | None) -> None:
         ex.profiler_queue_delay = waited
+        if memo is not None:
+            # The profile exists once the call returns: remember it
+            # under the accuracy and corpus version it was asked at.
+            key, accuracy, version = memo
+            prep = ex.prep
+            self.p.profile_cache.insert(
+                key, CachedProfile(prep.profile, accuracy), now,
+                saved_seconds=prep.api_seconds,
+                saved_dollars=prep.dollars,
+                corpus_version=version)
         self.p.decide.enter(now, ex)
 
 
@@ -770,10 +800,18 @@ class QueryPipeline:
         # are per-run mutable state like the ledger. Disabled (None
         # config, the default) constructs nothing: no tier objects, no
         # ``cache`` resource, no extra events — the byte-identity path.
+        self.profile_cache: ProfileCache | None = None
         self.result_cache: ResultCache | None = None
         self.retrieval_cache: RetrievalCache | None = None
         self.cache_resource: Resource | None = None
         if cache_config is not None and cache_config.enabled:
+            if policy.profiler is not None:
+                # Policies that make no profiler call never build it.
+                self.profile_cache = ProfileCache(
+                    capacity=cache_config.capacity,
+                    eviction=cache_config.eviction,
+                    ttl_s=cache_config.ttl_s,
+                )
             if cache_config.result_enabled:
                 self.result_cache = ResultCache(
                     capacity=cache_config.capacity,
@@ -1184,6 +1222,8 @@ class QueryPipeline:
         """Per-tier counters for enabled tiers (empty when caching is
         off)."""
         stats: dict[str, CacheStats] = {}
+        if self.profile_cache is not None:
+            stats["profile"] = self.profile_cache.stats
         if self.result_cache is not None:
             stats["result"] = self.result_cache.stats
         if self.retrieval_cache is not None:

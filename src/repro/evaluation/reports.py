@@ -272,7 +272,8 @@ def cache_rows(result) -> list[dict]:
     (``n_quality_scored > 0``), a ``hit_faithfulness`` column pairs
     each tier's saved cost with the quality its hits actually
     delivered (docs/EVALUATION.md): NaN when the tier served no
-    scored hits. Harness-off runs omit the column so default cache
+    scored hits, as the profile tier never does (its hits serve a
+    profile, not an answer). Harness-off runs omit the column so default cache
     tables render byte-identically to the pre-harness layout.
     """
     records = getattr(result, "records", [])

@@ -100,8 +100,9 @@ class RunResult:
     result_cache: str | None = None
     #: Whether the retrieval (top-k memo) tier was enabled.
     retrieval_cache: bool = False
-    #: Per-tier cache counters keyed ``"result"`` / ``"retrieval"``
-    #: (empty when caching is off); see ``docs/CACHING.md``.
+    #: Per-tier cache counters keyed ``"profile"`` (profiling policies
+    #: only) / ``"result"`` / ``"retrieval"`` (empty when caching is
+    #: off); see ``docs/CACHING.md``.
     cache_stats: dict[str, CacheStats] = field(default_factory=dict)
     #: Whether the multi-metric quality harness scored this run's
     #: records (``docs/EVALUATION.md``); off by default.
@@ -229,7 +230,9 @@ class RunResult:
     # ------------------------------------------------------------------
     @property
     def cache_hit_rate(self) -> float:
-        """Fraction of completed queries served from any cache tier.
+        """Fraction of completed queries served from the result or
+        retrieval tier (a profile-tier hit serves no answer, so it does
+        not count).
 
         0.0 when caching is off (every record is a miss by
         construction); NaN when the run completed no queries.
@@ -241,8 +244,9 @@ class RunResult:
 
     @property
     def cache_saved_dollars(self) -> float:
-        """Priced GPU dollars the cache hits avoided spending (0.0
-        when caching is off)."""
+        """Dollars the cache hits avoided spending, summed over the
+        tiers: priced GPU time for result hits, profiler API dollars
+        for profile hits (0.0 when caching is off)."""
         return sum(s.saved_dollars for s in self.cache_stats.values())
 
     # ------------------------------------------------------------------

@@ -73,7 +73,7 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentReport:
         gain = (fb_tail - base_tail) / max(base_tail, 1e-9)
         report.add_note(
             f"{dataset}: final-third F1 {base_tail:.3f} -> {fb_tail:.3f} "
-            f"(+{gain:.1%}; paper: +4-6%) with "
-            f"{len(getattr(with_fb, 'records', []))} queries"
+            f"({gain:+.1%}; paper: +4-6%) with "
+            f"{len(with_fb.records)} queries"
         )
     return report

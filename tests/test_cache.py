@@ -1,7 +1,8 @@
 """Unit and property tests for the caching subsystem
 (``repro.caching``): key normalization, config validation, the
 capacity/TTL/staleness invariants of the cost-aware core, the three
-eviction policies, and semantic matching at the cache level."""
+eviction policies, semantic matching at the cache level, and the
+profile tier's invalidation rules."""
 
 from __future__ import annotations
 
@@ -10,11 +11,13 @@ import pytest
 
 from repro.caching import (
     CacheConfig,
+    CachedProfile,
     CostAwareCache,
     EVICTION_NAMES,
     GDSFPolicy,
     LFUPolicy,
     LRUPolicy,
+    ProfileCache,
     RESULT_CACHE_MODES,
     ResultCache,
     RetrievalCache,
@@ -346,3 +349,61 @@ class TestRetrievalCacheTier:
         assert cache.lookup(key, now=1.0) is not None
         assert cache.stats.saved_seconds == pytest.approx(0.4)
         assert cache.stats.hit_rate == pytest.approx(1.0)
+
+
+class TestProfileCacheTier:
+    def test_key_is_the_normalized_text(self):
+        assert ProfileCache.key_for("  What is the Fee?") \
+            == ProfileCache.key_for("what is  the fee?")
+
+    def test_hit_accounts_the_call_it_saved(self):
+        cache = ProfileCache(capacity=4, eviction="gdsf")
+        key = ProfileCache.key_for("q")
+        cache.insert(key, CachedProfile("profile", 0.91), now=0.0,
+                     saved_seconds=0.15, saved_dollars=3e-4)
+        entry = cache.lookup(key, now=1.0, corpus_version=0, accuracy=0.91)
+        assert entry is not None and entry.value.profile == "profile"
+        assert cache.stats.saved_seconds == pytest.approx(0.15)
+        assert cache.stats.saved_dollars == pytest.approx(3e-4)
+
+    def test_older_corpus_version_misses(self):
+        cache = ProfileCache(capacity=4)
+        key = ProfileCache.key_for("q")
+        cache.insert(key, CachedProfile("p", 0.91), now=0.0,
+                     corpus_version=0)
+        assert cache.lookup(key, 1.0, corpus_version=1, accuracy=0.91) \
+            is None
+        assert cache.stats.hits == 0 and cache.stats.stale_hits == 0
+        # The fresh call's insert overwrites the stale entry in place.
+        cache.insert(key, CachedProfile("p2", 0.91), now=2.0,
+                     corpus_version=1)
+        assert len(cache) == 1
+        assert cache.lookup(key, 3.0, corpus_version=1,
+                            accuracy=0.91).value.profile == "p2"
+
+    def test_other_accuracy_misses(self):
+        cache = ProfileCache(capacity=4)
+        key = ProfileCache.key_for("q")
+        cache.insert(key, CachedProfile("p", 0.91), now=0.0)
+        assert cache.lookup(key, 1.0, corpus_version=0,
+                            accuracy=0.928) is None
+        assert cache.lookup(key, 1.0, corpus_version=0,
+                            accuracy=0.91) is not None
+
+    def test_ttl_expiry_misses(self):
+        cache = ProfileCache(capacity=4, ttl_s=10.0)
+        key = ProfileCache.key_for("q")
+        cache.insert(key, CachedProfile("p", 0.91), now=0.0)
+        assert cache.lookup(key, 20.0, corpus_version=0,
+                            accuracy=0.91) is None
+        assert cache.stats.expirations == 1 and key not in cache
+
+    @pytest.mark.parametrize("eviction", EVICTION_NAMES)
+    def test_capacity_holds_after_every_insert(self, eviction):
+        cache = ProfileCache(capacity=3, eviction=eviction)
+        for i in range(20):
+            cache.insert(ProfileCache.key_for(f"q{i % 7}"),
+                         CachedProfile(i, 0.91), now=float(i),
+                         saved_seconds=0.1 * (i % 3),
+                         saved_dollars=1e-4 * (i % 5))
+            assert len(cache) <= 3

@@ -2,20 +2,24 @@
 byte-identical to a cache-free run, exact hits bypass the engine while
 retrieval hits still synthesize, cached runs stay deterministic, the
 ``cache`` resource only exists when a tier is on, cluster runs
-release app pins on the hit path, and hedging composes with both
-tiers."""
+release app pins on the hit path, hedging composes with both
+tiers, and the profile tier spares a repeat query its profiler call
+until the corpus, the profiler's accuracy or the TTL says otherwise."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
 
 from repro.baselines import FixedConfigPolicy
-from repro.caching import CACHE_INSERT_SECONDS, make_cache_config
+from repro.caching import CACHE_INSERT_SECONDS, ProfileCache, make_cache_config
 from repro.config.knobs import RAGConfig, SynthesisMethod
+from repro.core.controller import MetisConfig
+from repro.data.workload import Arrival
 from repro.evaluation.pipeline import CACHE_RESOURCE, QueryPipeline
-from repro.evaluation.reports import cache_rows, query_group_rows
+from repro.evaluation.reports import cache_rows, format_table, query_group_rows
 from repro.experiments.common import (
     default_engine_config,
     make_metis,
@@ -261,3 +265,179 @@ class TestReports:
         busy = cached.resource_stats[CACHE_RESOURCE].busy_seconds
         # At minimum every insert's hold shows up on the resource.
         assert busy >= stats.inserts * CACHE_INSERT_SECONDS - 1e-9
+
+
+def _metis_pipeline(bundle, metis_config: MetisConfig | None = None,
+                    store=None, **cache_kwargs) -> QueryPipeline:
+    """A one-replica METIS pipeline with the exact result cache on
+    (and so the profile tier)."""
+    return QueryPipeline(
+        bundle=bundle,
+        policy=make_metis(bundle, metis_config),
+        engine=ClusterEngine(default_engine_config(), n_replicas=1, seed=0),
+        generator=SimulatedGenerator(
+            quality=QualityModel(bundle.quality_params), root_seed=0),
+        store=store,
+        cache_config=make_cache_config(result_cache="exact", **cache_kwargs),
+    )
+
+
+def _zipf_arrivals(bundle, n_periods: int = 3) -> list[Arrival]:
+    return zipfian_workload(**{**_TRACE, "n_periods": n_periods}) \
+        .materialize(bundle.queries, seed=0)
+
+
+def _texts(arrivals) -> dict[str, str]:
+    return {a.query.query_id: a.query.text for a in arrivals}
+
+
+def _paid(record) -> bool:
+    return record.profiler_dollars > 0.0
+
+
+class TestProfileTier:
+    def test_repeats_reuse_the_profile_and_still_decide(self, finsec_bundle):
+        arrivals = _zipf_arrivals(finsec_bundle)
+        pipeline = _metis_pipeline(finsec_bundle)
+        pipeline.run(arrivals)
+        text = _texts(arrivals)
+        first: dict[str, object] = {}
+        reused = 0
+        for r in sorted(pipeline.records, key=lambda r: r.arrival_time):
+            if text[r.query_id] not in first:
+                first[text[r.query_id]] = r
+                assert _paid(r) and r.profiler_seconds > 0.0
+                continue
+            if _paid(r):
+                continue
+            reused += 1
+            # No profiler hold: the decision runs on arrival, against
+            # the scheduling view of that moment, on the same profile.
+            assert r.profiler_seconds == 0.0
+            assert r.decision_time == r.arrival_time
+            assert r.confidence == first[text[r.query_id]].confidence
+        assert reused > 0
+        stats = pipeline.cache_stats()["profile"]
+        assert stats.hits == reused
+        assert stats.saved_dollars > 0.0
+
+    def test_ledger_charges_one_call_per_distinct_text(self, finsec_bundle):
+        """Capacity above the pool: each text is profiled once, provided
+        no repeat arrives while its text's first call is in flight (a
+        call in flight has no profile to share yet)."""
+        arrivals = _zipf_arrivals(finsec_bundle)
+        pipeline = _metis_pipeline(finsec_bundle, cache_capacity=64)
+        pipeline.run(arrivals)
+        records = pipeline.records
+        text = _texts(arrivals)
+        returned: dict[str, float] = {}
+        for r in sorted(records, key=lambda r: r.arrival_time):
+            t = text[r.query_id]
+            if t in returned:
+                assert r.arrival_time >= returned[t]
+            else:
+                returned[t] = (r.arrival_time + r.profiler_queue_delay
+                               + r.profiler_seconds)
+        ledger = pipeline.ledger
+        assert ledger.n_api_calls == len(set(text.values()))
+        assert ledger.n_api_calls == sum(1 for r in records if _paid(r))
+        assert ledger.api_dollars == pytest.approx(
+            sum(r.profiler_dollars for r in records), rel=1e-12)
+
+    def test_corpus_bump_forces_a_fresh_call(self, finsec_bundle):
+        # A private store copy: the bump must not reach the shared
+        # bundle other tests serve from.
+        store = finsec_bundle.store.reshard(1)
+        arrivals = _zipf_arrivals(finsec_bundle)
+        mid = len(arrivals) // 2
+        t_bump = (arrivals[mid - 1].time + arrivals[mid].time) / 2
+        pipeline = _metis_pipeline(finsec_bundle, store=store)
+        pipeline.loop.schedule(t_bump, "reingest",
+                               lambda t, _: store.bump_corpus_version())
+        pipeline.run(arrivals)
+        assert store.corpus_version == 1
+        text = _texts(arrivals)
+        before = {text[a.query.query_id] for a in arrivals[:mid]}
+        seen_after: set[str] = set()
+        repaid = 0
+        for r in sorted(pipeline.records, key=lambda r: r.arrival_time):
+            t = text[r.query_id]
+            if r.arrival_time < t_bump or t in seen_after:
+                continue
+            seen_after.add(t)
+            if t in before:
+                assert _paid(r), f"{r.query_id} reused a pre-bump profile"
+                repaid += 1
+        assert repaid > 0
+        records = pipeline.records
+        assert pipeline.ledger.n_api_calls == sum(
+            1 for r in records if _paid(r))
+        assert pipeline.ledger.api_dollars == pytest.approx(
+            sum(r.profiler_dollars for r in records), rel=1e-12)
+
+    def test_feedback_prompt_forces_a_fresh_call(self, finsec_bundle):
+        """Closed loop, one client: the 31st query arrives after the
+        30th completion's feedback prompt raised the profiler's
+        accuracy, so each text's first repeat from there on is
+        profiled afresh; without feedback the same repeats reuse."""
+        arrivals = [Arrival(query=a.query, time=None)
+                    for a in _zipf_arrivals(finsec_bundle, n_periods=6)]
+        text = _texts(arrivals)
+
+        def serve(enable_feedback: bool):
+            pipeline = _metis_pipeline(
+                finsec_bundle, MetisConfig(enable_feedback=enable_feedback))
+            pipeline.run(arrivals)
+            assert [r.query_id for r in pipeline.records] \
+                == [a.query.query_id for a in arrivals]
+            return pipeline
+
+        plain = serve(False)
+        boosted = serve(True)
+        assert boosted.policy.feedback.events  # a prompt did fire
+        early = {text[r.query_id] for r in boosted.records[:30]}
+        seen: set[str] = set()
+        for fb, no_fb in zip(boosted.records[30:], plain.records[30:]):
+            t = text[fb.query_id]
+            if t in early and t not in seen:
+                assert _paid(fb) and not _paid(no_fb)
+            seen.add(t)
+        assert plain.ledger.n_api_calls == len(set(text.values()))
+        assert boosted.ledger.n_api_calls > plain.ledger.n_api_calls
+
+    def test_ttl_expired_entry_misses(self, finsec_bundle):
+        arrivals = _zipf_arrivals(finsec_bundle)
+        roomy = _metis_pipeline(finsec_bundle)
+        roomy.run(arrivals)
+        short = _metis_pipeline(finsec_bundle, cache_ttl=0.5)
+        short.run(arrivals)
+        stats = short.cache_stats()["profile"]
+        assert stats.expirations > 0
+        assert stats.hits < roomy.cache_stats()["profile"].hits
+        assert short.ledger.n_api_calls > roomy.ledger.n_api_calls
+
+    def test_capacity_bounds_the_tier(self, finsec_bundle, monkeypatch):
+        sizes: list[int] = []
+        insert = ProfileCache.insert
+
+        def counted(cache, *args, **kwargs):
+            entry = insert(cache, *args, **kwargs)
+            sizes.append(len(cache))
+            return entry
+
+        monkeypatch.setattr(ProfileCache, "insert", counted)
+        pipeline = _metis_pipeline(finsec_bundle, cache_capacity=2,
+                                   cache_eviction="gdsf")
+        pipeline.run(_zipf_arrivals(finsec_bundle))
+        assert sizes and max(sizes) <= 2
+        assert pipeline.cache_stats()["profile"].evictions > 0
+
+    def test_fixed_config_never_builds_the_tier(self, finsec_bundle):
+        """A policy with no profiler call has no profile tier, and its
+        cache table renders as it did before the tier existed."""
+        cached = _serve(finsec_bundle, result_cache="exact",
+                        retrieval_cache=True)
+        assert list(cached.cache_stats) == ["result", "retrieval"]
+        table = format_table(cache_rows(cached))
+        assert hashlib.sha256(table.encode()).hexdigest() == (
+            "2d050e646d1a1a5b14b3cc0883b291dca57668326afc5d230d81081900236617")

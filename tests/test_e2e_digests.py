@@ -35,7 +35,7 @@ E2E = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
 #: Seed-0 ``records_sha256`` of each workload.
 DIGESTS = {
     "metis_bursty": "c325e7da2201d2447eab30d76715294455197f433ef31f8d48f5d534e7ff1222",
-    "composed_zipf": "8d281fcdb7af11ea698f29609dc4c0d7b982dc9bbd1e849eda2b1afc71cbc380",
+    "composed_zipf": "868fc4555f55570a848b18dd6b46f119090a64ec7761ba13a7eb99bd519558f4",
     "semantic_churn": "7d0941261f2e841b5a057ad44d5c3ce0a00b291dbc54515277944e68496c880a",
 }
 
@@ -53,14 +53,14 @@ WORK_COUNTS = {
         "workload.autoscaler.scaling_events": 0,
     },
     "composed_zipf": {
-        "sim.kernel.events": 51_849,
-        "serving.engine.steps": 41_724,
+        "sim.kernel.events": 43_633,
+        "serving.engine.steps": 36_306,
         "core.decide.calls": 1_805,
-        "retrieval.embed.calls": 602,
-        "retrieval.search.calls": 2_408,
-        "llm.generate.calls": 660,
+        "retrieval.embed.calls": 419,
+        "retrieval.search.calls": 1_676,
+        "llm.generate.calls": 592,
         "evaluation.metrics.calls": 1_805,
-        "caching.evictions": 752,
+        "caching.evictions": 859,
         "workload.autoscaler.scaling_events": 6,
     },
     "semantic_churn": {
