@@ -167,15 +167,57 @@ def _sample_pieces(spec: DatasetSpec, rng: np.random.Generator) -> int:
     return int(rng.choice(values, p=probs))
 
 
+class _FactGroups:
+    """A corpus's facts grouped the ways query sampling reads them,
+    built once per build: in ``facts`` order, by attribute family and
+    by document, with the eligible families and documents per number
+    of pieces computed on first use."""
+
+    def __init__(self, facts: dict[str, Fact]) -> None:
+        self.all_facts = list(facts.values())
+        self.by_family: dict[str, list[Fact]] = {}
+        self.by_doc: dict[str, list[Fact]] = {}
+        for fact in self.all_facts:
+            family = fact.attribute.rsplit(" ", 1)[0]
+            self.by_family.setdefault(family, []).append(fact)
+            self.by_doc.setdefault(fact.doc_id, []).append(fact)
+        self._family_docs = {
+            family: len({m.doc_id for m in members})
+            for family, members in self.by_family.items()
+        }
+        self._families: dict[int, list[str]] = {}
+        self._docs: dict[int, list[str]] = {}
+
+    def families(self, pieces: int) -> list[str]:
+        """Families whose facts span at least ``pieces`` documents."""
+        if pieces not in self._families:
+            self._families[pieces] = [
+                f for f, n_docs in self._family_docs.items()
+                if n_docs >= pieces
+            ]
+        return self._families[pieces]
+
+    def docs(self, pieces: int) -> list[str]:
+        """Documents holding at least ``pieces`` facts; if none does,
+        every document, most facts first."""
+        if pieces not in self._docs:
+            by_doc = self.by_doc
+            candidates = [d for d, fs in by_doc.items() if len(fs) >= pieces]
+            if not candidates:
+                candidates = sorted(by_doc, key=lambda d: -len(by_doc[d]))
+            self._docs[pieces] = candidates
+        return self._docs[pieces]
+
+
 def _pick_facts(
     spec: DatasetSpec,
     rng: np.random.Generator,
     pieces: int,
-    facts: dict[str, Fact],
+    groups: _FactGroups,
     fact_chunk: dict[str, str],
 ) -> list[Fact]:
     """Pick ``pieces`` required facts under the dataset's placement rule."""
-    all_facts = list(facts.values())
+    all_facts = groups.all_facts
     if pieces == 1:
         return [all_facts[int(rng.integers(len(all_facts)))]]
 
@@ -183,15 +225,10 @@ def _pick_facts(
         # Multi-hop: facts from distinct documents, same attribute
         # family where possible (mirrors "are X, Y, Z from the same
         # country?" queries).
-        by_family: dict[str, list[Fact]] = {}
-        for fact in all_facts:
-            family = fact.attribute.rsplit(" ", 1)[0]
-            by_family.setdefault(family, []).append(fact)
-        families = [f for f, members in by_family.items()
-                    if len({m.doc_id for m in members}) >= pieces]
+        families = groups.families(pieces)
         if families:
             family = families[int(rng.integers(len(families)))]
-            pool = by_family[family]
+            pool = groups.by_family[family]
             picked: list[Fact] = []
             seen_docs: set[str] = set()
             for idx in rng.permutation(len(pool)):
@@ -213,14 +250,9 @@ def _pick_facts(
         return picked  # corpus too small; return what we have
 
     # Doc-level QA: facts from one document, distinct chunks preferred.
-    by_doc: dict[str, list[Fact]] = {}
-    for fact in all_facts:
-        by_doc.setdefault(fact.doc_id, []).append(fact)
-    candidates = [d for d, fs in by_doc.items() if len(fs) >= pieces]
-    if not candidates:
-        candidates = sorted(by_doc, key=lambda d: -len(by_doc[d]))
+    candidates = groups.docs(pieces)
     doc_id = candidates[int(rng.integers(len(candidates)))]
-    pool = by_doc[doc_id]
+    pool = groups.by_doc[doc_id]
     # Prefer facts in distinct chunks so the query genuinely needs
     # multiple retrievals.
     picked, seen_chunks = [], set()
@@ -315,11 +347,12 @@ def generate_dataset(spec: DatasetSpec, seed: int = 0) -> DatasetBundle:
     store.add_chunks(chunks)
 
     rng = rngs.get("queries")
+    groups = _FactGroups(facts)
     template_tokens = tuple(tokenizer.tokenize(spec.answer_template))
     queries: list[Query] = []
     for i in range(spec.n_queries):
         pieces = _sample_pieces(spec, rng)
-        picked = _pick_facts(spec, rng, pieces, facts, fact_chunk)
+        picked = _pick_facts(spec, rng, pieces, groups, fact_chunk)
         pieces = len(picked)  # corpus may cap the request
         p_high = min(
             0.95,

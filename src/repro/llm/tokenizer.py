@@ -15,9 +15,19 @@ from functools import lru_cache
 
 __all__ = ["SimTokenizer"]
 
-_SPLIT_RE = re.compile(r"[A-Za-z0-9']+|[^A-Za-z0-9'\s]")
-_PIECE_LEN = 4
-_MAX_WHOLE_WORD = 6
+#: One token per match, in text order, over lowercased text. A word
+#: (a run of ``[a-z0-9']``) of up to 6 characters is one token; a longer
+#: word is cut into 4-character pieces from its start, the last piece
+#: taking the rest; any other non-space character is a token of its
+#: own. The first branch takes a whole word only when no word
+#: character borders it; the possessive ``{1,6}+`` stops the engine
+#: retrying shorter matches of a long word, which the lookahead would
+#: reject anyway. Otherwise the second branch takes the next piece.
+_TOKEN_RE = re.compile(
+    r"(?<![a-z0-9'])[a-z0-9']{1,6}+(?![a-z0-9'])"
+    r"|[a-z0-9']{1,4}"
+    r"|[^a-z0-9'\s]"
+)
 
 
 class SimTokenizer:
@@ -38,16 +48,7 @@ class SimTokenizer:
         >>> SimTokenizer().tokenize("Kimbrough Arena, 2024")
         ['kimb', 'roug', 'h', 'arena', ',', '2024']
         """
-        tokens: list[str] = []
-        for word in _SPLIT_RE.findall(text.lower()):
-            if len(word) <= _MAX_WHOLE_WORD:
-                tokens.append(word)
-            else:
-                tokens.extend(
-                    word[i : i + _PIECE_LEN]
-                    for i in range(0, len(word), _PIECE_LEN)
-                )
-        return tokens
+        return _TOKEN_RE.findall(text.lower())
 
     def count(self, text: str) -> int:
         """Number of tokens in ``text`` (cached)."""
@@ -56,10 +57,4 @@ class SimTokenizer:
 
 @lru_cache(maxsize=65536)
 def _cached_count(text: str) -> int:
-    count = 0
-    for word in _SPLIT_RE.findall(text.lower()):
-        if len(word) <= _MAX_WHOLE_WORD:
-            count += 1
-        else:
-            count += -(-len(word) // _PIECE_LEN)
-    return count
+    return len(_TOKEN_RE.findall(text.lower()))

@@ -20,6 +20,7 @@ import math
 from abc import ABC, abstractmethod
 from collections import Counter
 from collections.abc import Iterable, Mapping
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,23 +119,49 @@ class HashedEmbedding(EmbeddingModel):
         return result
 
     def embed(self, text: str) -> np.ndarray:
-        return self._embed_counts(Counter(self._tokenizer.tokenize(text)))
-
-    def _embed_counts(self, counts: Counter[str]) -> np.ndarray:
-        """Embed a text from its token counts (in first-seen order)."""
+        keys: list[int] = []
+        values: list[float] = []
+        self._updates(Counter(self._tokenizer.tokenize(text)), 0, keys, values)
+        # A coordinate's first token lands on zero, so it is one
+        # rounding of its float64 weight; the few later tokens on a
+        # taken coordinate are added in order (see ``_accumulate``).
+        first: dict[int, float] = {}
+        later: list[tuple[int, float]] = []
+        for key, value in zip(keys, values):
+            if key in first:
+                later.append((key, value))
+            else:
+                first[key] = value
         vec = np.zeros(self.dim, dtype=np.float32)
-        if not counts:
-            return vec
-        for token, tf in counts.items():
-            weight = 1.0 + np.log(tf)
-            if self.idf is not None:
-                weight *= self.idf.weight(token)
-            coord, sign = self._token_coord(token)
-            vec[coord] += sign * weight
-        norm = float(np.linalg.norm(vec))
-        if norm > 0:
-            vec /= norm
+        vec[list(first)] = list(first.values())
+        for key, value in later:
+            vec[key] += np.float64(value)
+        _normalize(vec)
         return vec
+
+    def _updates(
+        self,
+        counts: Counter[str],
+        base: int,
+        keys: list[int],
+        values: list[float],
+    ) -> None:
+        """Append one text's ``(base + coordinate, signed weight)``
+        updates, in first-seen token order.
+
+        A token's weight is ``sign * (1 + log(tf)) * idf(token)`` in
+        float64, as numpy's scalar ``1.0 + np.log(tf)`` gives it; the
+        multiplications round the same in Python floats.
+        """
+        idf = self.idf
+        token_cache = self._token_cache
+        for token, tf in counts.items():
+            coord_sign = token_cache.get(token) or self._token_coord(token)
+            weight = _tf_weight(tf)
+            if idf is not None:
+                weight *= idf.weight(token)
+            keys.append(base + coord_sign[0])
+            values.append(coord_sign[1] * weight)
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         """Embed many texts into one preallocated ``(n, dim)`` matrix.
@@ -142,14 +169,66 @@ class HashedEmbedding(EmbeddingModel):
         Each text is tokenized once. An unfitted ``idf`` is fitted on
         the batch's token counts first (the corpus at indexing time);
         rows are then byte-identical to per-text :meth:`embed` calls.
-        The instance's token-coordinate cache (and the IDF weight
-        cache) warm on the first texts and serve the rest of the batch,
-        which is where bulk chunk indexing spends its time.
+        Rows are accumulated ``_BLOCK_ROWS`` at a time, so the update
+        lists stay small next to the matrix.
         """
         counts = [Counter(self._tokenizer.tokenize(t)) for t in texts]
         if self.idf is not None and not self.idf.fitted:
             self.idf.fit(counts)
         out = np.zeros((len(texts), self.dim), dtype=np.float32)
-        for i, text_counts in enumerate(counts):
-            out[i] = self._embed_counts(text_counts)
+        for start in range(0, len(texts), _BLOCK_ROWS):
+            block_counts = counts[start : start + _BLOCK_ROWS]
+            block = out[start : start + len(block_counts)]
+            keys: list[int] = []
+            values: list[float] = []
+            for row, text_counts in enumerate(block_counts):
+                self._updates(text_counts, row * self.dim, keys, values)
+            _accumulate(block.reshape(-1), keys, values)
+            for vec in block:
+                _normalize(vec)
         return out
+
+
+#: Rows per accumulation block in :meth:`HashedEmbedding.embed_batch`.
+_BLOCK_ROWS = 64
+
+
+@lru_cache(maxsize=None)
+def _tf_weight(tf: int) -> float:
+    """Sublinear term frequency ``1 + log(tf)``, by numpy's scalar log."""
+    return float(1.0 + np.log(tf))
+
+
+def _accumulate(
+    flat: np.ndarray, keys: list[int], values: list[float]
+) -> None:
+    """Add float64 ``values`` into float32 ``flat`` at ``keys``, rounding
+    to float32 after each add, in list order per key.
+
+    This is the loop ``flat[k] += v`` with ``v`` a float64 scalar: under
+    numpy's promotion rules each add is made in float64 and rounded to
+    float32 once. Updates of different keys never meet, so each key's
+    occurrences can be ranked in list order (a stable sort) and applied
+    rank by rank, one vectorized add per rank.
+    """
+    if not keys:
+        return
+    key_arr = np.asarray(keys, dtype=np.intp)
+    order = np.argsort(key_arr, kind="stable")
+    key_arr = key_arr[order]
+    value_arr = np.asarray(values, dtype=np.float64)[order]
+    pos = np.arange(len(key_arr))
+    first = np.ones(len(key_arr), dtype=bool)
+    first[1:] = key_arr[1:] != key_arr[:-1]
+    rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
+    for r in range(int(rank.max()) + 1):
+        at = rank == r
+        where = key_arr[at]
+        flat[where] = flat[where] + value_arr[at]
+
+
+def _normalize(vec: np.ndarray) -> None:
+    """Scale ``vec`` to unit L2 norm in place (a zero vector stays zero)."""
+    norm = float(np.linalg.norm(vec))
+    if norm > 0:
+        vec /= norm

@@ -4,9 +4,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from embedding_reference import embed_batch_reference, embed_reference
 from repro.llm.tokenizer import SimTokenizer
-from repro.retrieval.embedding import HashedEmbedding, IdfWeights
+from repro.retrieval.embedding import _BLOCK_ROWS, HashedEmbedding, IdfWeights
 
 
 def idf_over(texts):
@@ -52,8 +55,8 @@ class TestHashedEmbedding:
         emb = HashedEmbedding()
         texts = ["alpha beta", "gamma delta"]
         batch = emb.embed_batch(texts)
-        assert np.allclose(batch[0], emb.embed(texts[0]))
-        assert np.allclose(batch[1], emb.embed(texts[1]))
+        assert batch[0].tobytes() == emb.embed(texts[0]).tobytes()
+        assert batch[1].tobytes() == emb.embed(texts[1]).tobytes()
 
     def test_empty_batch_shape(self):
         emb = HashedEmbedding(dim=64)
@@ -118,3 +121,63 @@ class TestIdfWeights:
         before = idf.weight("beta")
         HashedEmbedding(idf=idf).embed_batch(["alpha"] * 5)
         assert idf.weight("beta") == before
+
+
+def _texts(n, seed=0):
+    """``n`` texts of 0–120 words from a 300-word vocabulary: repeated
+    words (``tf > 1``), words long enough to split, one empty text."""
+    rng = np.random.default_rng(seed)
+    vocab = [f"w{i}" if i % 3 else f"longword{i}x" for i in range(300)]
+    texts = [
+        " ".join(vocab[j] for j in rng.integers(len(vocab),
+                                                size=rng.integers(0, 120)))
+        for _ in range(n)
+    ]
+    texts[n // 2] = ""
+    return texts
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+class TestMatchesReference:
+    """The vectorized embedder equals the per-token loop it replaced
+    (``tests/embedding_reference.py``) byte for byte: each coordinate
+    takes its tokens' float64 weights in token order, rounding to
+    float32 after each add."""
+
+    @pytest.mark.parametrize("dim", [8, 37, 512])
+    @pytest.mark.parametrize("use_idf", [True, False])
+    def test_batch_and_embed(self, dim, use_idf):
+        texts = _texts(2 * _BLOCK_ROWS + 7)
+        emb = HashedEmbedding(dim=dim, idf=IdfWeights() if use_idf else None)
+        ref = HashedEmbedding(dim=dim, idf=IdfWeights() if use_idf else None)
+        assert _same_bytes(emb.embed_batch(texts),
+                           embed_batch_reference(ref, texts))
+        for text in texts + _texts(20, seed=1):
+            assert _same_bytes(emb.embed(text), embed_reference(emb, text))
+
+    def test_deep_collisions_and_repeats(self):
+        """At ``dim=8``, 40 distinct tokens stack 3 or more deep on a
+        coordinate, and each repeats (``tf > 1``)."""
+        text = " ".join([f"t{i}" for i in range(40)] * 3)
+        emb = HashedEmbedding(dim=8)
+        coords = Counter(emb._token_coord(f"t{i}")[0] for i in range(40))
+        assert max(coords.values()) >= 3
+        assert _same_bytes(emb.embed(text), embed_reference(emb, text))
+        assert _same_bytes(emb.embed_batch([text])[0],
+                           embed_reference(emb, text))
+
+    def test_empty_text(self):
+        emb = HashedEmbedding(dim=8)
+        assert _same_bytes(emb.embed(""), embed_reference(emb, ""))
+        assert _same_bytes(emb.embed_batch(["", "a"]),
+                           embed_batch_reference(emb, ["", "a"]))
+
+    @given(st.text(alphabet="abcdefghij '.,\t", max_size=200),
+           st.sampled_from([8, 512]))
+    def test_any_text(self, text, dim):
+        emb = HashedEmbedding(dim=dim, idf=idf_over(_texts(10)))
+        assert _same_bytes(emb.embed(text), embed_reference(emb, text))

@@ -5,8 +5,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.llm.tokenizer import SimTokenizer
+from tokenizer_reference import tokenize_reference
 
 tok = SimTokenizer()
+
+#: Characters of a run: ASCII word characters of both cases, plus
+#: letters whose lowercase stays non-ASCII (``ß``, ``é``), becomes ASCII
+#: (``K``, the Kelvin sign) or grows a combining mark (``İ`` lowers to
+#: ``i`` plus U+0307).
+_WORD_CHARS = "abcxyzABCXYZ0189'" + "\u0130\u212a\u00df\u00e9"
+#: Unicode whitespace and punctuation between runs.
+_SEPARATORS = " \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u3000" + ".,;!?-()$%"
+
+#: Runs of 5–14 word characters, straddling the 6/7 whole-word limit
+#: and the 4-character piece edges, joined by separator runs.
+_targeted_text = st.lists(
+    st.tuples(
+        st.text(alphabet=_WORD_CHARS, min_size=5, max_size=14),
+        st.text(alphabet=_SEPARATORS, max_size=3),
+    ),
+    max_size=8,
+).map(lambda parts: "".join(run + sep for run, sep in parts))
 
 
 class TestTokenize:
@@ -35,6 +54,25 @@ class TestTokenize:
 
     def test_whitespace_only(self):
         assert tok.tokenize("  \n\t ") == []
+
+
+class TestMatchesReference:
+    """The one-regex tokenizer equals the split-then-slice loop it
+    replaced (``tests/tokenizer_reference.py``) token for token."""
+
+    @pytest.mark.parametrize("text", [
+        "abcdef", "abcdefg", "abcdefgh", "abcdefghi", "abcdefghijklm",
+        "ABCDEF abcdefg", "abcdef\tabcdefg", "12345,1234567", "it's",
+        "don't'x'", "''''''", "'''''''", "a-bcdefg", "abcdefg.abcdef",
+        "\u0130stanbul", "\u212aelvins", "stra\u00dfe", "caf\u00e9s",
+        "abcde\u00e9fghij", "abc\u3000defghij\xa0k",
+    ])
+    def test_examples(self, text):
+        assert tok.tokenize(text) == tokenize_reference(text)
+
+    @given(st.one_of(_targeted_text, st.text(max_size=300)))
+    def test_matches_reference(self, text):
+        assert tok.tokenize(text) == tokenize_reference(text)
 
 
 class TestCount:
