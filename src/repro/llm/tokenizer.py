@@ -11,7 +11,7 @@ reproducible and fast.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from itertools import chain
 
 __all__ = ["SimTokenizer"]
 
@@ -29,14 +29,35 @@ _TOKEN_RE = re.compile(
     r"|[^a-z0-9'\s]"
 )
 
+#: Most distinct words the word memo holds; a full memo is emptied and
+#: refilled. A generated corpus has a few hundred distinct words.
+_WORD_MEMO_CAP = 1 << 16
+
+
+class _WordMemo(dict):
+    """Lowercased whitespace word -> its tokens. A miss runs the pattern
+    over the word once; a full memo is emptied and refilled."""
+
+    def __missing__(self, word: str) -> tuple[str, ...]:
+        if len(self) >= _WORD_MEMO_CAP:
+            self.clear()
+        tokens = self[word] = tuple(_TOKEN_RE.findall(word))
+        return tokens
+
+
+_word_memo = _WordMemo()
+
 
 class SimTokenizer:
     """Deterministic tokenizer used by every component of the simulator.
 
     The class is stateless; all methods are safe to share across
-    threads.  ``count()`` is cached because the simulator counts the
-    same chunk texts many times (memory estimation, prefill sizing,
-    cost accounting).
+    threads. A text's tokens are its lowercased whitespace words'
+    tokens, in order: no token spans whitespace, and ``str.split`` and
+    the pattern's ``\\s`` agree on every Unicode whitespace character.
+    So each distinct word is tokenized once, into a module-wide memo of
+    at most ``_WORD_MEMO_CAP`` words, and a text costs one lookup per
+    word.
     """
 
     def tokenize(self, text: str) -> list[str]:
@@ -48,13 +69,26 @@ class SimTokenizer:
         >>> SimTokenizer().tokenize("Kimbrough Arena, 2024")
         ['kimb', 'roug', 'h', 'arena', ',', '2024']
         """
-        return _TOKEN_RE.findall(text.lower())
+        return list(chain.from_iterable(
+            map(_word_memo.__getitem__, self.words(text))))
+
+    def words(self, text: str) -> list[str]:
+        """The lowercased whitespace words of ``text``, in order; the
+        text's tokens are theirs, concatenated."""
+        return text.lower().split()
+
+    def word_tokens(self, word: str) -> tuple[str, ...]:
+        """Tokens of one lowercased word without whitespace (memoized).
+
+        >>> SimTokenizer().word_tokens("arena,")
+        ('arena', ',')
+        """
+        return _word_memo[word]
+
+    def word_counts(self, text: str) -> list[int]:
+        """Token count of each word of ``text.split()``, in order."""
+        return list(map(len, map(_word_memo.__getitem__, self.words(text))))
 
     def count(self, text: str) -> int:
-        """Number of tokens in ``text`` (cached)."""
-        return _cached_count(text)
-
-
-@lru_cache(maxsize=65536)
-def _cached_count(text: str) -> int:
-    return len(_TOKEN_RE.findall(text.lower()))
+        """Number of tokens in ``text``."""
+        return sum(map(len, map(_word_memo.__getitem__, self.words(text))))

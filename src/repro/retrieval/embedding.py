@@ -21,6 +21,7 @@ from abc import ABC, abstractmethod
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -37,7 +38,7 @@ class IdfWeights:
     embedding over ubiquitous filler, as they do in trained embedding
     models. An unfitted instance is fitted by the first
     :meth:`HashedEmbedding.embed_batch` that uses it, from the token
-    counts that batch embeds, so each chunk is tokenized once.
+    counts that batch embeds, so each chunk is counted once.
     """
 
     def __init__(self) -> None:
@@ -51,12 +52,19 @@ class IdfWeights:
     def fit(self, token_counts: Iterable[Mapping[str, int]]) -> "IdfWeights":
         """Count document frequencies over each document's token counts
         (resets state)."""
-        self._n_docs = 0
-        self._df = Counter()
-        self._weight_cache = {}
+        n_docs = 0
+        df: Counter[str] = Counter()
         for counts in token_counts:
-            self._n_docs += 1
-            self._df.update(counts.keys())
+            n_docs += 1
+            df.update(counts.keys())
+        return self.fit_df(n_docs, df)
+
+    def fit_df(self, n_docs: int, df: Mapping[str, int]) -> "IdfWeights":
+        """Take ``n_docs`` documents and each token's document frequency
+        (resets state)."""
+        self._n_docs = n_docs
+        self._df = Counter(df)
+        self._weight_cache = {}
         self.fitted = True
         return self
 
@@ -119,77 +127,123 @@ class HashedEmbedding(EmbeddingModel):
         return result
 
     def embed(self, text: str) -> np.ndarray:
-        keys: list[int] = []
-        values: list[float] = []
-        self._updates(Counter(self._tokenizer.tokenize(text)), 0, keys, values)
+        """One text, token by token: for a single short text (a query,
+        an answer) the array path of :meth:`embed_batch` costs more in
+        fixed numpy overhead than it saves. The updates and their order
+        are those of :meth:`embed_batch`, so rows are byte-identical."""
+        idf = self.idf
         # A coordinate's first token lands on zero, so it is one
         # rounding of its float64 weight; the few later tokens on a
         # taken coordinate are added in order (see ``_accumulate``).
         first: dict[int, float] = {}
         later: list[tuple[int, float]] = []
-        for key, value in zip(keys, values):
-            if key in first:
-                later.append((key, value))
-            else:
-                first[key] = value
-        vec = np.zeros(self.dim, dtype=np.float32)
-        vec[list(first)] = list(first.values())
-        for key, value in later:
-            vec[key] += np.float64(value)
-        _normalize(vec)
-        return vec
-
-    def _updates(
-        self,
-        counts: Counter[str],
-        base: int,
-        keys: list[int],
-        values: list[float],
-    ) -> None:
-        """Append one text's ``(base + coordinate, signed weight)``
-        updates, in first-seen token order.
-
-        A token's weight is ``sign * (1 + log(tf)) * idf(token)`` in
-        float64, as numpy's scalar ``1.0 + np.log(tf)`` gives it; the
-        multiplications round the same in Python floats.
-        """
-        idf = self.idf
-        token_cache = self._token_cache
-        for token, tf in counts.items():
-            coord_sign = token_cache.get(token) or self._token_coord(token)
+        for token, tf in Counter(self._tokenizer.tokenize(text)).items():
+            coord, sign = self._token_coord(token)
             weight = _tf_weight(tf)
             if idf is not None:
                 weight *= idf.weight(token)
-            keys.append(base + coord_sign[0])
-            values.append(coord_sign[1] * weight)
+            if coord in first:
+                later.append((coord, sign * weight))
+            else:
+                first[coord] = sign * weight
+        vec = np.zeros(self.dim, dtype=np.float32)
+        vec[list(first)] = list(first.values())
+        for coord, value in later:
+            vec[coord] += np.float64(value)
+        _normalize(vec)
+        return vec
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         """Embed many texts into one preallocated ``(n, dim)`` matrix.
 
-        Each text is tokenized once. An unfitted ``idf`` is fitted on
-        the batch's token counts first (the corpus at indexing time);
-        rows are then byte-identical to per-text :meth:`embed` calls.
-        Rows are accumulated ``_BLOCK_ROWS`` at a time, so the update
-        lists stay small next to the matrix.
+        Each text is counted from its word counts, without a second
+        tokenizer pass. An unfitted ``idf`` is fitted on the batch's
+        token counts first (the corpus at indexing time); rows are then
+        byte-identical to per-text :meth:`embed` calls.
+
+        A token's update is ``sign * (1 + log(tf)) * idf(token)`` in
+        float64, as numpy's scalar ``1.0 + np.log(tf)`` gives it, at
+        coordinate ``row * dim + coord``; negating is exact, so the sign
+        rides on the IDF weight. Updates go in first-seen token order,
+        rounding to float32 after each (see ``_accumulate``).
         """
-        counts = [Counter(self._tokenizer.tokenize(t)) for t in texts]
+        tokens, blocks = self._count_tokens(texts)
         if self.idf is not None and not self.idf.fitted:
-            self.idf.fit(counts)
+            df = sum((np.bincount(tok, minlength=len(tokens))
+                      for _, tok, _ in blocks), np.zeros(len(tokens), int))
+            self.idf.fit_df(len(texts), dict(zip(tokens, df.tolist())))
+        coord_sign = [self._token_coord(t) for t in tokens]
+        coord = np.array([c for c, _ in coord_sign], dtype=np.intp)
+        signed = np.array([s for _, s in coord_sign], dtype=np.float64)
+        if self.idf is not None:
+            signed *= [self.idf.weight(t) for t in tokens]
+        max_tf = max((int(tf.max()) for _, _, tf in blocks if tf.size),
+                     default=0)
+        tf_weight = np.array(
+            [0.0] + [_tf_weight(tf) for tf in range(1, max_tf + 1)])
         out = np.zeros((len(texts), self.dim), dtype=np.float32)
-        for start in range(0, len(texts), _BLOCK_ROWS):
-            block_counts = counts[start : start + _BLOCK_ROWS]
-            block = out[start : start + len(block_counts)]
-            keys: list[int] = []
-            values: list[float] = []
-            for row, text_counts in enumerate(block_counts):
-                self._updates(text_counts, row * self.dim, keys, values)
-            _accumulate(block.reshape(-1), keys, values)
+        for start, (row, tok, tf) in zip(range(0, len(texts), _BLOCK_ROWS),
+                                         blocks):
+            block = out[start : start + _BLOCK_ROWS]
+            _accumulate(block.reshape(-1), row * self.dim + coord[tok],
+                        tf_weight[tf] * signed[tok])
             for vec in block:
                 _normalize(vec)
         return out
 
+    def _count_tokens(
+        self, texts: list[str]
+    ) -> tuple[list[str], list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+        """Each text's distinct tokens and their counts, from its words.
 
-#: Rows per accumulation block in :meth:`HashedEmbedding.embed_batch`.
+        Returns the batch's distinct tokens and, per block of
+        ``_BLOCK_ROWS`` texts, three arrays over (text, distinct token)
+        pairs: the text's row within the block, the token's index in the
+        batch's tokens, and its count. Pairs run text by text, each
+        text's tokens in first-seen order: a text's words are counted
+        in first-seen order, so expanding each word into its tokens in
+        order meets every token first where the text does.
+        """
+        tokenizer = self._tokenizer
+        token_index: dict[str, int] = {}
+        word_ids: dict[str, tuple[int, ...]] = {}  # word -> token indexes
+        blocks = []
+        for start in range(0, len(texts), _BLOCK_ROWS):
+            words: list[str] = []
+            tallies: list[int] = []
+            sizes: list[int] = []
+            for text in texts[start : start + _BLOCK_ROWS]:
+                counts = Counter(tokenizer.words(text))
+                words += counts
+                tallies += counts.values()
+                sizes.append(len(counts))
+            for word in dict.fromkeys(words):
+                if word not in word_ids:
+                    word_ids[word] = tuple(
+                        token_index.setdefault(t, len(token_index))
+                        for t in tokenizer.word_tokens(word))
+            # Expand each (text, word) pair into the word's tokens.
+            ids = list(map(word_ids.__getitem__, words))
+            lens = np.fromiter(map(len, ids), dtype=np.intp, count=len(ids))
+            tok = np.fromiter(chain.from_iterable(ids), dtype=np.intp,
+                              count=int(lens.sum()))
+            row = np.repeat(np.repeat(np.arange(len(sizes)), sizes), lens)
+            tally = np.repeat(np.asarray(tallies, dtype=np.int64), lens)
+            # Merge a token's pairs within a text; keep first-seen order.
+            key = row * len(token_index) + tok
+            uniq, first, inverse = np.unique(
+                key, return_index=True, return_inverse=True)
+            tf = np.bincount(inverse, weights=tally,
+                             minlength=len(uniq)).astype(np.int64)
+            order = np.argsort(first)
+            row, tok = np.divmod(uniq[order], len(token_index) or 1)
+            blocks.append((row, tok, tf[order]))
+        return list(token_index), blocks
+
+
+#: Texts per block in :meth:`HashedEmbedding.embed_batch`: token
+#: counting and accumulation work a block at a time, so their arrays
+#: stay small next to the matrix.
 _BLOCK_ROWS = 64
 
 
@@ -200,23 +254,22 @@ def _tf_weight(tf: int) -> float:
 
 
 def _accumulate(
-    flat: np.ndarray, keys: list[int], values: list[float]
+    flat: np.ndarray, keys: np.ndarray, values: np.ndarray
 ) -> None:
     """Add float64 ``values`` into float32 ``flat`` at ``keys``, rounding
-    to float32 after each add, in list order per key.
+    to float32 after each add, in array order per key.
 
     This is the loop ``flat[k] += v`` with ``v`` a float64 scalar: under
     numpy's promotion rules each add is made in float64 and rounded to
     float32 once. Updates of different keys never meet, so each key's
-    occurrences can be ranked in list order (a stable sort) and applied
+    occurrences can be ranked in array order (a stable sort) and applied
     rank by rank, one vectorized add per rank.
     """
-    if not keys:
+    if not len(keys):
         return
-    key_arr = np.asarray(keys, dtype=np.intp)
-    order = np.argsort(key_arr, kind="stable")
-    key_arr = key_arr[order]
-    value_arr = np.asarray(values, dtype=np.float64)[order]
+    order = np.argsort(keys, kind="stable")
+    key_arr = keys[order]
+    value_arr = values[order]
     pos = np.arange(len(key_arr))
     first = np.ones(len(key_arr), dtype=bool)
     first[1:] = key_arr[1:] != key_arr[:-1]

@@ -29,6 +29,11 @@ def _as_matrix(vectors: np.ndarray, dim: int, name: str) -> np.ndarray:
     return arr
 
 
+def _sq_norms(arr: np.ndarray) -> np.ndarray:
+    """Each row's squared L2 norm."""
+    return np.einsum("ij,ij->i", arr, arr)
+
+
 class FlatL2Index:
     """Brute-force exact L2 index (the paper uses FAISS IndexFlatL2)."""
 
@@ -37,6 +42,8 @@ class FlatL2Index:
             raise ValueError(f"dim must be positive, got {dim}")
         self.dim = dim
         self._vectors = np.zeros((0, dim), dtype=np.float32)
+        # Per-vector ||x||^2, rebuilt lazily after add().
+        self._sq_norms: np.ndarray | None = None
 
     @property
     def ntotal(self) -> int:
@@ -47,6 +54,7 @@ class FlatL2Index:
         """Append vectors to the index."""
         arr = _as_matrix(vectors, self.dim, "vectors")
         self._vectors = np.vstack([self._vectors, arr])
+        self._sq_norms = None
 
     def search(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Exact k-nearest-neighbour search by squared L2 distance.
@@ -66,9 +74,10 @@ class FlatL2Index:
             )
         # ||q - x||^2 = ||q||^2 - 2 q.x + ||x||^2, computed blockwise.
         x = self._vectors
-        sq_x = np.einsum("ij,ij->i", x, x)
-        sq_q = np.einsum("ij,ij->i", q, q)
-        d2 = sq_q[:, None] - 2.0 * (q @ x.T) + sq_x[None, :]
+        if self._sq_norms is None:
+            self._sq_norms = _sq_norms(x)
+        sq_q = _sq_norms(q)
+        d2 = sq_q[:, None] - 2.0 * (q @ x.T) + self._sq_norms[None, :]
         np.maximum(d2, 0.0, out=d2)
 
         k_eff = min(k, self.ntotal)
@@ -107,6 +116,7 @@ class IVFFlatIndex:
         self.nprobe = nprobe
         self._seed = seed
         self._centroids: np.ndarray | None = None
+        self._centroid_sq: np.ndarray | None = None  # ||c||^2 per cell
         self._cells: list[list[int]] = []
         self._vectors = np.zeros((0, dim), dtype=np.float32)
         # Search-time caches, rebuilt lazily after add()/train():
@@ -133,40 +143,39 @@ class IVFFlatIndex:
         rng = np.random.default_rng(self._seed)
         centroids = arr[rng.choice(arr.shape[0], self.nlist, replace=False)].copy()
         for _ in range(n_iters):
-            assign = self._nearest_centroid(arr, centroids)
+            assign = self._centroid_d2(
+                arr, centroids, _sq_norms(centroids)).argmin(axis=1)
             for c in range(self.nlist):
                 members = arr[assign == c]
                 if members.shape[0] > 0:
                     centroids[c] = members.mean(axis=0)
         self._centroids = centroids
+        self._centroid_sq = _sq_norms(centroids)
         self._cells = [[] for _ in range(self.nlist)]
         self._cell_arrays = None
         self._sq_norms = None
 
     @staticmethod
-    def _centroid_d2(arr: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-        """Squared L2 distances to every centroid, blockwise.
+    def _centroid_d2(arr: np.ndarray, centroids: np.ndarray,
+                     sq_c: np.ndarray) -> np.ndarray:
+        """Squared L2 distances to every centroid, blockwise, given the
+        centroids' squared norms ``sq_c``.
 
         ``||a - c||^2 = ||a||^2 - 2 a.c + ||c||^2`` — two matmuls and a
         broadcast instead of an ``(n, nlist, dim)`` intermediate.
         """
-        sq_a = np.einsum("ij,ij->i", arr, arr)
-        sq_c = np.einsum("ij,ij->i", centroids, centroids)
+        sq_a = _sq_norms(arr)
         d2 = sq_a[:, None] - 2.0 * (arr @ centroids.T) + sq_c[None, :]
         np.maximum(d2, 0.0, out=d2)
         return d2
-
-    @classmethod
-    def _nearest_centroid(cls, arr: np.ndarray,
-                          centroids: np.ndarray) -> np.ndarray:
-        return cls._centroid_d2(arr, centroids).argmin(axis=1)
 
     def add(self, vectors: np.ndarray) -> None:
         if not self.is_trained:
             raise RuntimeError("IVFFlatIndex must be trained before add()")
         arr = _as_matrix(vectors, self.dim, "vectors")
         start = self.ntotal
-        assign = self._nearest_centroid(arr, self._centroids)
+        assign = self._centroid_d2(
+            arr, self._centroids, self._centroid_sq).argmin(axis=1)
         for offset, cell in enumerate(assign):
             self._cells[int(cell)].append(start + offset)
         self._vectors = np.vstack([self._vectors, arr])
@@ -189,11 +198,10 @@ class IVFFlatIndex:
             self._cell_arrays = [
                 np.asarray(cell, dtype=np.int64) for cell in self._cells
             ]
-            x = self._vectors
-            self._sq_norms = np.einsum("ij,ij->i", x, x)
-        cd2 = self._centroid_d2(q, self._centroids)
+            self._sq_norms = _sq_norms(self._vectors)
+        cd2 = self._centroid_d2(q, self._centroids, self._centroid_sq)
         probe_cells = np.argsort(cd2, axis=1)[:, : self.nprobe]
-        sq_q = np.einsum("ij,ij->i", q, q)
+        sq_q = _sq_norms(q)
         for row in range(nq):
             cand = np.concatenate(
                 [self._cell_arrays[int(cell)] for cell in probe_cells[row]]

@@ -49,6 +49,28 @@ class TestSplit:
         assert len(chunks) >= 5
         assert all(c.n_tokens <= 21 for c in chunks)
 
+    def test_oversized_word_cut_at_token_boundaries(self):
+        chunks = split_into_chunks("d", "a" * 200 + " b c", chunk_tokens=10)
+        assert [c.n_tokens for c in chunks] == [10] * 5 + [2]
+        assert [c.text for c in chunks] == ["a" * 40] * 5 + ["b c"]
+
+    def test_cut_word_keeps_its_case(self):
+        """``extr aord inar y`` cut after two tokens: the rest, ``inary``,
+        is short enough to be one token."""
+        chunks = split_into_chunks("d", "Extraordinary", chunk_tokens=2)
+        assert [c.text for c in chunks] == ["Extraord", "inary"]
+        assert [c.n_tokens for c in chunks] == [2, 1]
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.one_of(st.text(max_size=300),
+                     st.text(alphabet="aB'.,-\u0130\u00df \t", max_size=300)),
+           st.integers(min_value=1, max_value=24))
+    def test_no_chunk_over_budget(self, text, budget):
+        chunks = split_into_chunks("d", text, chunk_tokens=budget)
+        assert max((c.n_tokens for c in chunks), default=0) <= budget
+        for chunk in chunks:
+            assert chunk.n_tokens == tok.count(chunk.text)
+
     def test_empty_document(self):
         assert split_into_chunks("d", "", chunk_tokens=64) == []
 

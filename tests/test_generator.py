@@ -18,6 +18,7 @@ from repro.data.vocab import (
     make_filler_sentence,
     make_value_phrase,
 )
+from repro.llm import tokenizer
 from repro.llm.tokenizer import SimTokenizer
 from repro.util.rng import RngStreams, stream
 
@@ -216,15 +217,37 @@ class TestFillerBlockStream:
 
 
 #: ``SimTokenizer.tokenize`` calls in one seed-0 build of each dataset
-#: (upper bounds): one per document's entity name, one per chunk at
-#: indexing, one per query-side template. A second pass over the chunks
-#: would add one call per chunk.
+#: (upper bounds): one per document's entity name and one per query-side
+#: template. Indexing counts chunks from their word counts; tokenizing
+#: each chunk again would add one call per chunk.
 BUILD_TOKENIZE_CALLS = {
-    "finsec": 568,
-    "musique": 714,
-    "qmsum": 948,
-    "squad": 457,
+    "finsec": 301,
+    "musique": 306,
+    "qmsum": 383,
+    "squad": 206,
 }
+
+#: Regex passes in one seed-0 build from a cold word memo (upper
+#: bounds): one per distinct lowercased whitespace word the build meets.
+#: One pass per sentence or per chunk would take thousands.
+BUILD_REGEX_PASSES = {
+    "finsec": 336,
+    "musique": 438,
+    "qmsum": 308,
+    "squad": 325,
+}
+
+
+class _CountingPattern:
+    """A compiled pattern that counts its ``findall`` passes."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.passes = 0
+
+    def findall(self, text):
+        self.passes += 1
+        return self.pattern.findall(text)
 
 
 @pytest.mark.parametrize("name", sorted(BUILD_TOKENIZE_CALLS))
@@ -236,6 +259,7 @@ def test_build_work_counts(monkeypatch, name):
     counts = {"tokenize": 0, "scalar filler": 0}
     tokenize = SimTokenizer.tokenize
     scalar = vocab._filler_scalar
+    pattern = _CountingPattern(tokenizer._TOKEN_RE)
 
     def counted_tokenize(self, text):
         counts["tokenize"] += 1
@@ -247,8 +271,12 @@ def test_build_work_counts(monkeypatch, name):
 
     monkeypatch.setattr(SimTokenizer, "tokenize", counted_tokenize)
     monkeypatch.setattr(vocab, "_filler_scalar", counted_scalar)
+    monkeypatch.setattr(tokenizer, "_TOKEN_RE", pattern)
+    monkeypatch.setattr(tokenizer, "_word_memo", tokenizer._WordMemo())
     build_dataset(name, seed=0, cache=False)
-    pins = {"tokenize": BUILD_TOKENIZE_CALLS[name], "scalar filler": 0}
+    counts["regex passes"] = pattern.passes
+    pins = {"tokenize": BUILD_TOKENIZE_CALLS[name], "scalar filler": 0,
+            "regex passes": BUILD_REGEX_PASSES[name]}
     above = [f"{what} = {counts[what]:,} > pin {pin:,}"
              for what, pin in pins.items() if counts[what] > pin]
     assert not above, f"{name}: " + "; ".join(above)

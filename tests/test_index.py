@@ -64,6 +64,52 @@ class TestFlatL2:
             assert np.allclose(np.sort(d[row]), np.sort(ref_d), atol=1e-3)
 
 
+class TestCachedNorms:
+    """Searches reuse the indexed vectors' (and centroids') squared
+    norms; an ``add`` or ``train`` must not leave them stale."""
+
+    def _data(self, n, seed):
+        return np.random.default_rng(seed).normal(
+            size=(n, 8)).astype(np.float32)
+
+    def _same(self, a, b):
+        q = self._data(6, seed=9)
+        for got, want in zip(a.search(q, 5), b.search(q, 5)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_flat_add_after_search(self):
+        index = FlatL2Index(dim=8)
+        index.add(self._data(30, seed=0))
+        index.search(self._data(2, seed=1), 3)
+        index.add(self._data(30, seed=2))
+        fresh = FlatL2Index(dim=8)
+        fresh.add(np.vstack([self._data(30, seed=0), self._data(30, seed=2)]))
+        self._same(index, fresh)
+
+    def test_ivf_add_after_search(self):
+        index = IVFFlatIndex(dim=8, nlist=4, nprobe=2)
+        index.train(self._data(40, seed=0))
+        index.add(self._data(40, seed=0))
+        index.search(self._data(2, seed=1), 3)
+        index.add(self._data(20, seed=2))
+        fresh = IVFFlatIndex(dim=8, nlist=4, nprobe=2)
+        fresh.train(self._data(40, seed=0))
+        fresh.add(np.vstack([self._data(40, seed=0), self._data(20, seed=2)]))
+        self._same(index, fresh)
+
+    def test_ivf_retrain(self):
+        """The first centroids are far apart with very different norms,
+        so norms left from them would reorder the second ones' cells."""
+        index = IVFFlatIndex(dim=8, nlist=4, nprobe=1)
+        index.train(20.0 * self._data(40, seed=0))
+        index.train(self._data(40, seed=3))
+        index.add(self._data(40, seed=3))
+        fresh = IVFFlatIndex(dim=8, nlist=4, nprobe=1)
+        fresh.train(self._data(40, seed=3))
+        fresh.add(self._data(40, seed=3))
+        self._same(index, fresh)
+
+
 class TestIVFFlat:
     def _data(self, n=200, dim=8, seed=0):
         rng = np.random.default_rng(seed)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.llm import tokenizer
 from repro.llm.tokenizer import SimTokenizer
 from tokenizer_reference import tokenize_reference
 
@@ -73,6 +74,40 @@ class TestMatchesReference:
     @given(st.one_of(_targeted_text, st.text(max_size=300)))
     def test_matches_reference(self, text):
         assert tok.tokenize(text) == tokenize_reference(text)
+
+
+#: Every Unicode whitespace character (the last is U+3000).
+_WHITESPACE = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+
+#: Text over every whitespace character, ASCII word characters and
+#: punctuation, and letters that lowercase to non-ASCII, to ASCII or to
+#: two characters (``İ``), including a final sigma.
+_word_split_text = st.text(
+    alphabet=_WHITESPACE + "abcXYZ09'.,-" + "\u0130\u212a\u00df\u00e9\u03a3",
+    max_size=200)
+
+
+class TestWordMemo:
+    """A text's tokens are its lowercased whitespace words' tokens, so
+    a memo per word gives the whole text's tokens."""
+
+    @given(st.one_of(_word_split_text, st.text(max_size=200)))
+    def test_tokens_are_the_words_tokens(self, text):
+        by_word = [t for w in text.lower().split()
+                   for t in tokenize_reference(w)]
+        assert tokenize_reference(text) == by_word
+        assert tok.tokenize(text) == by_word
+        assert tok.word_counts(text) == [
+            len(tokenize_reference(w)) for w in text.split()]
+
+    def test_memo_stays_bounded_past_its_cap(self, monkeypatch):
+        monkeypatch.setattr(tokenizer, "_WORD_MEMO_CAP", 8)
+        monkeypatch.setattr(tokenizer, "_word_memo", tokenizer._WordMemo())
+        text = " ".join(f"w{i}x{'y' * (i % 9)}," for i in range(50))
+        for _ in range(2):
+            assert tok.tokenize(text) == tokenize_reference(text)
+            assert tok.count(text) == len(tokenize_reference(text))
+            assert len(tokenizer._word_memo) <= 8
 
 
 class TestCount:
