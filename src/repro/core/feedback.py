@@ -82,7 +82,3 @@ class FeedbackLoop:
         )
         self.events.append(event)
         return event
-
-    @property
-    def n_active_prompts(self) -> int:
-        return len(self._prompts)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.llm.gpu import ClusterSpec
-from repro.llm.model import ModelSpec
 from repro.util.validation import check_non_negative
 
 __all__ = ["DollarCostModel", "CostLedger"]
@@ -25,13 +24,6 @@ class DollarCostModel:
     """Prices one query's resource usage in dollars."""
 
     dollar_per_gpu_hour: float = 0.79  # A40 on-demand
-
-    def api_call(self, model: ModelSpec, input_tokens: int,
-                 output_tokens: int) -> float:
-        """Cost of a hosted API call."""
-        check_non_negative("input_tokens", input_tokens)
-        check_non_negative("output_tokens", output_tokens)
-        return model.dollar_cost(input_tokens, output_tokens)
 
     def gpu_time(self, cluster: ClusterSpec, busy_seconds: float) -> float:
         """Cost of occupying a (possibly multi-GPU) cluster."""

@@ -73,13 +73,6 @@ class QualityMetrics:
     context_precision: float
     context_recall: float
 
-    def get(self, name: str) -> float:
-        """Metric value by name (validated against ``METRIC_NAMES``)."""
-        if name not in METRIC_NAMES:
-            known = ", ".join(METRIC_NAMES)
-            raise ValueError(f"unknown metric {name!r}; known: {known}")
-        return getattr(self, name)
-
 
 @dataclass(frozen=True)
 class QualitySLO:

@@ -9,7 +9,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
 
-__all__ = ["ParetoPoint", "pareto_frontier", "dominates"]
+__all__ = ["ParetoPoint", "pareto_frontier"]
 
 
 @dataclass(frozen=True)
@@ -19,16 +19,6 @@ class ParetoPoint:
     delay: float
     quality: float
     label: Any = None
-
-
-def dominates(a: ParetoPoint, b: ParetoPoint) -> bool:
-    """True when ``a`` is at least as good as ``b`` on both axes and
-    strictly better on at least one."""
-    return (
-        a.delay <= b.delay
-        and a.quality >= b.quality
-        and (a.delay < b.delay or a.quality > b.quality)
-    )
 
 
 def pareto_frontier(points: Iterable[ParetoPoint]) -> list[ParetoPoint]:

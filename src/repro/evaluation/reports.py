@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from repro.util.ids import canonical_query_id
-
 __all__ = ["format_table", "per_replica_rows", "cluster_summary",
            "resource_rows", "retrieval_shard_rows", "speculation_rows",
            "autoscale_rows", "autoscale_summary",
-           "cache_rows", "query_group_rows", "quality_rows"]
+           "cache_rows", "quality_rows"]
 
 
 def _fmt(value) -> str:
@@ -355,48 +353,5 @@ def quality_rows(result) -> list[dict]:
 
     rows = [row(path, paths[path]) for path in sorted(order)]
     rows.append(row("all", result.records))
-    return rows
-
-
-def query_group_rows(result) -> list[dict]:
-    """One row per *canonical* query, folding ``#rN`` replay repeats.
-
-    Replayed traces (:func:`repro.workload.zipfian_workload` and
-    ``materialize`` generally) reuse the query pool with ``#rN``
-    suffixes on the ids; grouping by
-    :func:`~repro.util.ids.canonical_query_id` shows how repetition
-    was served — for a cached run, ``hits``/``repeats`` is the
-    per-query hit yield, and ``first_delay_s`` vs ``mean_delay_s``
-    quantifies what the repeats gained. Rows are ordered by first
-    arrival.
-
-    The ``faithfulness`` / ``context_recall`` columns aggregate the
-    metric harness's per-record scores (docs/EVALUATION.md) NaN-safely:
-    NaN when the group has no scored records (harness off), so cached
-    replays with a real quality delta stand out per query.
-    """
-    groups: dict[str, list] = {}
-    order: list[str] = []
-    for r in result.records:
-        cid = canonical_query_id(r.query_id)
-        if cid not in groups:
-            groups[cid] = []
-            order.append(cid)
-        groups[cid].append(r)
-    rows: list[dict] = []
-    for cid in order:
-        records = sorted(groups[cid], key=lambda r: r.arrival_time)
-        delays = [r.e2e_delay for r in records]
-        rows.append(dict(
-            query=cid,
-            repeats=len(records),
-            hits=sum(1 for r in records if r.cache_hit),
-            stale_hits=sum(1 for r in records if r.cache_stale),
-            first_delay_s=delays[0],
-            mean_delay_s=sum(delays) / len(delays),
-            mean_f1=sum(r.f1 for r in records) / len(records),
-            faithfulness=_mean_metric(records, "faithfulness"),
-            context_recall=_mean_metric(records, "context_recall"),
-        ))
     return rows
 

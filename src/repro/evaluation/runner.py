@@ -151,12 +151,6 @@ class RunResult:
         return float(np.mean([r.profiler_fraction for r in self.records]))
 
     @property
-    def mean_profiler_queue_delay(self) -> float:
-        if not self.records:
-            return float("nan")
-        return float(np.mean([r.profiler_queue_delay for r in self.records]))
-
-    @property
     def mean_retrieval_seconds(self) -> float:
         """Mean scatter-gather stage duration (queue + hold + gather)."""
         if not self.records:

@@ -1,16 +1,18 @@
-"""SLO (service-level objective) analysis over run results.
+"""Quality SLO (service-level objective) analysis over run results.
 
 The paper notes (§4.3) that METIS' loose decoupling "allows SLO-based
 constraints on RAG queries if certain queries have strict budgets on
-their generation latency". This module provides the measurement side:
-per-run SLO attainment, the delay budget needed for a target attainment,
-and goodput (queries per second completed within the SLO).
+their generation latency". The latency side lives outside this
+module: ``--slo-seconds`` stamps each query's deadline, which the
+``deadline-risk`` speculation policy hedges against, and
+:attr:`~repro.evaluation.runner.RunResult.slo_attainment` and
+:meth:`~repro.evaluation.runner.RunResult.delay_percentile` report it.
 
 Quality SLOs (``docs/EVALUATION.md``) are the same idea on the quality
 axis: a :class:`~repro.evaluation.metrics.QualitySLO` threshold
 ("faithfulness >= 0.8") is scored per query by
-:func:`evaluate_quality_slo`, mirroring the latency report — attainment
-is the fraction of *scored* queries clearing the bar.
+:func:`evaluate_quality_slo`; attainment is the fraction of *scored*
+queries clearing the bar.
 """
 
 from __future__ import annotations
@@ -21,70 +23,10 @@ import numpy as np
 
 from repro.evaluation.metrics import QualitySLO
 from repro.evaluation.runner import RunResult
-from repro.util.validation import check_positive, check_probability
 
-__all__ = ["SLOReport", "evaluate_slo", "required_budget", "goodput_qps",
-           "QualitySLO", "QualitySLOReport", "evaluate_quality_slo"]
+__all__ = ["QualitySLO", "QualitySLOReport", "evaluate_quality_slo"]
 
 
-@dataclass(frozen=True)
-class SLOReport:
-    """Attainment of one latency SLO by one run."""
-
-    slo_seconds: float
-    n_queries: int
-    n_within: int
-    attainment: float
-    goodput_qps: float
-    worst_excess_seconds: float
-
-    def meets(self, target_attainment: float = 0.99) -> bool:
-        """Whether the run meets the SLO at the target attainment."""
-        check_probability("target_attainment", target_attainment)
-        return self.attainment >= target_attainment
-
-
-def evaluate_slo(result: RunResult, slo_seconds: float) -> SLOReport:
-    """Score a run against a latency SLO."""
-    check_positive("slo_seconds", slo_seconds)
-    delays = np.asarray([r.e2e_delay for r in result.records])
-    if delays.size == 0:
-        return SLOReport(slo_seconds, 0, 0, 0.0, 0.0, 0.0)
-    within = int((delays <= slo_seconds).sum())
-    worst_excess = float(max(0.0, delays.max() - slo_seconds))
-    goodput = within / result.makespan if result.makespan > 0 else 0.0
-    return SLOReport(
-        slo_seconds=slo_seconds,
-        n_queries=int(delays.size),
-        n_within=within,
-        attainment=within / delays.size,
-        goodput_qps=goodput,
-        worst_excess_seconds=worst_excess,
-    )
-
-
-def required_budget(result: RunResult,
-                    target_attainment: float = 0.99) -> float:
-    """The smallest latency budget meeting the target attainment.
-
-    This is the delay percentile the deployer must provision for; e.g.
-    ``required_budget(run, 0.9)`` is the p90 delay.
-    """
-    check_probability("target_attainment", target_attainment)
-    delays = [r.e2e_delay for r in result.records]
-    if not delays:
-        return 0.0
-    return float(np.percentile(np.asarray(delays), 100 * target_attainment))
-
-
-def goodput_qps(result: RunResult, slo_seconds: float) -> float:
-    """Throughput counting only queries served within the SLO."""
-    return evaluate_slo(result, slo_seconds).goodput_qps
-
-
-# ----------------------------------------------------------------------
-# Quality SLOs (docs/EVALUATION.md)
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class QualitySLOReport:
     """Attainment of one quality SLO by one run.
@@ -105,11 +47,6 @@ class QualitySLOReport:
     #: How far the run mean falls below the threshold (0.0 when at or
     #: above it); the "budget gap" a deployer must close.
     shortfall: float
-
-    def meets(self, target_attainment: float = 0.99) -> bool:
-        """Whether the run meets the SLO at the target attainment."""
-        check_probability("target_attainment", target_attainment)
-        return self.attainment >= target_attainment
 
     def as_row(self) -> dict:
         """Flat dict for :func:`~repro.evaluation.reports.format_table`."""

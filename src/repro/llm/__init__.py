@@ -17,8 +17,6 @@ from repro.llm.model import (
     MISTRAL_7B_AWQ,
     ModelSpec,
     Quantization,
-    get_model,
-    register_model,
 )
 from repro.llm.quality import QualityModel, QualityParams, SynthesisContext
 from repro.llm.tokenizer import SimTokenizer
@@ -40,6 +38,4 @@ __all__ = [
     "SimTokenizer",
     "SimulatedGenerator",
     "SynthesisContext",
-    "get_model",
-    "register_model",
 ]

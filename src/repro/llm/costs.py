@@ -69,22 +69,6 @@ class RooflineCostModel:
         )
         return bytes_read / self.cluster.mem_bandwidth + n_seqs * self.per_seq_overhead_s
 
-    def iteration_seconds(
-        self, prefill_tokens: int, kv_tokens_in_batch: int, n_decode_seqs: int
-    ) -> float:
-        """Time for one mixed (chunked-prefill) iteration.
-
-        vLLM's chunked prefill fuses the prefill chunk and the decode
-        batch into one model forward; we charge the sum of both regimes
-        plus the fixed step overhead.
-        """
-        busy = self.prefill_seconds(prefill_tokens) + self.decode_step_seconds(
-            kv_tokens_in_batch, n_decode_seqs
-        )
-        if busy == 0.0:
-            return 0.0
-        return busy + self.step_overhead_s
-
     def request_seconds(self, prompt_tokens: int,
                         output_tokens: int) -> float:
         """Uncontended service time of one whole request: prefill the

@@ -26,8 +26,6 @@ __all__ = [
     "LLAMA3_70B_AWQ",
     "MISTRAL_7B_FP16",
     "GPT_4O",
-    "get_model",
-    "register_model",
 ]
 
 
@@ -153,28 +151,3 @@ GPT_4O = ModelSpec(
     dollar_per_1m_input=2.50,
     dollar_per_1m_output=10.00,
 )
-
-_REGISTRY: dict[str, ModelSpec] = {}
-
-
-def register_model(spec: ModelSpec) -> ModelSpec:
-    """Add ``spec`` to the global model registry (idempotent by name)."""
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
-def get_model(name: str) -> ModelSpec:
-    """Look up a registered model spec by name.
-
-    Raises ``KeyError`` with the known names when missing, because a
-    typo'd model name in an experiment config should fail loudly.
-    """
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise KeyError(f"unknown model {name!r}; known models: {known}") from None
-
-
-for _spec in (MISTRAL_7B_AWQ, MISTRAL_7B_FP16, LLAMA3_70B_AWQ, GPT_4O):
-    register_model(_spec)

@@ -19,7 +19,7 @@ import hashlib
 import math
 from abc import ABC, abstractmethod
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import chain
 
@@ -46,18 +46,8 @@ class IdfWeights:
         self._n_docs = 0
         self._df: Counter[str] = Counter()
         # weight() is called once per token of every embedded text;
-        # the weight only changes when fit() recounts, so memoize.
+        # the weight only changes when fit_df() recounts, so memoize.
         self._weight_cache: dict[str, float] = {}
-
-    def fit(self, token_counts: Iterable[Mapping[str, int]]) -> "IdfWeights":
-        """Count document frequencies over each document's token counts
-        (resets state)."""
-        n_docs = 0
-        df: Counter[str] = Counter()
-        for counts in token_counts:
-            n_docs += 1
-            df.update(counts.keys())
-        return self.fit_df(n_docs, df)
 
     def fit_df(self, n_docs: int, df: Mapping[str, int]) -> "IdfWeights":
         """Take ``n_docs`` documents and each token's document frequency

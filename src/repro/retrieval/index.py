@@ -133,7 +133,16 @@ class IVFFlatIndex:
         return self._vectors.shape[0]
 
     def train(self, vectors: np.ndarray, n_iters: int = 10) -> None:
-        """Fit the coarse quantiser with Lloyd's k-means."""
+        """Fit the coarse quantiser with Lloyd's k-means.
+
+        Refused once the index holds vectors: they are filed in the
+        old centroids' cells, which new centroids would strand.
+        """
+        if self.ntotal:
+            raise RuntimeError(
+                f"IVFFlatIndex already holds {self.ntotal} vectors; "
+                "train() before add(), not after"
+            )
         arr = _as_matrix(vectors, self.dim, "vectors")
         if arr.shape[0] < self.nlist:
             raise ValueError(

@@ -194,16 +194,6 @@ class ShardedVectorStore:
     def shard_sizes(self) -> list[int]:
         return [len(shard) for shard in self._shards]
 
-    @property
-    def index(self):
-        """The sole shard's index (K=1 back-compat accessor)."""
-        if self.n_shards != 1:
-            raise ValueError(
-                f"store has {self.n_shards} shards; there is no single "
-                "index — address shards via search_shard/shard_sizes"
-            )
-        return self._shards[0].index
-
     def __len__(self) -> int:
         return len(self._chunks)
 

@@ -366,8 +366,12 @@ class ServingEngine:
         prefill_plan, decode_seqs, prefill_tokens, kv_tokens = \
             self._build_iteration()
         n_decode = len(decode_seqs)
-        # Inlined roofline (same arithmetic op order as
-        # RooflineCostModel.iteration_seconds — bit-identical durations).
+        # Inlined roofline (RooflineCostModel's prefill and decode
+        # regimes), in this float op order: busy = tokens * flops /
+        # speedup / effective flops, then busy + ((weight + kv bytes) /
+        # bandwidth + seqs * per-seq overhead); duration = (busy + step
+        # overhead, or 0.0 when busy is 0.0) / speed. Keep the order:
+        # recorded durations are pinned bit for bit.
         if prefill_tokens:
             flops = prefill_tokens * self._flops_per_token
             flops /= self._compute_speedup

@@ -1,15 +1,8 @@
-"""Shared utilities: seeded RNG streams, unit helpers, validation."""
+"""Shared utilities: seeded RNG streams, unit constants, validation."""
 
 from repro.util.ids import canonical_query_id
 from repro.util.rng import RngStreams, derive_seed, stream
-from repro.util.units import (
-    GB,
-    KB,
-    MB,
-    format_bytes,
-    format_duration,
-    format_tokens,
-)
+from repro.util.units import GB, KB, MB
 from repro.util.validation import (
     check_in_range,
     check_non_negative,
@@ -28,8 +21,5 @@ __all__ = [
     "check_positive",
     "check_probability",
     "derive_seed",
-    "format_bytes",
-    "format_duration",
-    "format_tokens",
     "stream",
 ]

@@ -1,57 +1,9 @@
-"""Byte/time/token unit constants and human-readable formatting."""
+"""Byte unit constants."""
 
 from __future__ import annotations
 
-__all__ = ["KB", "MB", "GB", "format_bytes", "format_duration", "format_tokens"]
+__all__ = ["KB", "MB", "GB"]
 
 KB = 1024
 MB = 1024**2
 GB = 1024**3
-
-
-def format_bytes(n: float) -> str:
-    """Render a byte count with a binary-unit suffix.
-
-    >>> format_bytes(1536)
-    '1.50 KiB'
-    >>> format_bytes(48 * GB)
-    '48.00 GiB'
-    """
-    n = float(n)
-    for suffix, scale in (("GiB", GB), ("MiB", MB), ("KiB", KB)):
-        if abs(n) >= scale:
-            return f"{n / scale:.2f} {suffix}"
-    return f"{n:.0f} B"
-
-
-def format_duration(seconds: float) -> str:
-    """Render a duration in the most natural unit.
-
-    >>> format_duration(0.0042)
-    '4.2 ms'
-    >>> format_duration(3.5)
-    '3.50 s'
-    """
-    if seconds < 0:
-        return f"-{format_duration(-seconds)}"
-    if seconds < 1e-3:
-        return f"{seconds * 1e6:.1f} us"
-    if seconds < 1.0:
-        return f"{seconds * 1e3:.1f} ms"
-    if seconds < 120.0:
-        return f"{seconds:.2f} s"
-    return f"{seconds / 60.0:.1f} min"
-
-
-def format_tokens(n: int | float) -> str:
-    """Render a token count compactly.
-
-    >>> format_tokens(12800)
-    '12.8K tok'
-    """
-    n = float(n)
-    if abs(n) >= 1e6:
-        return f"{n / 1e6:.1f}M tok"
-    if abs(n) >= 1e3:
-        return f"{n / 1e3:.1f}K tok"
-    return f"{n:.0f} tok"

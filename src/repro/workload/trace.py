@@ -107,26 +107,6 @@ class Workload:
     # ------------------------------------------------------------------
     # Forecastable properties
     # ------------------------------------------------------------------
-    @property
-    def n_periods(self) -> int:
-        return len(self.periods)
-
-    @property
-    def duration_s(self) -> float:
-        return sum(p.duration_s for p in self.periods)
-
-    @property
-    def total_arrivals(self) -> int:
-        return sum(p.n_arrivals for p in self.periods)
-
-    @property
-    def peak_rate_qps(self) -> float:
-        return max(p.rate_qps for p in self.periods)
-
-    @property
-    def mean_rate_qps(self) -> float:
-        return self.total_arrivals / self.duration_s
-
     def period_index_at(self, t: float) -> int:
         """Period containing trace time ``t`` (clamped to the ends)."""
         if t <= 0:
@@ -175,20 +155,6 @@ class Workload:
             ewma = alpha * period.rate_qps + (1.0 - alpha) * ewma
         return ewma
 
-    def scaled(self, factor: float) -> "Workload":
-        """A copy with every period's arrival count scaled by ``factor``
-        (rounded; fast-mode shrinking keeps the trace's shape, and any
-        ``query_mix`` rides along — materialize indexes it modulo its
-        length, so a shrunk trace keeps the same popularity skew)."""
-        check_positive("factor", factor)
-        return replace(
-            self,
-            periods=tuple(
-                replace(p, n_arrivals=int(round(p.n_arrivals * factor)))
-                for p in self.periods
-            ),
-        )
-
     # ------------------------------------------------------------------
     # Materialization
     # ------------------------------------------------------------------
@@ -205,7 +171,7 @@ class Workload:
         ``queries`` is the pool. With the default empty ``query_mix``
         arrivals cycle through it in order; a non-empty mix maps
         arrival ``i`` to ``queries[query_mix[i % len(mix)] % len(pool)]``
-        (the modulo keeps shrunk/scaled traces and small pools valid),
+        (the modulo keeps short mixes and small pools valid),
         which is how :func:`zipfian_workload` skews popularity. Either
         way, repeat visits clone the query under a fresh ``query_id``
         (``<id>#r<n>`` for its *n*-th reuse) because app pins and

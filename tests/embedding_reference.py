@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 
@@ -57,7 +58,8 @@ def embed_batch_reference(embedding, texts: list[str]) -> np.ndarray:
     unfitted IDF on the batch first."""
     counts = [Counter(tokenize_reference(t)) for t in texts]
     if embedding.idf is not None and not embedding.idf.fitted:
-        embedding.idf.fit(counts)
+        df = Counter(chain.from_iterable(counts))
+        embedding.idf.fit_df(len(counts), df)
     out = np.zeros((len(texts), embedding.dim), dtype=np.float32)
     for i, text_counts in enumerate(counts):
         out[i] = _embed_counts(embedding, text_counts)

@@ -272,7 +272,8 @@ class TestEwmaForecast:
 
         def desired_moves(policy, forecast_of) -> int:
             n, count, t = 1, 0, 0.0
-            while t < wl.duration_s:
+            end = sum(p.duration_s for p in wl.periods)
+            while t < end:
                 s = signals(
                     time=t, n_active=n, outstanding_per_active=0.0,
                     forecast_rate_qps=forecast_of(t),
@@ -305,7 +306,7 @@ class TestEwmaForecast:
                        scale_min=1, scale_max=3,
                        autoscale_interval=4.0, provision_delay=6.0)
         assert result.autoscaler == "forecast-ewma"
-        assert len(result.records) == wl.total_arrivals
+        assert len(result.records) == sum(p.n_arrivals for p in wl.periods)
         assert not math.isnan(result.slo_attainment)
 
 
@@ -454,7 +455,7 @@ class TestRunnerIntegration:
                        scale_min=1, scale_max=3,
                        autoscale_interval=4.0, provision_delay=6.0)
         assert result.autoscaler == "reactive"
-        assert len(result.records) == wl.total_arrivals
+        assert len(result.records) == sum(p.n_arrivals for p in wl.periods)
         actions = [e.action for e in result.scaling_events]
         assert "add" in actions and "retire" in actions
         # Everything the run provisioned was wound back down.
@@ -512,7 +513,8 @@ class TestRunnerIntegration:
                        autoscale_interval=2.0, provision_delay=3.0)
         actions = [e.action for e in result.scaling_events]
         assert actions.count("add") == actions.count("retire")
-        n_ticks = wl.duration_s / 2.0  # ticks over the trace alone
+        # Ticks over the trace alone.
+        n_ticks = sum(p.duration_s for p in wl.periods) / 2.0
         assert len(result.scaling_events) <= n_ticks / 2
         assert len(result.scaling_events) <= 16
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro.config.knobs import RAGConfig, SynthesisMethod
 from repro.core.controller import MetisConfig
 from repro.data.workload import Arrival
 from repro.evaluation.pipeline import CACHE_RESOURCE, QueryPipeline
-from repro.evaluation.reports import cache_rows, format_table, query_group_rows
+from repro.evaluation.reports import cache_rows, format_table
 from repro.experiments.common import (
     default_engine_config,
     make_metis,
@@ -254,10 +255,10 @@ class TestReports:
         assert {r["tier"] for r in rows} == {"result", "retrieval"}
         for row in rows:
             assert row["lookups"] >= row["hits"] >= 0
-        groups = query_group_rows(cached)
-        assert sum(g["repeats"] for g in groups) == len(cached.records)
-        assert any(g["repeats"] > 1 for g in groups)
-        assert all("#r" not in g["query"] for g in groups)
+        repeats = Counter(canonical_query_id(r.query_id)
+                          for r in cached.records)
+        assert max(repeats.values()) > 1
+        assert all("#r" not in query for query in repeats)
 
     def test_insert_cost_is_charged(self, finsec_bundle):
         cached = _serve(finsec_bundle, result_cache="exact")

@@ -154,4 +154,4 @@ class TestFeedbackIntegration:
         q = finsec_bundle.queries[0]
         for _ in range(30):
             policy.on_complete(q, 0.5, 1.0)
-        assert policy.feedback.n_active_prompts >= 1
+        assert policy.feedback.events[-1].n_active_prompts >= 1

@@ -48,23 +48,6 @@ class TestDecode:
                 < cost.decode_step_seconds(10_000, 32))
 
 
-class TestIteration:
-    def test_empty_iteration_is_free(self):
-        assert cost.iteration_seconds(0, 0, 0) == 0.0
-
-    def test_mixed_iteration_adds_overhead(self):
-        parts = cost.prefill_seconds(512) + cost.decode_step_seconds(5_000, 4)
-        assert cost.iteration_seconds(512, 5_000, 4) == pytest.approx(
-            parts + cost.step_overhead_s
-        )
-
-    @given(st.integers(min_value=0, max_value=8_192),
-           st.integers(min_value=0, max_value=200_000),
-           st.integers(min_value=0, max_value=64))
-    def test_iteration_non_negative(self, prefill, kv, seqs):
-        assert cost.iteration_seconds(prefill, kv, seqs) >= 0.0
-
-
 class TestApiLatency:
     def test_base_latency_floor(self):
         api = ApiLatencyModel()

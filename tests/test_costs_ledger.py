@@ -7,11 +7,6 @@ from repro.llm import A40, ClusterSpec, GPT_4O
 
 
 class TestDollarCostModel:
-    def test_api_call_uses_model_rates(self):
-        model = DollarCostModel()
-        cost = model.api_call(GPT_4O, 1000, 100)
-        assert cost == pytest.approx(1000 * 2.5e-6 + 100 * 10e-6)
-
     def test_gpu_time(self):
         model = DollarCostModel(dollar_per_gpu_hour=3.6)
         cluster = ClusterSpec(A40)
@@ -19,8 +14,6 @@ class TestDollarCostModel:
 
     def test_rejects_negative(self):
         model = DollarCostModel()
-        with pytest.raises(ValueError):
-            model.api_call(GPT_4O, -1, 0)
         with pytest.raises(ValueError):
             model.gpu_time(ClusterSpec(A40), -1)
 
@@ -31,7 +24,7 @@ class TestCostLedger:
         first = ledger.charge_gpu(ClusterSpec(A40), 100)
         second = ledger.charge_gpu(ClusterSpec(A40), 100)
         # The pipeline prices each profiler call itself and adds it.
-        ledger.api_dollars += ledger.model.api_call(GPT_4O, 1000, 10)
+        ledger.api_dollars += GPT_4O.dollar_cost(1000, 10)
         assert ledger.gpu_dollars == pytest.approx(first + second)
         assert ledger.total_dollars == pytest.approx(
             ledger.api_dollars + ledger.gpu_dollars

@@ -11,7 +11,6 @@ import repro.evaluation.pareto
 import repro.evaluation.reports
 import repro.llm.tokenizer
 import repro.util.rng
-import repro.util.units
 
 
 @pytest.mark.parametrize("module", [
@@ -22,7 +21,6 @@ import repro.util.units
     repro.evaluation.reports,
     repro.llm.tokenizer,
     repro.util.rng,
-    repro.util.units,
 ])
 def test_doctests(module):
     result = doctest.testmod(module, verbose=False)

@@ -13,9 +13,10 @@ from repro.retrieval.embedding import _BLOCK_ROWS, HashedEmbedding, IdfWeights
 
 
 def idf_over(texts):
-    """IDF weights fitted on ``texts``' token counts."""
+    """IDF weights fitted on ``texts``' document frequencies."""
     tokenizer = SimTokenizer()
-    return IdfWeights().fit(Counter(tokenizer.tokenize(t)) for t in texts)
+    df = Counter(tok for t in texts for tok in set(tokenizer.tokenize(t)))
+    return IdfWeights().fit_df(len(texts), df)
 
 
 class TestHashedEmbedding:
@@ -79,7 +80,7 @@ class TestIdfWeights:
     def test_fit_resets_state(self):
         idf = idf_over(["x x x"])
         first = idf.weight("x")
-        idf.fit([Counter(["y"])] * 3)
+        idf.fit_df(3, {"y": 3})
         assert idf.weight("x") > first  # x now unseen → max weight
 
     def test_idf_changes_embedding(self):

@@ -20,7 +20,6 @@ from repro.evaluation.reports import (
     format_table,
     per_replica_rows,
     quality_rows,
-    query_group_rows,
     resource_rows,
     speculation_rows,
 )
@@ -52,7 +51,6 @@ class TestNaNSafeStats:
     def test_quality_and_stage_stats_are_nan(self, empty_result):
         assert math.isnan(empty_result.mean_f1)
         assert math.isnan(empty_result.mean_profiler_fraction)
-        assert math.isnan(empty_result.mean_profiler_queue_delay)
         assert math.isnan(empty_result.mean_retrieval_seconds)
         assert math.isnan(empty_result.mean_gather_seconds)
         assert math.isnan(empty_result.retrieval_percentile(99))
@@ -123,8 +121,7 @@ class TestReportsRender:
         assert math.isnan(rows[0]["mean_f1"])
         assert format_table(rows)
 
-    def test_query_group_and_cache_rows_render(self, empty_result):
-        assert query_group_rows(empty_result) == []
+    def test_cache_rows_render(self, empty_result):
         rows = cache_rows(empty_result)
         # Harness off (nothing scored): no hit_faithfulness column, so
         # default cache tables keep their pre-harness layout.

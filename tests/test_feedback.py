@@ -52,7 +52,7 @@ class TestFeedbackLoop:
     def test_keeps_last_k_prompts(self, loop, finsec_bundle):
         fb, _ = loop
         complete(fb, finsec_bundle, 6 * FEEDBACK_EVERY)
-        assert fb.n_active_prompts == FEEDBACK_KEEP == 4
+        assert fb.events[-1].n_active_prompts == FEEDBACK_KEEP == 4
 
     def test_boost_applied_to_profiler(self, loop, finsec_bundle):
         fb, profiler = loop

@@ -122,6 +122,16 @@ class TestIVFFlat:
         with pytest.raises(RuntimeError, match="trained"):
             index.search(np.zeros((1, 8), dtype=np.float32), 1)
 
+    def test_train_refused_once_populated(self):
+        index = IVFFlatIndex(dim=8, nlist=4, nprobe=2)
+        index.train(self._data(40))
+        index.add(self._data(40))
+        with pytest.raises(RuntimeError, match="holds 40 vectors"):
+            index.train(self._data(40, seed=3))
+        # The refused call leaves every held vector findable.
+        d, i = index.search(self._data(2, seed=1), 3)
+        assert (i >= 0).all() and np.isfinite(d).all()
+
     def test_train_needs_enough_vectors(self):
         index = IVFFlatIndex(dim=8, nlist=16)
         with pytest.raises(ValueError, match="nlist"):

@@ -11,8 +11,6 @@ from repro.llm import (
     MISTRAL_7B_AWQ,
     ModelSpec,
     Quantization,
-    get_model,
-    register_model,
 )
 from repro.util.units import GB
 
@@ -44,21 +42,6 @@ class TestModelSpec:
 
     def test_70b_has_more_kv_than_7b(self):
         assert LLAMA3_70B_AWQ.kv_bytes_per_token > MISTRAL_7B_AWQ.kv_bytes_per_token
-
-
-class TestRegistry:
-    def test_lookup_known(self):
-        assert get_model("mistral-7b-awq") is MISTRAL_7B_AWQ
-
-    def test_lookup_unknown_names_known_models(self):
-        with pytest.raises(KeyError, match="mistral-7b-awq"):
-            get_model("nonexistent-model")
-
-    def test_register_roundtrip(self):
-        spec = ModelSpec(name="test-tiny", n_params=1e8, n_layers=4,
-                         n_kv_heads=2, head_dim=32, max_context=1024)
-        register_model(spec)
-        assert get_model("test-tiny") is spec
 
 
 class TestQuantization:

@@ -3,7 +3,19 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.evaluation.pareto import ParetoPoint, dominates, pareto_frontier
+from repro.evaluation.pareto import ParetoPoint, pareto_frontier
+
+
+def dominates(a: ParetoPoint, b: ParetoPoint) -> bool:
+    """Brute-force reference for :func:`pareto_frontier`: True when
+    ``a`` is at least as good as ``b`` on both axes and strictly better
+    on at least one."""
+    return (
+        a.delay <= b.delay
+        and a.quality >= b.quality
+        and (a.delay < b.delay or a.quality > b.quality)
+    )
+
 
 points = st.lists(
     st.builds(

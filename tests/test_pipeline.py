@@ -121,10 +121,6 @@ class TestProfilerContention:
         assert stats.peak_queue_len >= 2
         assert stats.peak_in_service == 1
         assert any(r.profiler_queue_delay > 0 for r in contended.records)
-        # Waiting for the profiler pushes decisions later. (Makespans
-        # are not comparable: delayed decisions observe different KV
-        # state and may legitimately pick cheaper configurations.)
-        assert contended.mean_profiler_queue_delay > 0.0
         # The wait shows up in the per-query overhead fraction (Fig 18).
         assert (contended.mean_profiler_fraction
                 > unbounded.mean_profiler_fraction)

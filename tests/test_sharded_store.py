@@ -238,11 +238,6 @@ class TestPluggableIndex:
         store = build(2, index_factory=lambda dim: FlatL2Index(dim))
         assert len(store.search("asia", 3)) == 3
 
-    def test_index_accessor_single_shard_only(self):
-        assert isinstance(build(1).index, FlatL2Index)
-        with pytest.raises(ValueError, match="4 shards"):
-            build(4).index
-
 
 class TestExactReranker:
     def test_reranks_overfetched_pool_by_true_distance(self):

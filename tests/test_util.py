@@ -1,20 +1,15 @@
-"""Unit tests for util: RNG streams, unit formatting, validation."""
+"""Unit tests for util: RNG streams, validation."""
 
 import numpy as np
 import pytest
 
 from repro.util import (
-    GB,
-    MB,
     RngStreams,
     check_in_range,
     check_non_negative,
     check_positive,
     check_probability,
     derive_seed,
-    format_bytes,
-    format_duration,
-    format_tokens,
     stream,
 )
 from repro.util.validation import (
@@ -68,27 +63,6 @@ class TestRngStreams:
     def test_module_level_stream_matches(self):
         assert np.allclose(stream(5, "q").random(3),
                            RngStreams(5).fresh("q").random(3))
-
-
-class TestFormatting:
-    def test_format_bytes(self):
-        assert format_bytes(10) == "10 B"
-        assert format_bytes(2 * MB) == "2.00 MiB"
-        assert format_bytes(48 * GB) == "48.00 GiB"
-
-    def test_format_duration_units(self):
-        assert format_duration(5e-7).endswith("us")
-        assert format_duration(0.05).endswith("ms")
-        assert format_duration(2.0).endswith("s")
-        assert format_duration(300).endswith("min")
-
-    def test_format_duration_negative(self):
-        assert format_duration(-0.5).startswith("-")
-
-    def test_format_tokens(self):
-        assert format_tokens(500) == "500 tok"
-        assert format_tokens(12_800) == "12.8K tok"
-        assert format_tokens(3_000_000) == "3.0M tok"
 
 
 class TestValidation:
