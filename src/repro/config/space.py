@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from repro.config.knobs import (
     INTERMEDIATE_LENGTH_DOMAIN,
@@ -113,15 +112,7 @@ class PrunedSpace:
         return tuple(sorted(values))
 
     def enumerate(self) -> ConfigurationSpace:
-        """Materialise every config point in the pruned ranges.
-
-        Memoized per space — the joint scheduler enumerates the same
-        pruned ranges for every query that maps to them, and both
-        :class:`PrunedSpace` and the result are immutable.
-        """
-        return _enumerate_cached(self)
-
-    def _enumerate_impl(self) -> ConfigurationSpace:
+        """Materialise every config point in the pruned ranges."""
         lo, hi = self.num_chunks_range
         configs: list[RAGConfig] = []
         for method in self.methods:
@@ -187,7 +178,3 @@ class PrunedSpace:
                   other.intermediate_length_range[1])
         return PrunedSpace(methods, (lo, hi), (ilo, ihi), self.ilen_steps)
 
-
-@lru_cache(maxsize=1024)
-def _enumerate_cached(pruned: PrunedSpace) -> ConfigurationSpace:
-    return pruned._enumerate_impl()

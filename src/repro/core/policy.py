@@ -25,7 +25,7 @@ from repro.config.knobs import RAGConfig
 from repro.config.space import PrunedSpace
 from repro.core.profiles import QueryProfile
 from repro.data.types import Query
-from repro.synthesis import SynthesisPlan, estimate_footprint
+from repro.synthesis import SynthesisPlan, uniform_plan
 
 if TYPE_CHECKING:
     from repro.core.profiler import LLMProfiler
@@ -82,9 +82,9 @@ class SchedulingView:
 
     def footprint(self, config: RAGConfig) -> SynthesisPlan:
         """The plan ``config`` would produce for this query shape, over
-        uniform nominal-size chunks (memoized per shape)."""
-        return estimate_footprint(config, self.query_tokens,
-                                  self.chunk_tokens, self.answer_tokens)
+        uniform nominal-size chunks."""
+        return uniform_plan(config, self.query_tokens, self.chunk_tokens,
+                            self.answer_tokens)
 
     @property
     def n_replicas(self) -> int:

@@ -134,8 +134,13 @@ class LLMProfiler:
 
     # ------------------------------------------------------------------
     def profile(self, query: Query) -> ProfilerResult:
-        """Profile one query (deterministic given the seed and query id)."""
-        rng = self._rngs.fresh("q", query.query_id, round(self._accuracy_boost, 4))
+        """Profile one query (deterministic given the seed and query id).
+
+        The stream is keyed on the query alone (at its boost-0 value), so
+        every accuracy sees the same draws: a higher accuracy only turns
+        bad profiles good, never a good one bad.
+        """
+        rng = self._rngs.fresh("q", query.query_id, 0.0)
         truth = query.truth
         good = bool(rng.random() < self.accuracy)
         if good:

@@ -137,8 +137,7 @@ class MetricHarness:
       chunk sets, shared by every run over that bundle;
     * **the harness** (one per runner, hence per run) holds what
       depends on served answers: whole scores keyed on
-      ``(canonical query id, answer tokens, chunk ids)``, plus each
-      query's information-need vector.
+      ``(canonical query id, answer tokens, chunk ids)``.
 
     A replay-heavy trace therefore pays each distinct triple once:
     exact cache hits re-score the very answer and context of their
@@ -155,7 +154,6 @@ class MetricHarness:
         self.embedding = embedding if embedding is not None \
             else bundle.store.embedding
         self._scores: dict[tuple, QualityMetrics] = {}
-        self._query_vecs: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     def score(self, query: "Query", answer_tokens,
@@ -217,7 +215,12 @@ class MetricHarness:
         if not answer_tokens:
             return 0.0
         answer_vec = self.embedding.embed(" ".join(answer_tokens))
-        target_vec = self._query_vec(query)
+        facts = self.bundle.facts
+        reference = list(query.truth.answer_template_tokens)
+        for fact_id in query.truth.required_fact_ids:
+            reference.extend(facts[fact_id].value_tokens)
+        target_vec = self.embedding.embed(
+            query.text + " " + " ".join(reference))
         return float(max(0.0, np.dot(answer_vec, target_vec)))
 
     def context_precision(self, query: "Query", chunk_ids) -> float:
@@ -257,18 +260,3 @@ class MetricHarness:
             present.update(fid for fid in chunk_facts.get(chunk_id, ())
                            if fid in required)
         return len(present) / len(required)
-
-    # ------------------------------------------------------------------
-    def _query_vec(self, query: "Query") -> np.ndarray:
-        """Embedding of the query's information need, memoized."""
-        cid = canonical_query_id(query.query_id)
-        cached = self._query_vecs.get(cid)
-        if cached is None:
-            facts = self.bundle.facts
-            reference = list(query.truth.answer_template_tokens)
-            for fact_id in query.truth.required_fact_ids:
-                reference.extend(facts[fact_id].value_tokens)
-            cached = self.embedding.embed(
-                query.text + " " + " ".join(reference))
-            self._query_vecs[cid] = cached
-        return cached

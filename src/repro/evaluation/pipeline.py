@@ -455,7 +455,7 @@ class DecideStage(_Stage):
         """Ask the speculation policy when (if ever) to arm a duplicate."""
         p = self.p
         if p.speculation.needs_estimate:
-            # Priced on the memoized uniform-chunk plan of the config.
+            # Priced on the uniform-chunk plan of the config.
             plan = view.footprint(ex.decision.config)
             est_seconds = plan.service_seconds(p.engine.cost)
         else:
@@ -644,7 +644,7 @@ class SynthesizeStage(_Stage):
         p = self.p
         ex = lane.ex
         chunk_tokens = self._clipped_chunk_tokens(lane)
-        synthesizer = p.synthesizer(ex.decision.config)
+        synthesizer = make_synthesizer(ex.decision.config.synthesis_method)
         lane.plan = synthesizer.build_plan(
             query_tokens=ex.query.n_tokens,
             chunk_tokens=chunk_tokens,
@@ -834,7 +834,6 @@ class QueryPipeline:
         #: the ledger's ``speculation`` column.
         self.speculation_gpu_seconds = 0.0
         self.n_hedges_armed = 0
-        self._synthesizers: dict = {}
         self._pending_closed: deque[Arrival] = deque()
         # The stages, wired in traversal order.
         self.profile = ProfileStage(self)
@@ -1242,12 +1241,6 @@ class QueryPipeline:
         if self.cache_resource is not None:
             stats[CACHE_RESOURCE] = self.cache_resource.stats
         return stats
-
-    def synthesizer(self, config: RAGConfig):
-        method = config.synthesis_method
-        if method not in self._synthesizers:
-            self._synthesizers[method] = make_synthesizer(method)
-        return self._synthesizers[method]
 
     def make_view(self, query: Query) -> SchedulingView:
         engine = self.engine

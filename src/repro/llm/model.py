@@ -24,7 +24,6 @@ __all__ = [
     "ModelSpec",
     "MISTRAL_7B_AWQ",
     "LLAMA3_70B_AWQ",
-    "MISTRAL_7B_FP16",
     "GPT_4O",
 ]
 
@@ -114,18 +113,6 @@ MISTRAL_7B_AWQ = ModelSpec(
     quantization=Quantization.AWQ_INT4,
     dollar_per_1m_input=0.15,
     dollar_per_1m_output=0.45,
-)
-
-MISTRAL_7B_FP16 = ModelSpec(
-    name="mistral-7b-fp16",
-    n_params=7.2e9,
-    n_layers=32,
-    n_kv_heads=8,
-    head_dim=128,
-    max_context=32_768,
-    quantization=Quantization.FP16,
-    dollar_per_1m_input=0.18,
-    dollar_per_1m_output=0.55,
 )
 
 LLAMA3_70B_AWQ = ModelSpec(

@@ -52,32 +52,18 @@ class ExactReranker:
         """Top-``k`` of ``candidates`` by exact distance.
 
         Ties break by corpus insertion position — the same stable total
-        order the gather step uses. For a vector the store handed out,
-        the result is memoized per ``(candidate ids, k)`` in the store's
-        query memo, which a change of shard contents clears.
+        order the gather step uses.
         """
-        if not candidates:
-            return []
-        memo = store.query_memo(query_vec)
-        if memo is not None:
-            key = ("rerank",
-                   tuple(hit.chunk.chunk_id for hit in candidates), k)
-            top = memo.get(key)
-            if top is not None:
-                return list(top)
         scored = sorted(
             (store.exact_sq_distance(query_vec, hit.chunk.chunk_id),
              store.global_pos(hit.chunk.chunk_id),
              hit.chunk)
             for hit in candidates
         )
-        top = [
+        return [
             SearchHit(chunk, dist, rank)
             for rank, (dist, _, chunk) in enumerate(scored[:k])
         ]
-        if memo is not None:
-            memo[key] = tuple(top)
-        return top
 
 
 def make_reranker(spec) -> ExactReranker | None:

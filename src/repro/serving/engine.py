@@ -143,20 +143,6 @@ class ServingEngine:
         self._mem_bandwidth = config.cluster.mem_bandwidth
         self._step_overhead_s = self.cost.step_overhead_s
         self._per_seq_overhead_s = self.cost.per_seq_overhead_s
-        # Admission-order cache: a stall-bound engine re-sorts an
-        # unchanged waiting queue every iteration otherwise. The version
-        # bumps whenever ``_waiting`` mutates (submit / cancel / admit);
-        # only ``waiting_only`` policies (FCFS) are cacheable — app-aware
-        # order shifts with the running set every step.
-        self._waiting_version = 0
-        self._ordered_version = -1
-        self._ordered_cache: list[InferenceRequest] = []
-        # Stall memo: admission's outcome is a pure function of
-        # (waiting queue, free blocks, running count) under a
-        # waiting_only policy, so a step that stalled head-of-line
-        # repeats the identical stall until one of those moves — skip
-        # the admission loop (but keep counting the stall).
-        self._stall_key: tuple[int, int, int] | None = None
         # Incremental batch-composition counters (ints, so the sums are
         # bit-identical to recomputing them): how many running requests
         # are still prefilling, and the decode-phase KV token total
@@ -250,7 +236,6 @@ class ServingEngine:
         if not (self._waiting or self._running):
             self._wakeups += 1
         self._waiting.append(request)
-        self._waiting_version += 1
         return request
 
     def advance_to(self, t: float) -> None:
@@ -279,7 +264,6 @@ class ServingEngine:
                 self._waiting.remove(request)
             except ValueError:
                 return False
-            self._waiting_version += 1
         elif request.phase in (RequestPhase.PREFILL, RequestPhase.DECODE):
             if request not in self._running:
                 return False
@@ -415,29 +399,17 @@ class ServingEngine:
         if not waiting or len(running) >= MAX_NUM_SEQS:
             return admitted
         blocks = self.blocks
+        # Whatever comes first in the order needs at least as many
+        # blocks as the smallest waiting request: when that one does
+        # not fit, the loop below would count one stall at its first
+        # request, so skip the sort.
+        smallest = min(r.prompt_tokens + r.output_tokens for r in waiting)
+        if not blocks.can_allocate(
+                smallest, self._watermark_blocks if running else 0):
+            self._admission_stalls += 1
+            return admitted
         prefill_phase = RequestPhase.PREFILL
-        if self.policy.waiting_only:
-            key = (self._waiting_version, blocks.free_blocks, len(running))
-            if key == self._stall_key:
-                self._admission_stalls += 1
-                return admitted
-            if self._ordered_version != self._waiting_version:
-                self._ordered_cache = self.policy.order(waiting, running)
-                self._ordered_version = self._waiting_version
-            ordered = self._ordered_cache
-        else:
-            # Whatever comes first in the order needs at least as many
-            # blocks as the smallest waiting request: when that one
-            # does not fit, the loop below would count one stall at its
-            # first request, so skip the (running-set dependent) sort.
-            smallest = min(r.prompt_tokens + r.output_tokens for r in waiting)
-            if not blocks.can_allocate(
-                    smallest, self._watermark_blocks if running else 0):
-                self._admission_stalls += 1
-                return admitted
-            key = None
-            ordered = self.policy.order(waiting, running)
-        for request in ordered:
+        for request in self.policy.order(waiting, running):
             if len(running) >= MAX_NUM_SEQS:
                 break
             # An empty engine always admits its queue head (ignore the
@@ -447,8 +419,6 @@ class ServingEngine:
             total_tokens = request.prompt_tokens + request.output_tokens
             if not blocks.can_allocate(total_tokens, watermark):
                 self._admission_stalls += 1
-                if key is not None and not admitted:
-                    self._stall_key = key
                 break
             blocks.allocate(request.request_id, total_tokens)
             request.phase = prefill_phase
@@ -456,9 +426,7 @@ class ServingEngine:
             waiting.remove(request)
             running.append(request)
             admitted.append(request)
-        if admitted:
-            self._waiting_version += 1
-            self._n_prefill_phase += len(admitted)
+        self._n_prefill_phase += len(admitted)
         return admitted
 
     def _build_iteration(

@@ -24,12 +24,6 @@ class SchedulingPolicy(ABC):
 
     name: str = "base"
 
-    #: True when :meth:`order` depends only on the waiting list (the
-    #: running set never shifts the order) — lets the engine cache the
-    #: ordering across iterations while the waiting queue is unchanged
-    #: (a stall-bound engine re-sorts every step otherwise).
-    waiting_only: bool = False
-
     @abstractmethod
     def order(self, waiting: list[InferenceRequest],
               running: list[InferenceRequest]) -> list[InferenceRequest]:
@@ -40,7 +34,6 @@ class FCFSPolicy(SchedulingPolicy):
     """First come, first served (ties broken by submit order)."""
 
     name = "fcfs"
-    waiting_only = True
 
     _key = attrgetter("priority", "arrival_time", "request_id")
 
@@ -73,8 +66,7 @@ class AppAwarePolicy(SchedulingPolicy):
         remaining: dict[str, int] = {}
         first_arrival: dict[str, float] = {}
         for req in requests:
-            # ``remaining_work_tokens`` from the fields: this loop runs
-            # over the whole queue and batch at every admission.
+            # The prefill and decode tokens still to process.
             remaining[req.app_id] = remaining.get(req.app_id, 0) + (
                 req.prompt_tokens - req.prefilled_tokens
                 + req.output_tokens - req.decoded_tokens

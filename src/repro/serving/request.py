@@ -81,34 +81,6 @@ class InferenceRequest:
         """KV footprint at completion: prompt + generated tokens."""
         return self.prompt_tokens + self.output_tokens
 
-    @property
-    def remaining_prefill(self) -> int:
-        return self.prompt_tokens - self.prefilled_tokens
-
-    @property
-    def remaining_decode(self) -> int:
-        return self.output_tokens - self.decoded_tokens
-
-    @property
-    def remaining_work_tokens(self) -> int:
-        """Prefill + decode tokens still to process (for SRPT-style policies)."""
-        return self.remaining_prefill + self.remaining_decode
-
-    # ------------------------------------------------------------------
-    @property
-    def queueing_delay(self) -> float:
-        """Time spent waiting before first being scheduled."""
-        if self.admitted_time is None:
-            return 0.0
-        return self.admitted_time - self.arrival_time
-
-    @property
-    def e2e_delay(self) -> float:
-        """Submission-to-completion latency (None-safe: 0 if unfinished)."""
-        if self.finish_time is None:
-            return 0.0
-        return self.finish_time - self.arrival_time
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"InferenceRequest(id={self.request_id}, app={self.app_id!r}, "

@@ -1,61 +1,49 @@
 """Synthesizer interface and shared prompt-overhead accounting.
 
 Each synthesizer compiles ``(query, chunk token counts, config)`` into a
-:class:`~repro.synthesis.plans.SynthesisPlan`. Prompt overheads model
-the instruction templates Langchain-style chains wrap around the chunks
-(system prompt, per-chunk separators, answer-format instructions).
+:class:`~repro.synthesis.plans.SynthesisPlan`. The prompt-overhead
+constants model the instruction templates Langchain-style chains wrap
+around the chunks (system prompt, per-chunk separators, answer-format
+instructions).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import groupby
 
 from repro.config.knobs import RAGConfig, SynthesisMethod
 from repro.synthesis.plans import CallGroup, SynthesisPlan
-from repro.util.validation import check_non_negative
 
-__all__ = ["PromptOverheads", "Synthesizer"]
+__all__ = ["Synthesizer", "wrapper_tokens"]
+
+#: System + task instruction prologue of every prompt.
+INSTRUCTION_TOKENS = 32
+#: Separator/header tokens around each chunk.
+PER_CHUNK_TOKENS = 6
+#: Output-format epilogue ("Answer:", JSON schema for map_rerank
+#: confidence, ...).
+ANSWER_FORMAT_TOKENS = 10
 
 
-@dataclass(frozen=True)
-class PromptOverheads:
-    """Fixed token overheads of the prompt templates.
-
-    Attributes:
-        instruction_tokens: system + task instruction prologue.
-        per_chunk_tokens: separator/header tokens around each chunk.
-        answer_format_tokens: output-format epilogue ("Answer:", JSON
-            schema for map_rerank confidence, ...).
-    """
-
-    instruction_tokens: int = 32
-    per_chunk_tokens: int = 6
-    answer_format_tokens: int = 10
-
-    def __post_init__(self) -> None:
-        check_non_negative("instruction_tokens", self.instruction_tokens)
-        check_non_negative("per_chunk_tokens", self.per_chunk_tokens)
-        check_non_negative("answer_format_tokens", self.answer_format_tokens)
-
-    def wrapper_tokens(self, n_chunks: int) -> int:
-        """Template tokens around ``n_chunks`` chunks in one prompt."""
-        return (
-            self.instruction_tokens
-            + n_chunks * self.per_chunk_tokens
-            + self.answer_format_tokens
-        )
+def wrapper_tokens(n_chunks: int) -> int:
+    """Template tokens around ``n_chunks`` chunks in one prompt."""
+    return (
+        INSTRUCTION_TOKENS
+        + n_chunks * PER_CHUNK_TOKENS
+        + ANSWER_FORMAT_TOKENS
+    )
 
 
 class Synthesizer(ABC):
-    """Compiles a RAG configuration into an executable plan."""
+    """Compiles a RAG configuration into an executable plan.
+
+    Stateless: one shared instance per method serves every caller
+    (:func:`repro.synthesis.make_synthesizer`).
+    """
 
     method: SynthesisMethod
-
-    def __init__(self, overheads: PromptOverheads | None = None) -> None:
-        self.overheads = overheads or PromptOverheads()
 
     @abstractmethod
     def build_plan(
@@ -81,7 +69,7 @@ class Synthesizer(ABC):
                          output_tokens: int) -> tuple[CallGroup, ...]:
         """One single-chunk call per chunk, in rank order, with runs of
         equal-size consecutive chunks grouped (map stages)."""
-        wrapper = self.overheads.wrapper_tokens(1)
+        wrapper = wrapper_tokens(1)
         return tuple(
             (query_tokens + n + wrapper, output_tokens, sum(1 for _ in run))
             for n, run in groupby(chunk_tokens)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.config.knobs import RAGConfig, SynthesisMethod
-from repro.synthesis.base import Synthesizer
+from repro.synthesis.base import Synthesizer, wrapper_tokens
 from repro.synthesis.plans import SynthesisPlan
 
 __all__ = ["MapReduceSynthesizer"]
@@ -37,7 +37,7 @@ class MapReduceSynthesizer(Synthesizer):
         ilen = config.intermediate_length
         k = len(chunk_tokens)
         reduce_prompt = (
-            query_tokens + k * ilen + self.overheads.wrapper_tokens(k)
+            query_tokens + k * ilen + wrapper_tokens(k)
         )
         return SynthesisPlan.from_stages((
             self._per_chunk_calls(query_tokens, chunk_tokens, ilen),

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.config.knobs import RAGConfig, SynthesisMethod
-from repro.synthesis.base import Synthesizer
+from repro.synthesis.base import Synthesizer, wrapper_tokens
 from repro.synthesis.plans import SynthesisPlan
 
 __all__ = ["StuffSynthesizer"]
@@ -32,6 +32,6 @@ class StuffSynthesizer(Synthesizer):
         prompt = (
             query_tokens
             + sum(chunk_tokens)
-            + self.overheads.wrapper_tokens(len(chunk_tokens))
+            + wrapper_tokens(len(chunk_tokens))
         )
         return SynthesisPlan.from_stages((((prompt, answer_tokens, 1),),))

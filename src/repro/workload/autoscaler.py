@@ -301,9 +301,6 @@ class Autoscaler:
         self._engine: "ClusterEngine | None" = None
         self._loop: "EventLoop | None" = None
         self._records = None
-        #: Records before this index finished at or before the start of
-        #: every later tick's SLO window (see :meth:`signals`).
-        self._window_start = 0
         self._horizon = 0.0
         self._pending_provisions: list = []  # pending provision Events
         self._last_action_time = float("-inf")
@@ -324,7 +321,6 @@ class Autoscaler:
         self._engine = engine
         self._loop = loop
         self._records = records
-        self._window_start = 0
         self._horizon = float(horizon)
         self._schedule_tick(self.interval_s)
 
@@ -349,18 +345,10 @@ class Autoscaler:
             sum(outstanding[i] for i in active) / len(active)
             if active else 0.0
         )
-        # Records are appended at their (simulated) finish time, so
-        # finish times never decrease along the list and ticks come in
-        # time order: a record that has left the window never re-enters
-        # it, and the window's start index only moves forward.
         records = self._records
         cutoff = t - self.window_s
-        start = self._window_start
-        while start < len(records) and records[start].finish_time <= cutoff:
-            start += 1
-        self._window_start = start
-        window = [r.slo_met for r in records[start:]
-                  if r.slo_met is not None]
+        window = [r.slo_met for r in records
+                  if r.finish_time > cutoff and r.slo_met is not None]
         attainment = sum(window) / len(window) if window else None
         completed = len(records)
         service = (engine.stats.busy_seconds / completed

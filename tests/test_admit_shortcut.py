@@ -2,9 +2,9 @@
 the full admission loop does.
 
 ``_admit`` returns before ordering the queue when the batch already
-holds ``MAX_NUM_SEQS`` sequences (no stall) and, under an app-aware
-policy, when the smallest waiting request cannot be allocated (one
-stall). ``admit_reference.admit_reference`` is the loop without those
+holds ``MAX_NUM_SEQS`` sequences (no stall) and when the smallest
+waiting request cannot be allocated (one stall), under either policy.
+``admit_reference.admit_reference`` is the loop without those
 shortcuts. Each schedule below drives two engines through the same
 submits, cancels and steps, one admitting with ``_admit`` and one with
 the reference, and compares after every step the running batch in

@@ -540,7 +540,7 @@ class TestRunnerIntegration:
 
 
 # ----------------------------------------------------------------------
-# Sliding SLO window: the incremental start index vs a full rescan
+# Sliding SLO window: attainment over the records finished inside it
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class WindowRecord:
@@ -638,10 +638,10 @@ class TestSlidingWindow:
         assert scaler.signals(3.0).window_slo_attainment == 0.5
 
     def test_served_records_finish_in_order(self, finsec_bundle):
-        """The index only moves forward because the pipeline appends
-        each record at its finish time, hedged and cached queries
-        included. Replaying that stream tick by tick through the
-        window gives the rescan's attainment at every tick."""
+        """The pipeline appends each record at its finish time, hedged
+        and cached queries included. Replaying that stream tick by tick
+        through the window gives the rescan's attainment at every
+        tick."""
         wl = diurnal_workload(seed=0, **TRACE)
         result = serve(finsec_bundle, workload=wl, autoscaler="reactive",
                        n_replicas=2, scale_min=1, scale_max=3,

@@ -32,6 +32,8 @@ from repro.serving import ClusterEngine, make_speculation
 from repro.util import canonical_query_id
 from repro.workload import zipfian_workload
 
+from invariants import assert_caches_within_capacity, assert_drained_clean
+
 STUFF8 = RAGConfig(SynthesisMethod.STUFF, 8)
 
 #: Small repeat-heavy trace: ~45 arrivals over a 6-query pool, so the
@@ -48,6 +50,15 @@ def _fingerprint(result) -> list[tuple]:
          r.cache_age_s, r.cache_lookup_seconds)
         for r in result.records
     ]
+
+
+def _run(pipeline: QueryPipeline, arrivals) -> None:
+    """Serve ``arrivals``, then check that the run drained clean and
+    that no cache tier, the profile tier included, outgrew its
+    capacity."""
+    pipeline.run(arrivals)
+    assert_drained_clean(pipeline)
+    assert_caches_within_capacity(pipeline)
 
 
 def _serve(finsec_bundle, **kwargs):
@@ -212,7 +223,7 @@ class TestHedgedCacheTiers:
         workload = zipfian_workload(n_periods=4, period_s=10.0,
                                     pool_size=30, seed=0)
         arrivals = workload.materialize(bundle.queries, seed=0)
-        pipeline.run(arrivals)
+        _run(pipeline, arrivals)
         assert len(pipeline.records) == len(arrivals)
         return pipeline
 
@@ -300,7 +311,7 @@ class TestProfileTier:
     def test_repeats_reuse_the_profile_and_still_decide(self, finsec_bundle):
         arrivals = _zipf_arrivals(finsec_bundle)
         pipeline = _metis_pipeline(finsec_bundle)
-        pipeline.run(arrivals)
+        _run(pipeline, arrivals)
         text = _texts(arrivals)
         first: dict[str, object] = {}
         reused = 0
@@ -328,7 +339,7 @@ class TestProfileTier:
         call in flight has no profile to share yet)."""
         arrivals = _zipf_arrivals(finsec_bundle)
         pipeline = _metis_pipeline(finsec_bundle, cache_capacity=64)
-        pipeline.run(arrivals)
+        _run(pipeline, arrivals)
         records = pipeline.records
         text = _texts(arrivals)
         returned: dict[str, float] = {}
@@ -355,7 +366,7 @@ class TestProfileTier:
         pipeline = _metis_pipeline(finsec_bundle, store=store)
         pipeline.loop.schedule(t_bump, "reingest",
                                lambda t, _: store.bump_corpus_version())
-        pipeline.run(arrivals)
+        _run(pipeline, arrivals)
         assert store.corpus_version == 1
         text = _texts(arrivals)
         before = {text[a.query.query_id] for a in arrivals[:mid]}
@@ -388,7 +399,7 @@ class TestProfileTier:
         def serve(enable_feedback: bool):
             pipeline = _metis_pipeline(
                 finsec_bundle, MetisConfig(enable_feedback=enable_feedback))
-            pipeline.run(arrivals)
+            _run(pipeline, arrivals)
             assert [r.query_id for r in pipeline.records] \
                 == [a.query.query_id for a in arrivals]
             return pipeline
@@ -409,9 +420,9 @@ class TestProfileTier:
     def test_ttl_expired_entry_misses(self, finsec_bundle):
         arrivals = _zipf_arrivals(finsec_bundle)
         roomy = _metis_pipeline(finsec_bundle)
-        roomy.run(arrivals)
+        _run(roomy, arrivals)
         short = _metis_pipeline(finsec_bundle, cache_ttl=0.5)
-        short.run(arrivals)
+        _run(short, arrivals)
         stats = short.cache_stats()["profile"]
         assert stats.expirations > 0
         assert stats.hits < roomy.cache_stats()["profile"].hits
@@ -429,7 +440,7 @@ class TestProfileTier:
         monkeypatch.setattr(ProfileCache, "insert", counted)
         pipeline = _metis_pipeline(finsec_bundle, cache_capacity=2,
                                    cache_eviction="gdsf")
-        pipeline.run(_zipf_arrivals(finsec_bundle))
+        _run(pipeline, _zipf_arrivals(finsec_bundle))
         assert sizes and max(sizes) <= 2
         assert pipeline.cache_stats()["profile"].evictions > 0
 

@@ -21,6 +21,7 @@ from repro.serving.cluster import ROUTER_NAMES
 from repro.util.rng import RngStreams
 from repro.util.units import GB
 
+from invariants import check_invariants
 from stepping import drain
 
 SCHEDULES_PER_ROUTER = 50
@@ -51,29 +52,6 @@ def random_schedule(rngs: RngStreams, index: int):
             app_id=app,
         ))
     return n_replicas, specs
-
-
-def check_invariants(engine: ClusterEngine) -> None:
-    seen_on: dict[int, int] = {}
-    for i, replica in enumerate(engine.replicas):
-        blocks = replica.blocks
-        # Conservation: free + used always equals the pool, and the
-        # per-sequence ledger explains every used block.
-        assert blocks.free_blocks + blocks.used_blocks == blocks.n_blocks
-        assert blocks.allocated_blocks == blocks.used_blocks
-        assert 0 <= blocks.free_blocks <= blocks.n_blocks
-        # Occupancy cap: resident tokens never exceed the KV pool.
-        assert (blocks.used_blocks * blocks.block_tokens
-                <= replica.memory.kv_pool_tokens)
-        assert blocks.utilization() <= 1.0
-        # Allocations mirror the running set exactly.
-        assert blocks.seq_ids == {r.request_id for r in replica.running}
-        # No sequence holds blocks on two replicas.
-        for seq_id in blocks.seq_ids:
-            owner = seen_on.setdefault(seq_id, i)
-            assert owner == i, (
-                f"request {seq_id} allocated on replicas {owner} and {i}"
-            )
 
 
 def run_schedule(n_replicas: int, specs: list[dict], router: str,

@@ -84,6 +84,19 @@ class TestCheckerCatchesBreakage:
         assert len(errors) == 1
         assert ":2:" in errors[0] and "DESIGN.md" in errors[0]
 
+    def test_stale_qualified_name_is_reported(self, checker, tmp_path):
+        doc = tmp_path / "A.md"
+        doc.write_text(
+            "`repro.synthesis.uniform_plan` and `repro.sim.EventLoop`\n"
+            "and `repro.evaluation.reports.cache_rows(result)` resolve;\n"
+            "`repro.synthesis.deleted_memo` and `repro.no_such_module`\n"
+            "```\n`repro.in_a_fence.is_ignored`\n```\n")
+        errors = checker.check_names(doc)
+        assert len(errors) == 2
+        assert all(":3:" in error for error in errors)
+        assert "repro.synthesis.deleted_memo" in errors[0]
+        assert "repro.no_such_module" in errors[1]
+
     def test_slugify_matches_github_style(self, checker):
         assert checker.slugify("The `EventLoop` hot path") \
             == "the-eventloop-hot-path"

@@ -38,7 +38,7 @@ DIGESTS = {
     "fig11_hetero": "ad63e5fde754189e2686035bfcee72399c68a50bf530c506cc2f5a980c39ed4c",
     "fig12_breakdown": "9fccb35a2046ab1a61b6acdd418f3d342961c0b145665431b3de080a615d1d8c",
     "fig13_cost": "f3e3a76e8df639565aee2dd87b13fa39ad1fe4a7706312f577632fbf0516c41a",
-    "fig14_feedback": "0885fa4ea5bfbd1e9a581ff8fd0d6919c2a93f9324ca32239f0f3e22e8965080",
+    "fig14_feedback": "5b205f5562f3d60b5b00d8435cca63f66568b40be43fa045e3c93ff49146d69d",
     "fig15_larger_llm": "0147d40e7c15ec8ce70ea2912d9c4b3ebcf1caf927a443c095db6f57724b12dc",
     "fig16_incremental": "46cc0fe9848026a25261d8462dee3996bc7275258804499a749b12f485aec6a0",
     "fig17_profiler_llm": "4be54c6b22405fad74ab40c30e4fba8640edd80338a0187f66f0fc383866a2d9",

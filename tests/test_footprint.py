@@ -1,8 +1,8 @@
 """Exactness of the scheduler's plan estimates.
 
 The decision plane sizes candidates with
-:func:`repro.synthesis.estimate_footprint`: the memoized plan a
-synthesizer builds for ``num_chunks`` uniform chunks. These tests pin
+:func:`repro.synthesis.uniform_plan`: the plan a synthesizer builds for
+``num_chunks`` uniform chunks. These tests pin
 that the estimate *is* that plan across the full ``num_chunks`` ×
 query-shape grid, that uniform chunks collapse every stage to one call
 group, and that a plan's scalar footprints equal the per-call sums of
@@ -15,11 +15,8 @@ import random
 import pytest
 
 from repro.config.knobs import RAGConfig, SynthesisMethod
-from repro.synthesis import (
-    PromptOverheads,
-    estimate_footprint,
-    make_synthesizer,
-)
+from repro.synthesis import make_synthesizer, uniform_plan
+from repro.synthesis.base import wrapper_tokens
 
 METHODS = tuple(SynthesisMethod)
 
@@ -43,7 +40,7 @@ class TestClosedFormExactness:
             a = rng.randint(1, 300)
             ilen = rng.randint(1, 400)
             config = _config(method, k, ilen)
-            estimated = estimate_footprint(config, q, c, a)
+            estimated = uniform_plan(config, q, c, a)
             assert estimated == synthesizer.build_plan(q, [c] * k, a, config)
             assert all(len(groups) == 1 for groups in estimated.stages)
 
@@ -73,25 +70,17 @@ class TestClosedFormExactness:
     def test_validation_mirrors_build_plan(self):
         config = RAGConfig(SynthesisMethod.STUFF, 4)
         with pytest.raises(ValueError):
-            estimate_footprint(config, 0, 500, 20)
+            uniform_plan(config, 0, 500, 20)
         with pytest.raises(ValueError):
-            estimate_footprint(config, 30, 0, 20)
+            uniform_plan(config, 30, 0, 20)
         with pytest.raises(ValueError):
-            estimate_footprint(config, 30, 500, 0)
-
-
-class TestMemoizedEstimator:
-    def test_same_shape_returns_cached_object(self):
-        config = RAGConfig(SynthesisMethod.MAP_REDUCE, 7, 120)
-        first = estimate_footprint(config, 41, 512, 23)
-        second = estimate_footprint(config, 41, 512, 23)
-        assert first is second
+            uniform_plan(config, 30, 500, 0)
 
     def test_matches_synthesizer_closed_form(self):
         """Uniform chunks give the closed form: one group of k
         identical single-chunk calls."""
         config = RAGConfig(SynthesisMethod.MAP_RERANK, 9)
-        prompt = 33 + 700 + PromptOverheads().wrapper_tokens(1)
-        assert estimate_footprint(config, 33, 700, 19).stages == (
+        prompt = 33 + 700 + wrapper_tokens(1)
+        assert uniform_plan(config, 33, 700, 19).stages == (
             ((prompt, 19 + 4, 9),),
         )

@@ -2,8 +2,7 @@
 
 * The joint scheduler's grid memo holds scores, not plans: after a
   METIS run no :class:`~repro.synthesis.SynthesisPlan` is reachable
-  from any ``_scored_grid`` entry, and the ``estimate_footprint`` memo
-  stays empty unless deadline-risk hedging prices decisions with it.
+  from any ``_scored_grid`` entry.
 * The per-arrival value types are slotted: ``QueryRecord``, ``Query``,
   ``Arrival`` and ``RAGConfig`` instances carry no ``__dict__``, and
   still pickle, ``dataclasses.replace`` and ``repr`` as plain frozen
@@ -24,17 +23,12 @@ from repro.data.types import Query
 from repro.data.workload import Arrival
 from repro.evaluation.pipeline import QueryRecord
 from repro.experiments.common import make_metis, run_policy
-from repro.synthesis import SynthesisPlan, estimate_footprint
+from repro.synthesis import SynthesisPlan
 
 
 @pytest.fixture(scope="module")
 def finsec_150():
     return build_dataset("finsec", n_queries=150)
-
-
-def _clear_memos() -> None:
-    _scored_grid.cache_clear()
-    estimate_footprint.cache_clear()
 
 
 def _memo_contents(memo) -> list:
@@ -59,7 +53,7 @@ def _memo_contents(memo) -> list:
 
 class TestDecisionMemos:
     def test_grid_entries_hold_no_plans(self, finsec_150):
-        _clear_memos()
+        _scored_grid.cache_clear()
         run_policy(finsec_150, make_metis(finsec_150), rate_qps=1.4, seed=0)
         assert _scored_grid.cache_info().currsize > 0
         contents = _memo_contents(_scored_grid)
@@ -68,19 +62,6 @@ class TestDecisionMemos:
         assert any(isinstance(obj, np.ndarray) for obj in contents)
         assert not [obj for obj in contents
                     if isinstance(obj, SynthesisPlan)]
-
-    def test_footprint_memo_empty_without_deadline_risk(self, finsec_150):
-        _clear_memos()
-        run_policy(finsec_150, make_metis(finsec_150), rate_qps=1.4, seed=0,
-                   n_queries=40)
-        assert estimate_footprint.cache_info().currsize == 0
-
-    def test_deadline_risk_pricing_is_the_footprint_caller(self, finsec_150):
-        _clear_memos()
-        run_policy(finsec_150, make_metis(finsec_150), rate_qps=1.4, seed=0,
-                   n_queries=40, n_replicas=2, slo_seconds=5.0,
-                   speculation="deadline-risk")
-        assert estimate_footprint.cache_info().currsize > 0
 
 
 QUERY = Query(query_id="q-7", text="what was revenue", n_tokens=12,

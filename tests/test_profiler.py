@@ -125,6 +125,25 @@ class TestLLMProfiler:
         profiler.set_accuracy_boost(0.05)
         assert profiler.accuracy == pytest.approx(base + 0.05)
 
+    def test_higher_accuracy_only_turns_bad_profiles_good(
+            self, finsec_bundle, qmsum_bundle, musique_bundle,
+            squad_bundle):
+        """Every accuracy draws from the same per-query stream, so the
+        good profiles at one accuracy are a subset of the good profiles
+        at any higher one (feedback pairs its draws)."""
+        queries = (finsec_bundle.queries + qmsum_bundle.queries
+                   + musique_bundle.queries + squad_bundle.queries)
+        profiler = LLMProfiler(GPT4O_PROFILER, 40, seed=0)
+        good_sets = []
+        for boost in (0.0, 0.02, 0.04, 0.075):
+            profiler.set_accuracy_boost(boost)
+            good_sets.append({
+                q.query_id for q in queries
+                if profile_is_good(profiler.profile(q).profile, q.truth)})
+        for lower, higher in zip(good_sets, good_sets[1:]):
+            assert lower <= higher
+        assert good_sets[0] < good_sets[-1]
+
     def test_boost_capped(self):
         profiler = LLMProfiler(GPT4O_PROFILER, 40)
         profiler.set_accuracy_boost(0.5)

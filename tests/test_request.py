@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.llm import A40, ClusterSpec, MISTRAL_7B_AWQ
+from repro.serving.engine import EngineConfig, ServingEngine
 from repro.serving.policies import AppAwarePolicy, FCFSPolicy, make_policy
 from repro.serving.request import InferenceRequest, RequestPhase
+
+from stepping import drain
 
 
 def req(prompt=100, out=10, t=0.0, app="a", stage=0, prio=0):
@@ -17,23 +21,31 @@ class TestInferenceRequest:
         r = req()
         assert r.phase is RequestPhase.WAITING
         assert r.total_tokens == 110
-        assert r.remaining_prefill == 100
-        assert r.remaining_decode == 10
-        assert r.remaining_work_tokens == 110
+        assert (r.prefilled_tokens, r.decoded_tokens) == (0, 0)
+        assert (r.admitted_time, r.prefill_done_time, r.finish_time) == \
+            (None, None, None)
 
     def test_kv_tokens_track_progress(self):
         r = req()
         r.prefilled_tokens = 60
         r.decoded_tokens = 3
-        assert r.remaining_prefill == 40
+        # The footprint at completion does not move with progress.
+        assert r.total_tokens == 110
 
     def test_delays(self):
-        r = req(t=5.0)
-        assert r.queueing_delay == 0.0
-        r.admitted_time = 7.0
-        r.finish_time = 12.0
-        assert r.queueing_delay == pytest.approx(2.0)
-        assert r.e2e_delay == pytest.approx(7.0)
+        """A served request's timestamps give its queueing and
+        end-to-end delays."""
+        engine = ServingEngine(EngineConfig(
+            model=MISTRAL_7B_AWQ, cluster=ClusterSpec(A40)))
+        engine.advance_to(5.0)
+        r = engine.submit(req(t=5.0))
+        drain(engine)
+        assert r.phase is RequestPhase.FINISHED
+        queueing = r.admitted_time - r.arrival_time
+        e2e = r.finish_time - r.arrival_time
+        assert queueing == 0.0  # an idle engine admits at once
+        assert r.finish_time == engine.now
+        assert e2e >= r.prefill_done_time - r.arrival_time > 0.0
 
     def test_unique_ids(self):
         assert req().request_id != req().request_id

@@ -352,86 +352,6 @@ class TestQueryMemo:
         assert top.distance == pytest.approx(0.0, abs=1e-5)
 
 
-class TestRerankMemo:
-    """The reranker memoizes its top-k per (candidate ids, k) in the
-    store's table for a registered query vector, and only there."""
-
-    TEXT = "nvidia revenue asia"
-
-    def pool(self, store, n=16):
-        return store.search(self.TEXT, n)
-
-    def test_memoized_top_k_equals_a_fresh_rerank(self):
-        store = build(4, chunks=make_chunks(60), index_factory="ivf")
-        reranker = ExactReranker()
-        qvec = store.embed_query(self.TEXT)
-        pool = self.pool(store)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            picked = [pool[int(i)] for i in
-                      rng.permutation(len(pool))[:int(rng.integers(1, 16))]]
-            k = int(rng.integers(1, 8))
-            first = reranker.rerank(store, qvec, picked, k)
-            again = reranker.rerank(store, qvec, picked, k)
-            assert first == again and first is not again
-            assert _ranked(first) == \
-                _ranked(reranker.rerank(store, qvec.copy(), picked, k))
-        first.clear()  # a caller's edit must not reach the memo
-        assert reranker.rerank(store, qvec, picked, k) == again
-
-    def test_memo_is_dropped_by_add_chunks(self):
-        store = build(4)
-        reranker = ExactReranker()
-        qvec = store.embed_query(self.TEXT)
-        reranker.rerank(store, qvec, self.pool(store), 4)
-        assert any(key[0] == "rerank" for key in store.query_memo(qvec))
-        store.add_chunks([Chunk(chunk_id="new", doc_id="d", text=self.TEXT,
-                                n_tokens=3, position=40)])
-        assert store.query_memo(qvec) is None
-        fresh = store.embed_query(self.TEXT)
-        assert fresh is not qvec
-        assert not any(key[0] == "rerank" for key in store.query_memo(fresh))
-        top = reranker.rerank(store, fresh, self.pool(store), 4)
-        assert top[0].chunk.chunk_id == "new"
-
-    def test_memo_is_not_carried_by_reshard(self):
-        store = build(4)
-        reranker = ExactReranker()
-        qvec = store.embed_query(self.TEXT)
-        expected = reranker.rerank(store, qvec, self.pool(store), 4)
-        clone = store.reshard(2)
-        assert clone.query_memo(qvec) is None
-        assert _ranked(reranker.rerank(clone, qvec, self.pool(store), 4)) \
-            == _ranked(expected)
-        assert not any(key[0] == "rerank"
-                       for key in clone.query_memo(
-                           clone.embed_query(self.TEXT)))
-
-    def test_unregistered_vector_is_never_memoized(self):
-        """A vector the store did not hand out may be edited in place,
-        or freed and its id reused, so every rerank scores it afresh."""
-        store = build(4)
-        reranker = ExactReranker()
-        pool = self.pool(store)
-
-        def fresh(vec):
-            return _ranked(reranker.rerank(store.reshard(4), vec, pool, 4))
-
-        probe = store.embed_query(self.TEXT).copy()
-        before = _ranked(reranker.rerank(store, probe, pool, 4))
-        probe[:] = store.embedding.embed("tesla profit margin")
-        after = _ranked(reranker.rerank(store, probe, pool, 4))
-        assert after != before
-        assert after == fresh(probe)
-        for word in WORDS:  # read-only, freed after use: ids recur
-            vec = store.embedding.embed(word)
-            vec.flags.writeable = False
-            assert store.query_memo(vec) is None
-            assert _ranked(reranker.rerank(store, vec, pool, 4)) == fresh(vec)
-        registered = store.query_memo(store.embed_query(self.TEXT))
-        assert not any(key[0] == "rerank" for key in registered)
-
-
 class TestWarmMemoDeterminism:
     def test_warm_store_serves_the_records_of_a_fresh_bundle(self):
         """At K=1 the runner searches the bundle's own store, whose

@@ -31,6 +31,8 @@ from repro.llm import A40, ClusterSpec, MISTRAL_7B_AWQ
 from repro.util.rng import RngStreams
 from repro.util.units import GB
 
+from invariants import assert_drained_clean
+
 N_SCHEDULES = 24
 N_QUERIES = 22
 
@@ -83,33 +85,6 @@ def build_pipeline(bundle, seed: int):
     rate = float(rng.uniform(1.0, 6.0))
     arrivals = poisson_arrivals(bundle.queries[:N_QUERIES], rate, seed=seed)
     return pipeline, arrivals
-
-
-def assert_drained_clean(pipeline) -> None:
-    loop = pipeline.loop
-    assert len(loop) == 0, "live events left after drain"
-    # Every cancelled event died as a tombstone: the dispatch ledger
-    # balances exactly, and whatever the queue still holds is
-    # tombstoned (lazy deletion never let it fire).
-    assert loop.n_scheduled == loop.n_dispatched + loop.n_cancelled
-    for entry in loop.queued_entries():
-        assert not loop.is_pending(entry[3])
-
-    resources = [pipeline.profiler, *pipeline.shard_resources]
-    if pipeline.rerank_resource is not None:
-        resources.append(pipeline.rerank_resource)
-    for resource in resources:
-        assert resource.in_service == 0, \
-            f"{resource.name} has a stranded holder"
-        assert resource.queue_len == 0, f"{resource.name} queue not empty"
-
-    engine = pipeline.engine
-    assert not engine.has_work()
-    for replica in engine.replicas:
-        assert len(replica.waiting) == 0
-        assert len(replica.running) == 0
-        assert replica.blocks.used_blocks == 0, "KV occupancy not zero"
-        assert replica.blocks.n_sequences == 0
 
 
 @pytest.mark.parametrize("seed", range(N_SCHEDULES))

@@ -11,11 +11,11 @@ from repro.llm.model import MISTRAL_7B_AWQ
 from repro.synthesis import (
     MapReduceSynthesizer,
     MapRerankSynthesizer,
-    PromptOverheads,
     StuffSynthesizer,
     SynthesisPlan,
     make_synthesizer,
 )
+from repro.synthesis.base import wrapper_tokens
 
 CHUNKS = [400, 420, 380]
 QUERY_TOKENS = 30
@@ -45,16 +45,15 @@ def expand(plan: SynthesisPlan) -> list[tuple[int, int, int]]:
 def per_call(method, query_tokens, chunks, answer_tokens, ilen):
     """Each method's calls written out one by one, independently of the
     planners' grouping."""
-    over = PromptOverheads()
     k = len(chunks)
     if method is SynthesisMethod.STUFF:
-        return [(query_tokens + sum(chunks) + over.wrapper_tokens(k),
+        return [(query_tokens + sum(chunks) + wrapper_tokens(k),
                  answer_tokens, 0)]
-    single = [query_tokens + n + over.wrapper_tokens(1) for n in chunks]
+    single = [query_tokens + n + wrapper_tokens(1) for n in chunks]
     if method is SynthesisMethod.MAP_RERANK:
         return [(p, answer_tokens + 4, 0) for p in single]
     return [(p, ilen, 0) for p in single] + [
-        (query_tokens + k * ilen + over.wrapper_tokens(k), answer_tokens, 1)
+        (query_tokens + k * ilen + wrapper_tokens(k), answer_tokens, 1)
     ]
 
 
@@ -67,7 +66,7 @@ class TestStuff:
     def test_prompt_includes_everything(self):
         plan = build(SynthesisMethod.STUFF)
         ((prompt, output, _),) = expand(plan)
-        overhead = PromptOverheads().wrapper_tokens(3)
+        overhead = wrapper_tokens(3)
         assert prompt == QUERY_TOKENS + sum(CHUNKS) + overhead
         assert output == ANSWER_TOKENS
 
@@ -82,7 +81,7 @@ class TestMapRerank:
         plan = build(SynthesisMethod.MAP_RERANK)
         for (prompt, _, _), n in zip(expand(plan), CHUNKS, strict=True):
             assert prompt == (
-                QUERY_TOKENS + n + PromptOverheads().wrapper_tokens(1)
+                QUERY_TOKENS + n + wrapper_tokens(1)
             )
 
 
@@ -102,7 +101,7 @@ class TestMapReduce:
         ((prompt, _, n),) = plan.stages[1]
         assert n == 1
         assert prompt == (
-            QUERY_TOKENS + 3 * 100 + PromptOverheads().wrapper_tokens(3)
+            QUERY_TOKENS + 3 * 100 + wrapper_tokens(3)
         )
 
 
@@ -176,7 +175,7 @@ class TestCallOrder:
     def test_run_length_groups_keep_call_order(self):
         plan = build(SynthesisMethod.MAP_RERANK, k=4,
                      chunks=[500, 500, 700, 500])
-        wrapper = PromptOverheads().wrapper_tokens(1)
+        wrapper = wrapper_tokens(1)
         out = ANSWER_TOKENS + 4
         assert plan.stages == ((
             (QUERY_TOKENS + 500 + wrapper, out, 2),

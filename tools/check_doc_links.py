@@ -21,6 +21,13 @@ It also scans ``src/**/*.py`` for ``NAME.md`` mentions (docstrings,
 comments, report notes): each must name an existing ``docs/NAME.md``
 or repo-root ``NAME.md``.
 
+Last, every backticked, fully qualified ``repro.…`` name in
+``docs/*.md`` (outside fenced blocks) must resolve: the longest module
+prefix imports, and ``getattr`` finds the rest, so a doc cannot keep
+naming code that was deleted. This part imports the program, so run
+the checker with ``PYTHONPATH=src``. The top-level markdown files are
+not name-checked: CHANGES.md and ROADMAP.md are history.
+
 Exits non-zero listing every broken link. Run from anywhere: paths
 resolve relative to the repo root (this file's grandparent). CI runs
 this in the fast job; ``tests/test_doc_links.py`` wraps it for the
@@ -29,6 +36,7 @@ local suite.
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -45,6 +53,8 @@ _HEADING = re.compile(r"^#{1,6}\s+(.*)$")
 _EXTERNAL = ("http://", "https://", "mailto:")
 #: A ``NAME.md`` mention in source, with any directory prefix dropped.
 _SOURCE_MD = re.compile(r"([\w-]+)\.md\b")
+#: A backticked ``repro.…`` name, optionally written as a call.
+_QUALIFIED = re.compile(r"`(repro(?:\.\w+)+)(?:\([^`]*\))?`")
 
 
 def strip_code(text: str) -> str:
@@ -138,13 +148,54 @@ def check_source(path: Path, root: Path = REPO_ROOT) -> list[str]:
     return errors
 
 
+def resolve(name: str) -> str | None:
+    """``None`` when ``name`` resolves, else why it does not."""
+    parts = name.split(".")
+    for n in range(len(parts), 0, -1):
+        module_name = ".".join(parts[:n])
+        try:
+            obj = importlib.import_module(module_name)
+        except ModuleNotFoundError as exc:
+            if exc.name is not None and module_name.startswith(exc.name):
+                continue  # no such module: try a shorter prefix
+            raise
+        for attr in parts[n:]:
+            if not hasattr(obj, attr):
+                return f"no {attr!r} in {module_name}"
+            obj = getattr(obj, attr)
+            module_name += f".{attr}"
+        return None
+    return f"no module {parts[0]!r}"
+
+
+def check_names(path: Path) -> list[str]:
+    """Backticked ``repro.…`` names in a document that do not resolve."""
+    errors: list[str] = []
+    in_fence = False
+    for lineno, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1):
+        if _FENCE.match(line.strip()):
+            in_fence = not in_fence
+            continue
+        if in_fence:
+            continue
+        for match in _QUALIFIED.finditer(line):
+            why = resolve(match.group(1))
+            if why is not None:
+                errors.append(f"{display(path)}:{lineno}: names "
+                              f"{match.group(1)}: {why}")
+    return errors
+
+
 def main() -> int:
-    files = sorted((REPO_ROOT / "docs").glob("*.md"))
-    files += sorted(p for p in REPO_ROOT.glob("*.md"))
+    docs = sorted((REPO_ROOT / "docs").glob("*.md"))
+    files = docs + sorted(p for p in REPO_ROOT.glob("*.md"))
     sources = sorted((REPO_ROOT / "src").rglob("*.py"))
     errors: list[str] = []
     for path in files:
         errors.extend(check_file(path))
+    for path in docs:
+        errors.extend(check_names(path))
     for path in sources:
         errors.extend(check_source(path))
     if errors:
