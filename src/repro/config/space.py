@@ -10,7 +10,7 @@ joint scheduler can search exhaustively.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.config.knobs import (
     INTERMEDIATE_LENGTH_DOMAIN,

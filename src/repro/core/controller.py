@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 
-from repro.config.knobs import RAGConfig, SynthesisMethod
+from repro.config.knobs import SynthesisMethod
 from repro.config.space import PrunedSpace
 from repro.core.feedback import FeedbackLoop
 from repro.core.mapping import map_profile_to_space

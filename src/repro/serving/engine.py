@@ -146,9 +146,9 @@ class ServingEngine:
         # Incremental batch-composition counters (ints, so the sums are
         # bit-identical to recomputing them): how many running requests
         # are still prefilling, and the decode-phase KV token total
-        # (sum of prefilled + decoded over DECODE-phase requests). They
-        # buy _build_iteration a decode-only fast path that skips the
-        # per-request phase walk.
+        # (sum of prefilled + decoded over DECODE-phase requests). step()
+        # prices every iteration from the KV total and walks the batch
+        # for prefill chunks only while the prefill count is nonzero.
         self._n_prefill_phase = 0
         self._decode_kv_tokens = 0
 
@@ -294,33 +294,71 @@ class ServingEngine:
         """
         if not (self._waiting or self._running):
             raise RuntimeError("step() called on an idle engine")
-        if self._waiting or self._n_prefill_phase:
-            return self._step_general()
-        # Saturated steady state (decode-only batch, empty queue):
-        # _admit is an empty-queue no-op and _build_iteration would
-        # take its decode fast path, so both calls are skipped and the
-        # decode iteration runs inline. Same float op order as
-        # _step_general (prefill busy is exactly 0.0, and
-        # ``0.0 + x == x``), so durations are bit-identical.
-        kv_tokens = self._decode_kv_tokens
-        decode_seqs = self._running[:]
+        admitted = self._admit() if self._waiting else None
+        decode_phase = RequestPhase.DECODE
+        prefill_plan: list[tuple[InferenceRequest, int]] = []
+        prefill_tokens = 0
+        if self._n_prefill_phase:
+            # Chunk the prompts still prefilling, in batch order, under
+            # the per-iteration token budget; the rest decode.
+            decode_seqs: list[InferenceRequest] = []
+            budget = MAX_BATCHED_PREFILL_TOKENS
+            for request in self._running:
+                if request.phase is decode_phase:
+                    decode_seqs.append(request)
+                elif budget > 0:
+                    left = request.prompt_tokens - request.prefilled_tokens
+                    chunk = left if left < budget else budget
+                    prefill_plan.append((request, chunk))
+                    budget -= chunk
+                    prefill_tokens += chunk
+        else:
+            decode_seqs = self._running[:]
         n_decode = len(decode_seqs)
-        busy = ((self._weight_bytes
-                 + kv_tokens * self._kv_bytes_per_token)
-                / self._mem_bandwidth
-                + n_decode * self._per_seq_overhead_s)
+        # Inlined roofline (RooflineCostModel's prefill and decode
+        # regimes), in this float op order: busy = tokens * flops /
+        # speedup / effective flops, then busy + ((weight + kv bytes) /
+        # bandwidth + seqs * per-seq overhead); duration = (busy + step
+        # overhead, or 0.0 when busy is 0.0) / speed. Keep the order:
+        # recorded durations are pinned bit for bit. The decode KV total
+        # is read before this iteration's prefills move into DECODE.
+        if prefill_tokens:
+            flops = prefill_tokens * self._flops_per_token
+            flops /= self._compute_speedup
+            busy = flops / self._effective_flops
+        else:
+            busy = 0.0
+        if n_decode:
+            bytes_read = (self._weight_bytes
+                          + self._decode_kv_tokens * self._kv_bytes_per_token)
+            busy = busy + (bytes_read / self._mem_bandwidth
+                           + n_decode * self._per_seq_overhead_s)
         duration = (0.0 if busy == 0.0
                     else busy + self._step_overhead_s) / self.speed
         self.now += duration
-        # _apply_iteration's decode loop, inlined (empty prefill plan).
-        # The phase check guards against an on_finish callback
-        # cancelling a hedge sibling on this same engine mid-loop —
-        # only possible once something has finished, so it is skipped
-        # while ``finished`` is empty.
+
         finished: list[InferenceRequest] = []
-        decode_phase = RequestPhase.DECODE
-        n_decoded = 0
         finish = self._finish
+        for request, chunk in prefill_plan:
+            request.prefilled_tokens += chunk
+            assert request.prefilled_tokens <= request.prompt_tokens
+            if request.prefilled_tokens == request.prompt_tokens:
+                request.phase = decode_phase
+                request.prefill_done_time = self.now
+                # The last prefill chunk emits the first output token.
+                request.decoded_tokens += 1
+                self._n_prefill_phase -= 1
+                self._decode_kv_tokens += (request.prefilled_tokens
+                                           + request.decoded_tokens)
+                if request.decoded_tokens >= request.output_tokens:
+                    finish(request, finished)
+        # The per-token KV growth is summed locally and added once —
+        # integer addition commutes with _finish/cancel retirements, so
+        # the post-iteration total is unchanged. Only an on_finish
+        # callback can take a batch member out of DECODE mid-iteration
+        # (by cancelling it), so the phase is checked only once
+        # something has finished.
+        n_decoded = 0
         for request in decode_seqs:
             if finished and request.phase is not decode_phase:
                 continue
@@ -330,57 +368,18 @@ class ServingEngine:
             if tokens >= request.output_tokens:
                 finish(request, finished)
         self._decode_kv_tokens += n_decoded
-        self._iterations += 1
-        self._busy_seconds += duration
-        self._decode_tokens += n_decode
-        self._requests_finished += len(finished)
-        # No allocations since the last peak sample (admission is the
-        # only place used_blocks grows), so used <= peak holds and the
-        # general path's peak update would be a no-op.
-        return finished
-
-    def _step_general(self) -> list[InferenceRequest]:
-        """One iteration through admission and batch building.
-
-        :meth:`step` takes this path unless the batch is decode-only
-        with an empty queue; its inline shortcut must produce exactly
-        what this path would.
-        """
-        self._admit()
-        prefill_plan, decode_seqs, prefill_tokens, kv_tokens = \
-            self._build_iteration()
-        n_decode = len(decode_seqs)
-        # Inlined roofline (RooflineCostModel's prefill and decode
-        # regimes), in this float op order: busy = tokens * flops /
-        # speedup / effective flops, then busy + ((weight + kv bytes) /
-        # bandwidth + seqs * per-seq overhead); duration = (busy + step
-        # overhead, or 0.0 when busy is 0.0) / speed. Keep the order:
-        # recorded durations are pinned bit for bit.
-        if prefill_tokens:
-            flops = prefill_tokens * self._flops_per_token
-            flops /= self._compute_speedup
-            busy = flops / self._effective_flops
-        else:
-            busy = 0.0
-        if n_decode:
-            bytes_read = (self._weight_bytes
-                          + kv_tokens * self._kv_bytes_per_token)
-            busy = busy + (bytes_read / self._mem_bandwidth
-                           + n_decode * self._per_seq_overhead_s)
-        duration = (0.0 if busy == 0.0
-                    else busy + self._step_overhead_s) / self.speed
-        self.now += duration
-
-        finished = self._apply_iteration(prefill_plan, decode_seqs)
 
         self._iterations += 1
         self._busy_seconds += duration
         self._prefill_tokens += prefill_tokens
         self._decode_tokens += n_decode
         self._requests_finished += len(finished)
-        used = self.blocks.used_blocks
-        if used > self._peak_used_blocks:
-            self._peak_used_blocks = used
+        # Admission is the only place used_blocks grows, so the peak
+        # can only move in an iteration that admitted.
+        if admitted:
+            used = self.blocks.used_blocks
+            if used > self._peak_used_blocks:
+                self._peak_used_blocks = used
         return finished
 
     def _admit(self) -> list[InferenceRequest]:
@@ -429,87 +428,12 @@ class ServingEngine:
         self._n_prefill_phase += len(admitted)
         return admitted
 
-    def _build_iteration(
-        self,
-    ) -> tuple[list[tuple[InferenceRequest, int]], list[InferenceRequest],
-               int, int]:
-        """Decide this iteration's prefill chunks and decode set.
-
-        Returns ``(prefill_plan, decode_seqs, prefill_tokens,
-        kv_tokens_in_batch)`` — token totals are accumulated in the
-        same pass so the step loop never re-walks the batch.
-        """
-        if self._n_prefill_phase == 0:
-            # Decode-only fast path: every running request is in
-            # DECODE, and the incremental counters already hold the
-            # batch totals — identical to the walk below (int sums).
-            return [], self._running[:], 0, self._decode_kv_tokens
-        prefilling: list[InferenceRequest] = []
-        decoding: list[InferenceRequest] = []
-        kv_tokens = 0
-        prefill_phase = RequestPhase.PREFILL
-        for r in self._running:
-            if r.phase is prefill_phase:
-                prefilling.append(r)
-            else:  # running requests are PREFILL or DECODE only
-                decoding.append(r)
-                kv_tokens += r.prefilled_tokens + r.decoded_tokens
-        budget = MAX_BATCHED_PREFILL_TOKENS
-        plan: list[tuple[InferenceRequest, int]] = []
-        prefill_tokens = 0
-        for request in prefilling:
-            if budget <= 0:
-                break
-            remaining = request.prompt_tokens - request.prefilled_tokens
-            chunk = remaining if remaining < budget else budget
-            plan.append((request, chunk))
-            budget -= chunk
-            prefill_tokens += chunk
-        return plan, decoding, prefill_tokens, kv_tokens
-
-    def _apply_iteration(
-        self,
-        prefill_plan: list[tuple[InferenceRequest, int]],
-        decode_seqs: list[InferenceRequest],
-    ) -> list[InferenceRequest]:
-        finished: list[InferenceRequest] = []
-        decode_phase = RequestPhase.DECODE
-        now = self.now
-        for request, chunk in prefill_plan:
-            request.prefilled_tokens += chunk
-            assert request.prefilled_tokens <= request.prompt_tokens
-            if request.prefilled_tokens == request.prompt_tokens:
-                request.phase = decode_phase
-                request.prefill_done_time = now
-                # The last prefill chunk emits the first output token.
-                request.decoded_tokens += 1
-                self._n_prefill_phase -= 1
-                self._decode_kv_tokens += (request.prefilled_tokens
-                                           + request.decoded_tokens)
-                if request.decoded_tokens >= request.output_tokens:
-                    self._finish(request, finished)
-        # The per-token KV growth is summed locally and added once —
-        # integer addition commutes with _finish/cancel retirements, so
-        # the post-iteration total is unchanged.
-        n_decoded = 0
-        finish = self._finish
-        for request in decode_seqs:
-            if request.phase is not decode_phase:
-                continue  # finished during prefill bookkeeping above
-            n_decoded += 1
-            tokens = request.decoded_tokens + 1
-            request.decoded_tokens = tokens
-            if tokens >= request.output_tokens:
-                finish(request, finished)
-        self._decode_kv_tokens += n_decoded
-        return finished
-
     def _finish(self, request: InferenceRequest,
                 finished: list[InferenceRequest]) -> None:
         request.phase = RequestPhase.FINISHED
         request.finish_time = self.now
-        # Finishing requests are always DECODE phase (the transition in
-        # _apply_iteration runs first) — retire their KV contribution.
+        # Finishing requests are always DECODE phase (step moves a
+        # request out of PREFILL first) — retire their KV contribution.
         self._decode_kv_tokens -= (request.prefilled_tokens
                                    + request.decoded_tokens)
         self.blocks.free(request.request_id)

@@ -35,7 +35,7 @@ class FCFSPolicy(SchedulingPolicy):
 
     name = "fcfs"
 
-    _key = attrgetter("priority", "arrival_time", "request_id")
+    _key = attrgetter("arrival_time", "request_id")
 
     def order(self, waiting: list[InferenceRequest],
               running: list[InferenceRequest]) -> list[InferenceRequest]:
@@ -82,7 +82,6 @@ class AppAwarePolicy(SchedulingPolicy):
         return sorted(
             waiting,
             key=lambda r: (
-                r.priority,
                 remaining[r.app_id],
                 first_arrival[r.app_id],
                 r.stage,

@@ -57,7 +57,6 @@ class InferenceRequest:
     arrival_time: float
     app_id: str = ""
     stage: int = 0
-    priority: int = 0
     on_finish: Optional[Callable[["InferenceRequest", float], None]] = None
     request_id: int = field(default_factory=lambda: next(_request_counter))
 

@@ -22,8 +22,8 @@ properties are load-bearing and pinned by ``tests/test_sim_kernel.py``:
   rescheduled event ranks as the *newest* insertion at its new time).
 * **Event-driven substrates** — :meth:`EventLoop.attach` registers a
   :class:`Steppable` (e.g. a
-  :class:`~repro.serving.cluster.ClusterEngine`) as a *time source*:
-  plain :meth:`run` then advances attached sources to each external
+  :class:`~repro.serving.cluster.ClusterEngine`) as the loop's one
+  *time source*: plain :meth:`run` then advances it to each external
   event's timestamp and dispatches the handler at
   ``max(event.time, source.now)``, so a handler never observes a time
   behind the substrate's clock. The stepping itself is carried by
@@ -151,9 +151,10 @@ class EventLoop:
         self._n_pending = 0
         #: cancelled entries still resident in the heap
         self._n_dead = 0
-        self._sources: list[Steppable] = []
-        #: per-source fused advance-and-read-clock callables (see attach)
-        self._advances: list[Callable[[float], float]] = []
+        #: the one attached time source and its fused
+        #: advance-and-read-clock callable (see attach)
+        self._source: Steppable | None = None
+        self._advance: Callable[[float], float] | None = None
         self.n_scheduled = 0
         self.n_dispatched = 0
         self.n_cancelled = 0
@@ -266,18 +267,19 @@ class EventLoop:
 
     # ------------------------------------------------------------------
     def attach(self, source: Steppable) -> None:
-        """Register a substrate as a time source for event dispatch.
+        """Register a substrate as the loop's time source.
 
-        Attached sources are advanced to each external event's
+        The attached source is advanced to each external event's
         timestamp before its handler runs, and the handler observes
         ``max(event.time, source.now)``. Stepping the source is the
         :class:`~repro.sim.driver.StepDriver`'s job (it keeps a step
-        event armed while the source has work).
+        event armed while the source has work). A loop holds one
+        source (a whole cluster is one).
         """
-        if source in self._sources:
-            raise ValueError(f"source {source!r} is already attached")
-        self._sources.append(source)
-        self._advances.append(source.advance_and_observe)
+        if self._source is not None:
+            raise ValueError(f"source {self._source!r} is already attached")
+        self._source = source
+        self._advance = source.advance_and_observe
 
     # ------------------------------------------------------------------
     def __bool__(self) -> bool:
@@ -322,11 +324,11 @@ class EventLoop:
     def run(self, max_steps: int = 50_000_000) -> int:
         """Dispatch until the pending set drains.
 
-        Attached sources (see :meth:`attach`) are advanced to each
+        The attached source (see :meth:`attach`) is advanced to each
         external event's timestamp before its handler runs, and the
-        handler observes ``max(event.time, source.now)``. Their step
+        handler observes ``max(event.time, source.now)``. Its step
         events — kept armed by a :class:`~repro.sim.driver.StepDriver`
-        — interleave by ordinary ``(time, rank, seq)`` order. If a
+        — interleave by ordinary ``(time, rank, seq)`` order. If the
         source still has work when the queue drains, its wake protocol
         is broken and a ``RuntimeError`` is raised rather than silently
         stranding work.
@@ -347,13 +349,12 @@ class EventLoop:
                 continue
             event._status = _POPPED
             self._n_pending -= 1
-            # -- advance attached sources + dispatch --
+            # -- advance the attached source + dispatch --
             t = event.time
-            if event.source is None and self._sources:
-                for adv in self._advances:
-                    now = adv(t)
-                    if now > t:
-                        t = now
+            if event.source is None and self._advance is not None:
+                now = self._advance(t)
+                if now > t:
+                    t = now
             if t > self.now:
                 self.now = t
             self.n_dispatched += 1
@@ -369,10 +370,10 @@ class EventLoop:
                 raise RuntimeError(
                     f"event loop did not drain within {max_steps} steps"
                 )
-        for source in self._sources:
-            if source.has_work():
-                raise RuntimeError(
-                    f"event loop drained but source {source!r} still "
-                    "has work — its wake protocol lost an admission"
-                )
+        source = self._source
+        if source is not None and source.has_work():
+            raise RuntimeError(
+                f"event loop drained but source {source!r} still "
+                "has work — its wake protocol lost an admission"
+            )
         return steps

@@ -44,7 +44,7 @@ follow the kernel's stable ``(time, rank, seq)`` order.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.util.validation import check_count, check_positive

@@ -1,12 +1,13 @@
 """Test-side stepping helpers: drain an engine, record its iterations,
-and a reference engine that never takes the decode-only shortcut.
+and drive it through the manual lockstep interleave.
 
-``ServingEngine.step`` runs a decode-only batch with an empty queue
-inline; every other iteration goes through
-``ServingEngine._step_general``. :class:`GeneralStepEngine` sends every
-iteration through ``_step_general``, so a run on it is the reference
-the shortcut must reproduce: the same clock after each step, the same
-running set, the same finished requests and the same ``EngineStats``.
+``ServingEngine.step`` trusts two incremental counters instead of
+walking the running batch: ``_n_prefill_phase`` (running requests still
+prefilling; the batch walk for prefill chunks runs only while it is
+nonzero) and ``_decode_kv_tokens`` (the decode-phase KV total the
+roofline prices). :func:`record_steps` recounts both from ``_running``
+after every recorded step, so every test that records a trace also
+checks the counters.
 
 Not a ``test_*`` module, so pytest imports it only where a test asks
 for it.
@@ -16,19 +17,13 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from repro.serving import (
-    ClusterEngine,
-    EngineConfig,
-    InferenceRequest,
-    ServingEngine,
-)
+from repro.serving import InferenceRequest
+from repro.serving.request import RequestPhase
 
 __all__ = [
-    "GeneralStepEngine",
     "Step",
     "drain",
     "drive_lockstep",
-    "general_cluster",
     "record_steps",
     "request_times",
 ]
@@ -50,24 +45,6 @@ def drain(engine) -> int:
     return n
 
 
-class GeneralStepEngine(ServingEngine):
-    """A serving engine whose every iteration takes the general path."""
-
-    def step(self) -> list[InferenceRequest]:
-        if not self.has_work():
-            raise RuntimeError("step() called on an idle engine")
-        return self._step_general()
-
-
-def general_cluster(config: EngineConfig, **kwargs) -> ClusterEngine:
-    """A :class:`ClusterEngine` built from :class:`GeneralStepEngine`
-    replicas (same speeds, same router)."""
-    cluster = ClusterEngine(config, **kwargs)
-    cluster.replicas = [GeneralStepEngine(config, speed=r.speed)
-                        for r in cluster.replicas]
-    return cluster
-
-
 class Step(NamedTuple):
     """One recorded engine iteration; requests as submission indices."""
 
@@ -77,15 +54,25 @@ class Step(NamedTuple):
     #: the running batch after the iteration, in admission order
     running: tuple[int, ...]
     finished: tuple[int, ...]
-    #: whether ``ServingEngine.step`` would take the decode-only shortcut
-    decode_only: bool
+
+
+def check_batch_counters(engine) -> None:
+    """``engine``'s prefill count and decode KV total equal a recount
+    of its running batch, whose members are all PREFILL or DECODE."""
+    phases = [r.phase for r in engine._running]
+    assert set(phases) <= {RequestPhase.PREFILL, RequestPhase.DECODE}
+    assert engine._n_prefill_phase == phases.count(RequestPhase.PREFILL)
+    assert engine._decode_kv_tokens == sum(
+        r.prefilled_tokens + r.decoded_tokens for r in engine._running
+        if r.phase is RequestPhase.DECODE)
 
 
 def record_steps(engine, index: dict[int, int]) -> list[Step]:
     """Record every iteration of ``engine`` (a :class:`ServingEngine`,
     or each replica of a :class:`ClusterEngine`) into the returned list.
 
-    Wraps each replica's ``step`` on the instance. ``index`` maps
+    Wraps each replica's ``step`` on the instance and checks
+    :func:`check_batch_counters` after each one. ``index`` maps
     request ids to submission indices; the caller fills it as it
     submits, so traces of two runs compare equal.
     """
@@ -93,14 +80,12 @@ def record_steps(engine, index: dict[int, int]) -> list[Step]:
     replicas = getattr(engine, "replicas", [engine])
     for rid, replica in enumerate(replicas):
         def step(rid=rid, replica=replica, inner=replica.step):
-            decode_only = (not replica._waiting
-                           and replica._n_prefill_phase == 0)
             finished = inner()
+            check_batch_counters(replica)
             trace.append(Step(
                 rid, replica.now,
                 tuple(index[r.request_id] for r in replica._running),
-                tuple(index[r.request_id] for r in finished),
-                decode_only))
+                tuple(index[r.request_id] for r in finished)))
             return finished
         replica.step = step
     return trace

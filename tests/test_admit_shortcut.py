@@ -49,8 +49,7 @@ def request_spec(rng: random.Random, kind: str, pool_tokens: int) -> dict:
         output = rng.randint(1, 10)
         prompt = pool_tokens - output - rng.randint(0, 40)
     return dict(prompt_tokens=prompt, output_tokens=output,
-                app_id=f"app{rng.randint(0, 5)}", stage=rng.randint(0, 1),
-                priority=rng.choice((0, 0, 0, -1)))
+                app_id=f"app{rng.randint(0, 5)}", stage=rng.randint(0, 1))
 
 
 #: Burst shapes: ``(kind, how many)``.

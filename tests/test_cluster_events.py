@@ -1,19 +1,18 @@
 """Event-driven cluster stepping: the lockstep-equivalence guarantee,
-the decode-only shortcut, the idle-wakeup protocol, and heterogeneous
-replica speeds.
+the idle-wakeup protocol, and heterogeneous replica speeds.
 
 The tentpole invariant: driving a cluster through ``EventLoop`` +
 ``StepDriver`` (step events, wake on admission, sleep when idle)
 produces a **byte-identical** iteration trace to the manual lockstep
 loop (``step_and_frontier()`` while the clock trails the next arrival)
 that ``tests/test_cluster_golden.py`` and the pre-refactor runner used.
-The lockstep reference runs on ``stepping.GeneralStepEngine`` replicas,
-which never take ``ServingEngine.step``'s decode-only shortcut, so each
-comparison also races the shortcut against ``_step_general``. It must
-hold both with the step recorder attached (``observed``: every step's
-replica, clock, running batch and finished requests must match) and
-without it (``unobserved``: the production path untouched; each
-request's admitted, prefill-done and finish instants and the final
+Both sides run plain ``ClusterEngine`` replicas. It must hold both with
+the step recorder attached (``observed``: every step's replica, clock,
+running batch and finished requests must match, and
+``stepping.record_steps`` recounts each stepped replica's prefill count
+and decode KV total from its running batch) and without it
+(``unobserved``: the production path untouched; each request's
+admitted, prefill-done and finish instants and the final
 ``EngineStats`` must match). Homogeneous fleets must be provably
 behavior-preserving before heterogeneous speeds are allowed to diverge.
 """
@@ -40,7 +39,6 @@ from repro.util.units import GB
 from stepping import (
     drain,
     drive_lockstep,
-    general_cluster,
     record_steps,
     request_times,
 )
@@ -125,21 +123,20 @@ def assert_lockstep_equivalent(golden, reference: ClusterEngine,
 
 class TestLockstepEquivalence:
     """Homogeneous speeds: event-driven == manual lockstep, byte for
-    byte, with the lockstep side on the general-path reference."""
+    byte."""
 
     @OBSERVED
     def test_bare_engine_trace_identical(self, observed):
         """A lone engine goes on the event loop as a one-replica
         cluster; its trace must match the lockstep loop."""
         specs = request_specs(ROOT_SEED)
-        reference = general_cluster(build_config(), n_replicas=1)
+        reference = ClusterEngine(build_config(), n_replicas=1)
         golden = drive_lockstep(reference, specs)
         engine = ClusterEngine(build_config(), n_replicas=1)
         trace, times, driver, loop = drive_events(engine, specs, observed)
         steps = golden[0]
         assert len(steps) > len(specs) // 2  # real multi-iteration run
         assert {step.replica for step in steps} == {0}  # one replica alone
-        assert any(step.decode_only for step in steps)  # shortcut reached
         assert_lockstep_equivalent(golden, reference, engine, trace, times,
                                    observed)
         assert driver.n_steps == len(steps)
@@ -149,8 +146,8 @@ class TestLockstepEquivalence:
     @pytest.mark.parametrize("router", ROUTER_NAMES)
     def test_three_replica_cluster_trace_identical(self, router, observed):
         specs = request_specs(ROOT_SEED + 1, n_requests=50, mean_gap=0.02)
-        reference = general_cluster(build_config(), n_replicas=3,
-                                    router=router, seed=ROOT_SEED)
+        reference = ClusterEngine(build_config(), n_replicas=3,
+                                  router=router, seed=ROOT_SEED)
         golden = drive_lockstep(reference, specs)
         engine = ClusterEngine(build_config(), n_replicas=3, router=router,
                                seed=ROOT_SEED)
@@ -168,8 +165,8 @@ class TestLockstepEquivalence:
         must reschedule its armed event (n_cancelled > 0) and the
         trace must still match the lockstep loop."""
         specs = request_specs(ROOT_SEED + 2, n_requests=30, mean_gap=0.15)
-        reference = general_cluster(build_config(0.5), n_replicas=2,
-                                    router="round-robin", seed=0)
+        reference = ClusterEngine(build_config(0.5), n_replicas=2,
+                                  router="round-robin", seed=0)
         golden = drive_lockstep(reference, specs)
         engine = ClusterEngine(build_config(0.5), n_replicas=2,
                                router="round-robin", seed=0)
@@ -190,7 +187,7 @@ class TestLockstepEquivalence:
             specs = request_specs(1000 + index,
                                   n_requests=int(rng.integers(5, 25)),
                                   mean_gap=float(rng.uniform(0.01, 0.2)))
-            reference = general_cluster(
+            reference = ClusterEngine(
                 build_config(0.75), n_replicas=n_replicas, router=router,
                 seed=index)
             golden = drive_lockstep(reference, specs)
@@ -201,35 +198,6 @@ class TestLockstepEquivalence:
                 f"schedule {index} ({n_replicas} replicas, {router}) drifted"
             )
             assert repr(times) == repr(golden[1])
-
-
-class TestDecodeShortcut:
-    """``ServingEngine.step``'s decode-only shortcut against the
-    ``_step_general`` reference on the lockstep schedules, under both
-    admission policies, event-driven on one side and lockstep on the
-    other."""
-
-    @pytest.mark.parametrize("policy", ["fcfs", "app-aware"])
-    @pytest.mark.parametrize("n_replicas", [1, 3])
-    def test_shortcut_matches_general_path(self, n_replicas, policy):
-        if n_replicas == 1:
-            specs = request_specs(ROOT_SEED)
-        else:
-            specs = request_specs(ROOT_SEED + 1, n_requests=50,
-                                  mean_gap=0.02)
-        config = build_config(policy=policy)
-        reference = general_cluster(config, n_replicas=n_replicas,
-                                    seed=ROOT_SEED)
-        golden = drive_lockstep(reference, specs)
-        engine = ClusterEngine(config, n_replicas=n_replicas,
-                               seed=ROOT_SEED)
-        trace, times, _, _ = drive_events(engine, specs)
-        shortcuts = sum(step.decode_only for step in trace)
-        assert 0 < shortcuts < len(trace)  # both paths genuinely taken
-        assert repr(trace) == repr(golden[0])
-        assert repr(times) == repr(golden[1])
-        assert [r.stats for r in engine.replicas] \
-            == [r.stats for r in reference.replicas]
 
 
 class TestIdleWakeup:

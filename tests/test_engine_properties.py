@@ -1,4 +1,9 @@
-"""Property-based tests of engine invariants under random workloads."""
+"""Property-based tests of engine invariants under random workloads.
+
+Every drain goes through ``stepping.record_steps``, which recounts the
+engine's prefill count and decode KV total from its running batch after
+each step.
+"""
 
 import dataclasses
 
@@ -10,7 +15,7 @@ from repro.serving.engine import EngineConfig, ServingEngine
 from repro.serving.request import InferenceRequest, RequestPhase
 from repro.util.units import GB
 
-from stepping import GeneralStepEngine, drain, record_steps, request_times
+from stepping import drain, record_steps
 
 request_specs = st.lists(
     st.tuples(
@@ -23,8 +28,8 @@ request_specs = st.lists(
 )
 
 
-def build_engine(policy: str, cls=ServingEngine) -> ServingEngine:
-    return cls(
+def build_engine(policy: str) -> ServingEngine:
+    return ServingEngine(
         EngineConfig(
             model=MISTRAL_7B_AWQ,
             cluster=ClusterSpec(A40),
@@ -32,6 +37,13 @@ def build_engine(policy: str, cls=ServingEngine) -> ServingEngine:
             policy=policy,
         )
     )
+
+
+def record(engine: ServingEngine) -> None:
+    """Check the batch counters after every later step of ``engine``;
+    call once everything is submitted."""
+    record_steps(engine, {r.request_id: i
+                          for i, r in enumerate(engine.waiting)})
 
 
 @settings(deadline=None, max_examples=40)
@@ -50,6 +62,7 @@ def test_every_request_completes_exactly_once(specs, policy):
             on_finish=lambda req, t: finished.append(req.request_id),
         )
         requests.append(engine.submit(r))
+    record(engine)
     drain(engine)
     assert sorted(finished) == sorted(r.request_id for r in requests)
     assert all(r.phase is RequestPhase.FINISHED for r in requests)
@@ -65,6 +78,7 @@ def test_blocks_conserved_and_clock_monotone(specs, policy):
             prompt_tokens=max(1, prompt), output_tokens=out,
             arrival_time=0.0, app_id=app,
         ))
+    record(engine)
     last_t = 0.0
     while engine.has_work():
         engine.step()
@@ -89,6 +103,7 @@ def test_exact_token_accounting(specs):
         ))
         total_prompt += prompt
         total_out += out
+    record(engine)
     drain(engine)
     assert engine.stats.prefill_tokens == total_prompt
     # One output token per request is produced by its final prefill chunk.
@@ -109,31 +124,8 @@ def test_fcfs_and_app_aware_complete_same_work(specs):
                 prompt_tokens=prompt, output_tokens=out,
                 arrival_time=0.0, app_id=app,
             ))
+        record(engine)
         drain(engine)
         results[policy] = (engine.stats.prefill_tokens,
                            engine.stats.requests_finished)
     assert results["fcfs"] == results["app-aware"]
-
-
-@settings(deadline=None, max_examples=30)
-@given(request_specs, st.sampled_from(["fcfs", "app-aware"]))
-def test_decode_shortcut_matches_general_path(specs, policy):
-    """``step()``'s decode-only shortcut against ``_step_general``: the
-    same clock, running batch and finished requests after every step,
-    the same request instants, the same final stats."""
-    runs = []
-    for cls in (ServingEngine, GeneralStepEngine):
-        engine = build_engine(policy, cls)
-        index: dict[int, int] = {}
-        trace = record_steps(engine, index)
-        requests = []
-        for prompt, out, app in specs:
-            prompt = max(1, min(prompt, engine.memory.kv_pool_tokens - out - 1))
-            request = InferenceRequest(prompt_tokens=prompt,
-                                       output_tokens=out, arrival_time=0.0,
-                                       app_id=app)
-            index[request.request_id] = len(requests)
-            requests.append(engine.submit(request))
-        drain(engine)
-        runs.append((repr(trace), request_times(requests), engine.stats))
-    assert runs[0] == runs[1]

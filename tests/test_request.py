@@ -10,10 +10,9 @@ from repro.serving.request import InferenceRequest, RequestPhase
 from stepping import drain
 
 
-def req(prompt=100, out=10, t=0.0, app="a", stage=0, prio=0):
+def req(prompt=100, out=10, t=0.0, app="a", stage=0):
     return InferenceRequest(prompt_tokens=prompt, output_tokens=out,
-                            arrival_time=t, app_id=app, stage=stage,
-                            priority=prio)
+                            arrival_time=t, app_id=app, stage=stage)
 
 
 class TestInferenceRequest:
@@ -63,11 +62,6 @@ class TestFCFSPolicy:
     def test_orders_by_arrival(self):
         a, b, c = req(t=3), req(t=1), req(t=2)
         assert FCFSPolicy().order([a, b, c], []) == [b, c, a]
-
-    def test_priority_first(self):
-        low = req(t=0, prio=1)
-        high = req(t=5, prio=0)
-        assert FCFSPolicy().order([low, high], []) == [high, low]
 
     def test_does_not_mutate(self):
         waiting = [req(t=2), req(t=1)]

@@ -277,11 +277,15 @@ class TestAttachedSources:
         assert seen == [7.5]  # clamped, never rewound
 
     def test_double_attach_rejected(self):
+        """A loop holds one time source: the same one again or a
+        second one is refused."""
         substrate = _FakeSubstrate(work_units=0, step_seconds=1.0)
         loop = EventLoop()
         loop.attach(substrate)
         with pytest.raises(ValueError, match="already attached"):
             loop.attach(substrate)
+        with pytest.raises(ValueError, match="already attached"):
+            loop.attach(_FakeSubstrate(work_units=0, step_seconds=1.0))
 
     def test_stranded_work_is_an_error(self):
         """A busy source with no armed step event means the wake
