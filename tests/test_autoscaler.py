@@ -4,6 +4,8 @@ loop integration, and the lockstep-equivalence guarantee."""
 from __future__ import annotations
 
 import math
+import random
+from collections import deque
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -580,6 +582,42 @@ def window_scaler(records, window_s: float = 10.0) -> Autoscaler:
 
 
 class TestSlidingWindow:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_rescan_on_random_streams(self, seed):
+        """``signals`` rescans the record list at each tick. An
+        incremental window agrees at every tick: a deque that admits
+        each record as it finishes and evicts from the front once its
+        finish reaches the cutoff ``t - window_s``. Finishes and ticks
+        sit on a 0.5 s grid, so finishes tie and land exactly on the
+        cutoff."""
+        rng = random.Random(seed)
+        window_s = rng.choice((3.0, 10.0, 25.0))
+        records: list[WindowRecord] = []
+        scaler = window_scaler(records, window_s)
+        window: deque[WindowRecord] = deque()
+        met = counted = 0
+        t = 0.0
+        for _ in range(60):
+            previous = t
+            t += rng.choice((0.5, 2.0, 7.0))
+            steps = int((t - previous) / 0.5)
+            finishes = sorted(previous + 0.5 * rng.randint(1, steps)
+                              for _ in range(rng.randrange(6)))
+            for finish in finishes:
+                deadline = (None if rng.random() < 0.3
+                            else finish + rng.choice((-1.0, 0.0, 1.0)))
+                record = WindowRecord(finish, deadline)
+                records.append(record)
+                if record.slo_met is not None:
+                    window.append(record)
+                    met += record.slo_met
+                    counted += 1
+            while window and window[0].finish_time <= t - window_s:
+                met -= window.popleft().slo_met
+                counted -= 1
+            expected = met / counted if counted else None
+            assert scaler.signals(t).window_slo_attainment == expected, t
+
     def test_hand_computed_attainments(self):
         """A 10 s window over a fixed stream, ticked as records finish.
         The window holds records finishing strictly after ``t - 10``
